@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import __version__
+from . import corpus
 from . import linalg as la
 from . import loci as lo
 from . import mhs as mh
@@ -161,7 +162,8 @@ def _cmd_locus(args, digests):
     try:
         vector = [Fraction(x) for x in json.loads(args.vector)]
         construction = json.loads(args.construction)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError,
+            ZeroDivisionError) as exc:
         raise ParseError(f"bad --vector/--construction: {exc}") from exc
     res = lo.locus_on_pencil(pencil, vector, construction)
     doc = {"run": _run_record("locus", digests),
@@ -201,7 +203,8 @@ def _cmd_mt_bound(args, digests):
 
 
 def _cmd_experiment(args, digests):
-    mu = se.triple_from_json(_read_json(args.triple, digests))
+    mu = (se.triple_from_json(_read_json(args.triple, digests))
+          if args.triple else corpus.tate3_triple())
     report = un.genericity_experiment(mu, args.samples, args.seed,
                                       args.height)
     report["run"] = _run_record("experiment", digests, seed=str(args.seed),
@@ -210,6 +213,13 @@ def _cmd_experiment(args, digests):
 
 
 # -- dispatcher ---------------------------------------------------------------
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {n}")
+    return n
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -274,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
 
     p = verb("experiment", _cmd_experiment, help="genericity experiment")
-    p.add_argument("--triple", required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--triple", help="triple JSON file (default: the "
+                   "three-step Tate triple, weights -6, -2, 0)")
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", default="0")
     p.add_argument("--height", type=int, default=10)
     return parser

@@ -177,6 +177,13 @@ def parse_q(s: str) -> Fraction:
     return g.re
 
 
+def _fraction(text: str, s: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {s!r}") from None
+
+
 def parse_qi(s: str) -> GaussRat:
     """Parse "a/b+c/di" with either part omissible."""
     text = s.strip().replace(" ", "")
@@ -197,13 +204,13 @@ def parse_qi(s: str) -> GaussRat:
         if m.group(3):  # imaginary term
             if seen_im:
                 raise ParseError(f"duplicate imaginary part in {s!r}")
-            mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+            mag = _fraction(m.group(2), s) if m.group(2) else Fraction(1)
             im_part = sign * mag
             seen_im = True
         else:
             if seen_re:
                 raise ParseError(f"duplicate real part in {s!r}")
-            re_part = sign * Fraction(m.group(4))
+            re_part = sign * _fraction(m.group(4), s)
             seen_re = True
     return GaussRat(re_part, im_part)
 

@@ -69,6 +69,10 @@ def kron_vec(u: Vector, v: Vector) -> Vector:
     return tuple(x * y for x in u for y in v)
 
 
+def kron_mat(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
 def conj_mat(a: Matrix) -> Matrix:
     return tuple(tuple(x.conj() if isinstance(x, GaussRat) else x for x in row)
                  for row in a)

@@ -4,17 +4,15 @@ A pencil is an affine line of gluing sections inside one fiber of the
 truncation map; the locus of parameters where a fixed rational vector is
 a weight-zero Hodge class in a derived structure (built from the family
 member by duals, tensors, homs, weight subs and quotients) is computed
-symbolically over Q(i)[t] and cross-validated by exact evaluation at the
-candidate points.
+exactly along the pencil's unipotent orbit and cross-validated by exact
+evaluation at the candidate points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import sympy as sp
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from . import mhs as mh
@@ -22,7 +20,7 @@ from . import triples as tr
 from .errors import LocusError, NotAnMhsError, NotASubobjectError, ParseError
 from .field import Q, QI, GaussRat
 from .linalg import Matrix, Subspace
-from .mhs import MixedHodgeStructure, WeightFiltration
+from .mhs import MixedHodgeStructure
 from .triples import SPoint, Triple
 
 
@@ -150,6 +148,8 @@ class LocusResult:
 
     Constraints are triples (a, b, c) for a*t + b*conj(t) + c = 0 over
     Q(i); kind is ALL exactly when no nontrivial constraint remains.
+    locus_on_pencil gives at most one: (1, 0, c), or (0, 0, 1) when the
+    locus is empty.
     """
 
     kind: str  # "ALL" or "AFFINE_SUBSET"
@@ -168,158 +168,73 @@ class LocusResult:
         return None
 
 
-# -- symbolic evaluation over Q(i)[t] -----------------------------------------
+# -- the locus computation ----------------------------------------------------
 
-_T = sp.Symbol("t")
-
-
-def _sym(x: GaussRat):
-    return sp.Rational(x.re.numerator, x.re.denominator) + \
-        sp.I * sp.Rational(x.im.numerator, x.im.denominator)
+_EMPTY = (GaussRat(0), GaussRat(0), GaussRat(1))  # 0 = 1: no solution
 
 
-def _sym_mat(a: Matrix) -> sp.Matrix:
-    return sp.Matrix([[_sym(x) for x in row] for row in a])
+def _derive(term, m: MixedHodgeStructure,
+            x: Matrix) -> Tuple[MixedHodgeStructure, Matrix]:
+    """The derived structure of m and the endomorphism x induces on it.
 
-
-def _gauss(expr) -> GaussRat:
-    expr = sp.nsimplify(sp.expand(expr))
-    re, im = expr.as_real_imag()
-    if not (re.is_rational and im.is_rational):
-        raise LocusError(f"non-Gaussian-rational value {expr}")
-    return GaussRat(Fraction(sp.Rational(re).p, sp.Rational(re).q),
-                    Fraction(sp.Rational(im).p, sp.Rational(im).q))
-
-
-@dataclass(frozen=True)
-class _SymMHS:
-    """A family of structures: exact W, Hodge generators polynomial in t."""
-
-    dim: int
-    W: WeightFiltration
-    fgens: Tuple[Tuple[int, sp.Matrix], ...]  # p -> dim x k generator matrix
-
-    def fgen_at(self, p: int) -> sp.Matrix:
-        for q, g in self.fgens:
-            if q >= p:
-                return g
-        return sp.zeros(self.dim, 0)
-
-    @property
-    def fjumps(self):
-        return tuple(p for p, _ in self.fgens)
-
-
-def _sym_nullspace(a: sp.Matrix) -> sp.Matrix:
-    """Columns spanning the generic right kernel, with denominators cleared."""
-    if a.cols == 0:
-        return sp.zeros(0, 0)
-    out = []
-    for c in a.nullspace():
-        c = sp.simplify(c)
-        scale = sp.lcm([sp.fraction(sp.cancel(e))[1] for e in c] or [1])
-        out.append(sp.expand(c * scale))
-    if not out:
-        return sp.zeros(a.cols, 0)
-    return sp.Matrix.hstack(*out)
-
-
-def _sym_member(pencil: Pencil) -> _SymMHS:
-    mu = pencil.triple
-    wp = mu.W.at(pencil.p)
-    incl = _sym_mat(la.to_qi_mat(la.inclusion_map(wp)))
-    psi = _sym_mat(pencil.psi0) + _T * _sym_mat(pencil.dpsi)
-    jumps = sorted(set(pencil.x.F.jumps) | set(pencil.y.F.jumps))
-    fgens = []
-    for q in jumps:
-        gx = incl * _sym_mat(la.transpose(pencil.x.F.at(q).basis)) \
-            if pencil.x.F.at(q).dim else sp.zeros(mu.dim, 0)
-        gy = psi * _sym_mat(la.transpose(pencil.y.F.at(q).basis)) \
-            if pencil.y.F.at(q).dim else sp.zeros(mu.dim, 0)
-        fgens.append((q, sp.Matrix.hstack(gx, gy)))
-    return _SymMHS(mu.dim, mu.W, tuple(fgens))
-
-
-def _sym_dual(m: _SymMHS) -> _SymMHS:
-    exact = mh.dual(MixedHodgeStructure(
-        m.dim, m.W, mh.HodgeFiltration.of(m.dim, {0: Subspace.full(QI, m.dim)})))
-    fgens = []
-    if m.fjumps:
-        for p in range(-max(m.fjumps), -min(m.fjumps) + 2):
-            g = m.fgen_at(-p + 1)
-            fgens.append((p, _sym_nullspace(g.T)))
-    return _SymMHS(m.dim, exact.W, tuple(fgens))
-
-
-def _sym_tensor(m: _SymMHS, n: _SymMHS) -> _SymMHS:
-    wm = MixedHodgeStructure(m.dim, m.W, mh.HodgeFiltration.of(
-        m.dim, {0: Subspace.full(QI, m.dim)}))
-    wn = MixedHodgeStructure(n.dim, n.W, mh.HodgeFiltration.of(
-        n.dim, {0: Subspace.full(QI, n.dim)}))
-    w = mh.tensor(wm, wn).W
-    fgens = []
-    for p in sorted({a + b for a in m.fjumps for b in n.fjumps}):
-        cols = []
-        for a in m.fjumps:
-            ga, gb = m.fgen_at(a), n.fgen_at(p - a)
-            for i in range(ga.cols):
-                for j in range(gb.cols):
-                    cols.append(_kron_col(ga.col(i), gb.col(j)))
-        fgens.append((p, sp.Matrix.hstack(*cols)
-                      if cols else sp.zeros(m.dim * n.dim, 0)))
-    return _SymMHS(m.dim * n.dim, w, tuple(fgens))
-
-
-def _kron_col(u: sp.Matrix, v: sp.Matrix) -> sp.Matrix:
-    return sp.Matrix([u[i] * v[j] for i in range(u.rows) for j in range(v.rows)])
-
-
-def _sym_wsub(m: _SymMHS, p: int) -> _SymMHS:
-    wp = m.W.at(p)
-    sel = _sym_mat(la.to_qi_mat(la.coords_map(wp)))
-    eqs = _sym_mat(la.to_qi_mat(la.equations(wp)))
-    w = WeightFiltration.of(wp.dim, {
-        n: la.apply_to_subspace(la.coords_map(wp), la.intersect(s, wp))
-        for n, s in m.W.steps})
-    fgens = []
-    for q, g in m.fgens:
-        if eqs.rows == 0:
-            fgens.append((q, sel * g))
-            continue
-        combos = _sym_nullspace(eqs * g)
-        fgens.append((q, sel * g * combos))
-    return _SymMHS(wp.dim, w, tuple(fgens))
-
-
-def _sym_quot(m: _SymMHS, a_q: Subspace) -> _SymMHS:
-    proj = la.quotient_map(a_q)
-    k = m.dim - a_q.dim
-    w = WeightFiltration.of(k, {n: la.apply_to_subspace(proj, s)
-                                for n, s in m.W.steps})
-    proj_s = _sym_mat(la.to_qi_mat(proj))
-    return _SymMHS(k, w, tuple((q, proj_s * g) for q, g in m.fgens))
-
-
-def _sym_eval(term, m: _SymMHS) -> _SymMHS:
+    x acts as a derivation: minus its transpose on a dual, kron(x, 1) +
+    kron(1, x) on a tensor, and by restriction or passage to the quotient
+    on weight subs and quotients.  A quotient needs x to preserve the
+    subspace.
+    """
     if term == SELF:
-        return m
+        return m, x
     head = term[0]
     if head == "DUAL":
-        return _sym_dual(_sym_eval(term[1], m))
+        d, y = _derive(term[1], m, x)
+        return mh.dual(d), la.mat_scale(-1, la.transpose(y))
     if head == "TENSOR":
-        return _sym_tensor(_sym_eval(term[1], m), _sym_eval(term[2], m))
+        a, ya = _derive(term[1], m, x)
+        b, yb = _derive(term[2], m, x)
+        return mh.tensor(a, b), la.mat_add(
+            la.kron_mat(ya, la.identity(QI, b.dim)),
+            la.kron_mat(la.identity(QI, a.dim), yb))
     if head == "HOM":
-        return _sym_tensor(_sym_dual(_sym_eval(term[1], m)),
-                           _sym_eval(term[2], m))
+        return _derive(["TENSOR", ["DUAL", term[1]], term[2]], m, x)
     if head == "WSUB":
-        return _sym_wsub(_sym_eval(term[2], m), term[1])
+        d, y = _derive(term[2], m, x)
+        wp = d.W.at(term[1])
+        sel = la.to_qi_mat(la.coords_map(wp))
+        incl = la.to_qi_mat(la.inclusion_map(wp))
+        return mh.sub_mhs(d, wp), la.mat_mul(sel, la.mat_mul(y, incl))
     if head == "QUOT":
-        inner = _sym_eval(term[2], m)
-        return _sym_quot(inner, _quot_subspace(term[1], inner.dim))
+        d, y = _derive(term[2], m, x)
+        a_q = _quot_subspace(term[1], d.dim)
+        quo = mh.quotient_mhs(d, a_q)
+        a_c = a_q.to_qi()
+        if not a_c.contains_subspace(la.apply_to_subspace(y, a_c)):
+            raise LocusError("the quotiented subspace is not preserved "
+                             "along the pencil")
+        proj = la.quotient_map(a_q)
+        section = la.solve_matrix(Q, proj, la.identity(Q, len(proj)))
+        return quo, la.mat_mul(la.to_qi_mat(proj),
+                               la.mat_mul(y, la.to_qi_mat(section)))
     raise ParseError(f"unknown construction head {head!r}")
 
 
-# -- the locus computation ----------------------------------------------------
+def _trim(p: List[GaussRat]) -> List[GaussRat]:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_gcd(a: List[GaussRat], b: List[GaussRat]) -> List[GaussRat]:
+    """Monic gcd over Q(i); coefficients lowest degree first, [] is zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        while len(a) >= len(b):
+            c, s = a[-1] / b[-1], len(a) - len(b)
+            a = _trim([x - c * b[i - s] if i >= s else x
+                       for i, x in enumerate(a)])
+        a, b = b, a
+    return [x / a[-1] for x in a] if a else []
+
 
 def _is_hodge_at(pencil: Pencil, v, construction, t: GaussRat) -> bool:
     d = eval_construction(construction, pencil_member(pencil, t))
@@ -332,42 +247,45 @@ def _is_hodge_at(pencil: Pencil, v, construction, t: GaussRat) -> bool:
 def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     """Hodge locus of a rational vector along the pencil.
 
-    Returns linear constraints on the parameter; ALL means the vector is
-    a Hodge class at every member.  The symbolic computation runs over
-    the generic fiber and is cross-validated by exact evaluation at the
-    candidate solutions and at control points.
+    Returns one monic constraint t + c = 0, the unsatisfiable 1 = 0, or
+    ALL when the vector is a Hodge class at every member.  The member at
+    t is the base member moved by 1 + tX with X = dpsi . proj (X^2 = 0),
+    so v is Hodge at t exactly when exp(-tY) v lies in F^0 of the derived
+    base structure, Y being the action of X there.  The equations of that
+    F^0 turn exp(-tY) v into polynomials in t, and the locus is the zero
+    set of their gcd, for every t.  The answer is cross-validated by exact
+    evaluation at the solution and at control points.
     """
     probs = pencil.problems()
     if probs:
         raise NotAnMhsError(probs)
     _check_term(construction)
-    sym = _sym_eval(construction, _sym_member(pencil))
-    vq = tuple(Fraction(x) for x in v)
-    if len(vq) != sym.dim:
+    wp = pencil.triple.W.at(pencil.p)
+    x = la.mat_mul(pencil.dpsi, la.to_qi_mat(la.quotient_map(wp)))
+    d, y = _derive(construction, pencil_member(pencil, GaussRat(0)), x)
+    vq = tuple(Fraction(c) for c in v)
+    if len(vq) != d.dim:
         raise LocusError("vector does not live in the derived space")
-    if not sym.W.at(0).contains(vq):
-        return LocusResult("AFFINE_SUBSET",
-                           ((GaussRat(0), GaussRat(0), GaussRat(1)),),
-                           outside_w0=True)
-    if not any(vq):
-        return LocusResult("ALL", ())
-    g = sym.fgen_at(0)
-    vs = sp.Matrix([[_sym(GaussRat(x))] for x in vq])
-    left_null = _sym_nullspace(g.T)
-    constraints: List[Tuple[GaussRat, GaussRat, GaussRat]] = []
-    for j in range(left_null.cols):
-        poly = sp.expand((left_null.col(j).T * vs)[0])
-        poly = sp.fraction(sp.cancel(poly))[0]
-        p = sp.Poly(poly, _T)
-        if p.degree() > 1:
-            raise LocusError("locus constraints are not linear in the parameter")
-        if p.degree() <= 0:
-            if poly != 0:
-                constraints.append((GaussRat(0), GaussRat(0), _gauss(poly)))
-            continue
-        constraints.append((_gauss(p.nth(1)), GaussRat(0), _gauss(p.nth(0))))
-    result = (LocusResult("ALL", ()) if not constraints
-              else LocusResult("AFFINE_SUBSET", tuple(constraints)))
+    if not d.W.at(0).contains(vq):
+        return LocusResult("AFFINE_SUBSET", (_EMPTY,), outside_w0=True)
+    # coeffs[k] is the coefficient of t^k in exp(-tY) v; Y is nilpotent.
+    coeffs = []
+    w = tuple(GaussRat(c) for c in vq)
+    while any(w):
+        coeffs.append(w)
+        w = tuple(c * Fraction(-1, len(coeffs)) for c in la.mat_vec(y, w))
+    eqs = la.equations(d.F.at(0))
+    g: List[GaussRat] = []
+    for poly in la.transpose(tuple(la.mat_vec(eqs, c) for c in coeffs)):
+        g = _poly_gcd(g, poly)
+    if len(g) > 2:
+        raise LocusError("the locus is not cut out by one linear constraint")
+    if not g:
+        result = LocusResult("ALL", ())
+    elif len(g) == 1:
+        result = LocusResult("AFFINE_SUBSET", (_EMPTY,))
+    else:
+        result = LocusResult("AFFINE_SUBSET", ((GaussRat(1), GaussRat(0), g[0]),))
     _cross_validate(pencil, v, construction, result)
     return result
 
@@ -376,19 +294,19 @@ def _cross_validate(pencil: Pencil, v, construction, result: LocusResult) -> Non
     if result.is_all:
         for t in (GaussRat(0), GaussRat(1), GaussRat(0, 1)):
             if not _is_hodge_at(pencil, v, construction, t):
-                raise LocusError("generic-fiber computation disagrees with "
+                raise LocusError("locus computation disagrees with "
                                  "exact evaluation on an ALL locus")
         return
     sol = result.solution()
     if sol is not None:
         ok = all(a * sol + c == 0 for a, _, c in result.constraints)
         if ok != _is_hodge_at(pencil, v, construction, sol):
-            raise LocusError("generic-fiber computation disagrees with "
+            raise LocusError("locus computation disagrees with "
                              "exact evaluation at the candidate point")
         off = sol + 1
         if _is_hodge_at(pencil, v, construction, off) and \
                 any(a * off + c != 0 for a, _, c in result.constraints):
-            raise LocusError("exact evaluation found a point the symbolic "
+            raise LocusError("exact evaluation found a point the computed "
                              "locus misses")
 
 

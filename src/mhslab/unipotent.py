@@ -33,18 +33,6 @@ GUARD_ENV = "MHSLAB_TENSOR_GUARD"
 DEFAULT_GUARD = 10 ** 4
 
 
-def _kron_mat(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    bn = len(b)
-    bm = len(b[0]) if bn else 0
-    for ra in a:
-        for rb in b:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    if not rows:
-        return ()
-    return tuple(rows)
-
-
 # -- the dagger construction --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -83,7 +71,7 @@ def hom_dagger(m: MixedHodgeStructure, p: int) -> HomDagger:
     incl = la.inclusion_map(wp)           # m.dim x w
     proj = la.quotient_map(wp)            # k x m.dim
     # Basis of the dagger space: the kernel block, then one section.
-    kernel_emb = _kron_mat(la.identity(Q, k), incl)  # k*m.dim x k*w
+    kernel_emb = la.kron_mat(la.identity(Q, k), incl)  # k*m.dim x k*w
     f0 = la.solve_matrix(Q, proj, la.identity(Q, k))  # rational section
     dagger_rows = list(la.transpose(kernel_emb)) + [mh.hom_vec(f0, k, m.dim)]
     basis = la.mat(Q, dagger_rows)        # (r+1) x k*m.dim, rows = coords
@@ -351,7 +339,7 @@ def _derivation_action(x: Matrix, signs: Sequence[int], dim: int) -> Matrix:
         factor = x if sign > 0 else la.mat_scale(Fraction(-1), la.transpose(x))
         term = la.identity(Q, 1)
         for j in range(n):
-            term = _kron_mat(term, factor if j == k else la.identity(Q, dim))
+            term = la.kron_mat(term, factor if j == k else la.identity(Q, dim))
         total = la.mat_add(total, term)
     return total
 

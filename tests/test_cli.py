@@ -1,17 +1,22 @@
 """Command-line interface: verbs, JSON round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mhslab
 from mhslab import cli, corpus
 from mhslab import linalg as la
 from mhslab import loci as lo
 from mhslab import mhs as mh
 from mhslab import serialize as se
 from mhslab import triples as tr
-from mhslab.field import Q, QI, GaussRat, I
+from mhslab.errors import ParseError
+from mhslab.field import Q, QI, GaussRat, I, parse_qi
 from mhslab.linalg import Subspace
 
 
@@ -81,6 +86,16 @@ def test_io_and_schema_errors(capsys, tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"dim": 1}')
     assert cli.main(["validate", str(wrong)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/0i", "2-3/0i"])
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path, text):
+    with pytest.raises(ParseError):
+        parse_qi(text)
+    doc = se.mhs_to_json(corpus.kummer_mhs(I))
+    doc["F"]["0"] = [[text, "1"]]
+    assert cli.main(["validate", write(tmp_path, "bad.json", doc)]) == 2
     capsys.readouterr()
 
 
@@ -157,6 +172,8 @@ def test_locus_verb(capsys, pencil_file):
     assert code == 0 and doc["kind"] == "ALL"
     assert cli.main(["locus", pencil_file, "--vector", "[1,",
                      "--construction", '"SELF"']) == 2
+    assert cli.main(["locus", pencil_file, "--vector", '["1/0", "0"]',
+                     "--construction", '"SELF"']) == 2
     capsys.readouterr()
 
 
@@ -198,6 +215,26 @@ def test_experiment_deterministic_bytes(capsys, tmp_path):
     doc = json.loads(outs[0])
     assert doc["n_samples"] == 3 and len(doc["degenerate"]) == 3
     capsys.readouterr()
+
+
+def test_experiment_defaults_to_tate3_and_rejects_negative_samples(capsys):
+    code, doc = run(capsys, ["experiment", "--samples", "0"])
+    assert code == 0 and doc["run"]["inputs"] == {}
+    assert [c["failing_p"] for c in doc["degenerate"]] == [[-6, -2]] * 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "--samples", "-5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mhslab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    subprocess.run([sys.executable, "-c", "import mhslab.cli, sys; "
+                    "assert 'sympy' not in sys.modules"],
+                   env=env, check=True, timeout=60)
 
 
 def test_out_flag_writes_file(capsys, kummer_file, tmp_path):

@@ -180,6 +180,55 @@ def test_locus_agrees_with_pointwise_scan():
         assert pointwise == predicted
 
 
+def tate3_pencil():
+    """Through cut -2 of a seeded three-step member, based at its weight-0
+    section, in direction e1."""
+    mu = corpus.tate3_triple()
+    alpha = tr.sample_point(mu, "pen", 10)
+    low, high = tr.truncate(mu, -2)
+    a_low, a_high = tr.truncate_point(mu, -2, alpha)
+    return lo.Pencil(mu, -2, tr.spoint(low, a_low), tr.spoint(high, a_high),
+                     alpha.section(0), la.mat(QI, [[1], [0], [0]]))
+
+
+@pytest.mark.parametrize("k", [5, 9])
+def test_locus_empty_at_special_parameters(k):
+    # Hodge at no member; a kernel taken over the generic fiber loses rank
+    # at special t on this pencil and reports roots that are not Hodge.
+    v = [1 if j == k - 1 else 0 for j in range(9)]
+    res = lo.locus_on_pencil(tate3_pencil(), v, END)
+    assert res.kind == "AFFINE_SUBSET" and not res.outside_w0
+    assert res.constraints == ((GaussRat(0), GaussRat(0), GaussRat(1)),)
+    assert res.solution() is None
+
+
+GRID_TERMS = [lo.SELF, ["DUAL", lo.SELF], END, ["WSUB", 0, END],
+              ["QUOT", [["0", "0", "1", "0"]], END],
+              ["TENSOR", lo.SELF, ["DUAL", lo.SELF]]]
+SHIFT = GaussRat(Fraction(1, 2), 1)
+GRID = [GaussRat(a, b) for a in (Fraction(-1, 2), Fraction(1, 2))
+        for b in (-1, 1)]  # holds -SHIFT, where the extension splits
+
+
+@pytest.mark.parametrize("term", GRID_TERMS, ids=str)
+def test_locus_matches_pointwise_grid(term):
+    pencil = kummer_pencil(shift=SHIFT)
+    dim = lo.eval_construction(term, lo.pencil_member(pencil, GaussRat(0))).dim
+    for v in itertools.product([0, 1], repeat=dim):
+        res = lo.locus_on_pencil(pencil, v, term)
+        for t in GRID:
+            predicted = res.is_all or all(
+                a * t + b * t.conj() + c == 0 for a, b, c in res.constraints)
+            assert predicted == lo._is_hodge_at(pencil, v, term, t), (v, t)
+
+
+def test_locus_rejects_quotient_not_preserved_by_pencil():
+    # The weight -2 projector spans a subobject of End at t = 0 only.
+    with pytest.raises(LocusError):
+        lo.locus_on_pencil(kummer_pencil(), [0, 0, 0, 1],
+                           ["QUOT", [["1", "0", "0", "0"]], END])
+
+
 # -- family probes -----------------------------------------------------------------
 
 def _kummer_samples(zs):
