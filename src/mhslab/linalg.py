@@ -303,17 +303,6 @@ def inclusion_map(u: Subspace) -> Matrix:
     return transpose(u.basis)
 
 
-def quotient_coords(u: Subspace, v: Subspace) -> Tuple[Matrix, int]:
-    """Projection map and dimension for v/u, given u contained in v."""
-    _check_compatible(u, v)
-    if not v.contains_subspace(u):
-        raise DimensionMismatchError("quotient_coords requires u inside v")
-    sel = coords_map(v)
-    u_in_v = apply_to_subspace(sel, u)
-    p = quotient_map(u_in_v)
-    return mat_mul(p, sel), v.dim - u.dim
-
-
 def solve(field: str, a: Matrix, b: Vector) -> Optional[Vector]:
     """One solution of a x = b, or None."""
     if not a:

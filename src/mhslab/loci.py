@@ -34,11 +34,17 @@ def can_lift(m: MixedHodgeStructure, a_tilde_q: Subspace) -> Optional[Subspace]:
     subobject to a subspace defined over Q; it is then unique, and its
     rational points are returned.
     """
-    gm = mh.graded_mhs(m)
+    return lift_graded(m, mh.graded_mhs(m),
+                       la.invert(QI, mh.deligne_splitting(m)), a_tilde_q)
+
+
+def lift_graded(m: MixedHodgeStructure, gm: MixedHodgeStructure,
+                alpha: Matrix, a_tilde_q: Subspace) -> Optional[Subspace]:
+    """can_lift, given gm = graded_mhs(m) and alpha, the inverse of the
+    Deligne splitting of m, so that many candidates can share them."""
     mh.sub_mhs(gm, a_tilde_q)  # raises if not a subobject of the graded
     if a_tilde_q.is_zero():
         return a_tilde_q
-    alpha = la.invert(QI, mh.deligne_splitting(m))
     a_c = a_tilde_q.to_qi()
     for n in gm.W.jumps:
         piece = la.intersect(a_c, gm.W.at(n).to_qi())
@@ -67,7 +73,7 @@ def _check_term(term) -> None:
     elif head in ("TENSOR", "HOM") and len(term) == 3:
         _check_term(term[1])
         _check_term(term[2])
-    elif head == "WSUB" and len(term) == 3 and isinstance(term[1], int):
+    elif head == "WSUB" and len(term) == 3 and type(term[1]) is int:
         _check_term(term[2])
     elif head == "QUOT" and len(term) == 3:
         _check_term(term[2])

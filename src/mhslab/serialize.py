@@ -103,7 +103,7 @@ def mhs_from_json(data) -> MixedHodgeStructure:
     _require(set(data) == {"dim", "W", "F"},
              "structure: expected keys dim, W, F")
     dim = data["dim"]
-    _require(isinstance(dim, int) and dim >= 0, "structure: bad dim")
+    _require(type(dim) is int and dim >= 0, "structure: bad dim")
     return MixedHodgeStructure(dim, _w_from_json(dim, data["W"], "W"),
                                _f_from_json(dim, data["F"], "F"))
 
@@ -122,7 +122,7 @@ def triple_from_json(data) -> Triple:
     _require(set(data) == {"dim", "W", "graded"},
              "triple: expected keys dim, W, graded")
     dim = data["dim"]
-    _require(isinstance(dim, int) and dim >= 0, "triple: bad dim")
+    _require(type(dim) is int and dim >= 0, "triple: bad dim")
     w = _w_from_json(dim, data["W"], "W")
     pieces = mh.graded_pieces(w)
     dims = {p.weight: p.dim for p in pieces}
@@ -132,7 +132,7 @@ def triple_from_json(data) -> Triple:
         _require(isinstance(entry, dict) and set(entry) == {"weight", "F"},
                  "triple: graded entries need keys weight, F")
         n = entry["weight"]
-        _require(isinstance(n, int) and n in dims,
+        _require(type(n) is int and n in dims,
                  f"triple: weight {n!r} is not a jump of W")
         g = dims[n]
         graded.append((n, mh.make_mhs(g, {n: Subspace.full(Q, g)},
@@ -190,7 +190,7 @@ def pencil_from_json(data) -> Pencil:
              "pencil: expected keys triple, p, x, y, psi0, dpsi")
     mu = triple_from_json(data["triple"])
     p = data["p"]
-    _require(isinstance(p, int), "pencil: p must be an integer")
+    _require(type(p) is int, "pencil: p must be an integer")
     low, high = tr.truncate(mu, p)
     return Pencil(mu, p,
                   spoint_from_json(low, data["x"]),

@@ -33,6 +33,36 @@ GUARD_ENV = "MHSLAB_TENSOR_GUARD"
 DEFAULT_GUARD = 10 ** 4
 
 
+# -- the weight cut -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightCut:
+    """M at one weight cut p: W_pM, the structures on both sides, the maps
+    between them and h = Hom(M/W_pM, W_pM), built once per (M, p)."""
+
+    m: MixedHodgeStructure
+    wp: Subspace                  # W_pM
+    sub: MixedHodgeStructure      # on W_pM
+    quo: MixedHodgeStructure      # on M/W_pM
+    proj: Matrix                  # over Q, M -> M/W_pM
+    incl: Matrix                  # over Q, W_pM -> M
+    section: Matrix               # over Q, a right inverse of proj
+    h: MixedHodgeStructure
+
+
+def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
+    wp = m.W.at(p)
+    if wp.is_zero() or wp.is_full():
+        raise DegenerateRangeError(
+            f"weight cut {p} leaves nothing on one side")
+    sub = mh.sub_mhs(m, wp)
+    quo = mh.quotient_mhs(m, wp)
+    proj = la.quotient_map(wp)
+    section = la.solve_matrix(Q, proj, la.identity(Q, quo.dim))
+    return WeightCut(m, wp, sub, quo, proj, la.inclusion_map(wp),
+                     section, mh.hom(quo, sub))
+
+
 # -- the dagger construction --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -54,26 +84,14 @@ class HomDagger:
         return self.mhs.dim - 1
 
 
-def _cut(m: MixedHodgeStructure, p: int):
-    wp = m.W.at(p)
-    if wp.is_zero() or wp.is_full():
-        raise DegenerateRangeError(
-            f"weight cut {p} leaves nothing on one side")
-    sub = mh.sub_mhs(m, wp)
-    quo = mh.quotient_mhs(m, wp)
-    return wp, sub, quo
-
-
 def hom_dagger(m: MixedHodgeStructure, p: int) -> HomDagger:
-    wp, sub, quo = _cut(m, p)
-    k, w = quo.dim, wp.dim
-    big = mh.hom(quo, m)
-    incl = la.inclusion_map(wp)           # m.dim x w
-    proj = la.quotient_map(wp)            # k x m.dim
+    cut = weight_cut(m, p)
+    k, w = cut.quo.dim, cut.wp.dim
+    big = mh.hom(cut.quo, m)
     # Basis of the dagger space: the kernel block, then one section.
-    kernel_emb = la.kron_mat(la.identity(Q, k), incl)  # k*m.dim x k*w
-    f0 = la.solve_matrix(Q, proj, la.identity(Q, k))  # rational section
-    dagger_rows = list(la.transpose(kernel_emb)) + [mh.hom_vec(f0, k, m.dim)]
+    kernel_emb = la.kron_mat(la.identity(Q, k), cut.incl)  # k*m.dim x k*w
+    dagger_rows = (list(la.transpose(kernel_emb))
+                   + [mh.hom_vec(cut.section, k, m.dim)])
     basis = la.mat(Q, dagger_rows)        # (r+1) x k*m.dim, rows = coords
     span = Subspace.span(Q, k * m.dim, dagger_rows)
     w_steps = {n: la.express_in_basis(Q, basis,
@@ -107,36 +125,51 @@ class ExtClassRep:
     f_hodge: Tuple
 
 
-def _f0_section_solutions(m: MixedHodgeStructure, p: int):
+def _f0_section_solutions(cut: WeightCut):
     """Particular + homogeneous solutions of: vec in F^0 Hom(M/W_p, M),
     projection of the map is the identity."""
-    wp, sub, quo = _cut(m, p)
-    k = quo.dim
-    big = mh.hom(quo, m)
-    proj = la.quotient_map(wp)
-    gens = la.transpose(big.F.at(0).basis)       # columns over QI
-    # Projection condition on a combination sum c_j * gen_j.
-    rows = []
-    rhs = []
-    idk = la.identity(QI, k)
-    ncols = big.F.at(0).dim
-    proj_qi = la.to_qi_mat(proj)
-    for i in range(k):
-        for j in range(k):
-            row = []
-            for c in range(ncols):
-                a = mh.hom_mat(tuple(gens[t][c] for t in range(k * m.dim)),
-                               k, m.dim)
-                row.append(la.mat_mul(proj_qi, a)[j][i])
-            rows.append(tuple(row))
-            rhs.append(idk[j][i])
-    sys = tuple(rows)
-    part = la.solve(QI, sys, tuple(rhs))
+    k = cut.quo.dim
+    f0 = mh.hom(cut.quo, cut.m).F.at(0)
+    gens = la.transpose(f0.basis)                 # columns over QI
+    # Row (i, j) of the system is entry (j, i) of proj . gen, in the order
+    # of hom coordinates, so its right-hand side is the identity there.
+    sys = la.mat_mul(la.kron_mat(la.identity(QI, k), la.to_qi_mat(cut.proj)),
+                     gens)
+    rhs = mh.hom_vec(la.identity(QI, k), k, k)
+    part = la.solve(QI, sys, rhs)
     if part is None:
         raise MhsError("no Hodge-filtration section exists; "
                        "the input is not a valid structure")
-    hom_kernel = la.kernel(QI, sys, ncols)
+    hom_kernel = la.kernel(QI, sys, f0.dim)
     return gens, part, hom_kernel
+
+
+def _ext_class(cut: WeightCut,
+               rng: Optional[random.Random] = None) -> ExtClassRep:
+    k, w, n = cut.quo.dim, cut.wp.dim, cut.m.dim
+    f0 = cut.section
+    if rng is not None:
+        noise = la.mat(Q, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                            for _ in range(k)] for _ in range(w)])
+        f0 = la.mat_add(f0, la.mat_mul(cut.incl, noise))
+    f_rational = tuple(GaussRat(x) for x in mh.hom_vec(f0, k, n))
+    gens, part, hom_kernel = _f0_section_solutions(cut)
+    coeffs = list(part)
+    if rng is not None and hom_kernel.dim:
+        for kv in hom_kernel.basis:
+            c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            coeffs = [x + c * y for x, y in zip(coeffs, kv)]
+    f_hodge = tuple(sum((c * gens[t][j] for j, c in enumerate(coeffs)),
+                        GaussRat(0)) for t in range(k * n))
+    diff = tuple(x - y for x, y in zip(f_rational, f_hodge))
+    # Pull the difference back to Hom(M/W_p, W_p) coordinates.
+    a = mh.hom_mat(diff, k, n)
+    b = la.solve_matrix(QI, la.to_qi_mat(cut.incl), a)
+    if b is None:
+        raise MhsError("extension difference does not land in the subobject")
+    e = tuple(mh.hom_vec(b, k, w))
+    return ExtClassRep(e, f_rational, f_hodge)
 
 
 def ext_class_rep(m: MixedHodgeStructure, p: int,
@@ -146,33 +179,7 @@ def ext_class_rep(m: MixedHodgeStructure, p: int,
     With an rng, both sections are shifted by random admissible vectors;
     the class modulo F^0 + rational is unchanged.
     """
-    wp, sub, quo = _cut(m, p)
-    k, w = quo.dim, wp.dim
-    proj = la.quotient_map(wp)
-    incl = la.inclusion_map(wp)
-    f0 = la.solve_matrix(Q, proj, la.identity(Q, k))
-    if rng is not None:
-        noise = la.mat(Q, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                            for _ in range(k)] for _ in range(w)])
-        f0 = la.mat_add(f0, la.mat_mul(incl, noise))
-    f_rational = tuple(GaussRat(x) for x in mh.hom_vec(f0, k, m.dim))
-    gens, part, hom_kernel = _f0_section_solutions(m, p)
-    coeffs = list(part)
-    if rng is not None and hom_kernel.dim:
-        for kv in hom_kernel.basis:
-            c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            coeffs = [x + c * y for x, y in zip(coeffs, kv)]
-    f_hodge = tuple(sum((c * gens[t][j] for j, c in enumerate(coeffs)),
-                        GaussRat(0)) for t in range(k * m.dim))
-    diff = tuple(x - y for x, y in zip(f_rational, f_hodge))
-    # Pull the difference back to Hom(M/W_p, W_p) coordinates.
-    a = mh.hom_mat(diff, k, m.dim)
-    b = la.solve_matrix(QI, la.to_qi_mat(incl), a)
-    if b is None:
-        raise MhsError("extension difference does not land in the subobject")
-    e = tuple(mh.hom_vec(b, k, w))
-    return ExtClassRep(e, f_rational, f_hodge)
+    return _ext_class(weight_cut(m, p), rng)
 
 
 def _in_mixed_span(e: Sequence, qi_gens: Sequence, q_gens: Sequence) -> bool:
@@ -198,6 +205,14 @@ def _in_mixed_span(e: Sequence, qi_gens: Sequence, q_gens: Sequence) -> bool:
     return la.solve(Q, la.transpose(la.mat(Q, cols)), target) is not None
 
 
+def _splits(cut: WeightCut, a_q: Subspace, rep: ExtClassRep) -> bool:
+    """Membership of the class in a_q (x) Q(i) + F^0 h + rational vectors."""
+    h = cut.h
+    qi_gens = [tuple(GaussRat(x) for x in row) for row in a_q.basis]
+    qi_gens += list(h.F.at(0).basis)
+    return _in_mixed_span(rep.e, qi_gens, list(la.identity(Q, h.dim)))
+
+
 def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
                rep: Optional[ExtClassRep] = None) -> bool:
     """Whether the extension class at p dies modulo the subobject a_q.
@@ -205,16 +220,9 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
     a_q must underlie a subobject of Hom(M/W_pM, W_pM); the test decides
     membership of the class in a_q (x) Q(i) + F^0 + rational vectors.
     """
-    wp, sub, quo = _cut(m, p)
-    h = mh.hom(quo, sub)
-    mh.sub_mhs(h, a_q)  # raises NotASubobjectError when not a subobject
-    if rep is None:
-        rep = ext_class_rep(m, p)
-    qi_gens = [tuple(GaussRat(x) for x in row) for row in a_q.basis]
-    qi_gens += list(h.F.at(0).basis)
-    q_gens = [tuple(Fraction(1) if j == i else Fraction(0)
-                    for j in range(h.dim)) for i in range(h.dim)]
-    return _in_mixed_span(rep.e, qi_gens, q_gens)
+    cut = weight_cut(m, p)
+    mh.sub_mhs(cut.h, a_q)  # raises NotASubobjectError when not a subobject
+    return _splits(cut, a_q, rep if rep is not None else _ext_class(cut))
 
 
 def total_ext_class_rep(m: MixedHodgeStructure) -> Tuple[GaussRat, ...]:
@@ -223,12 +231,10 @@ def total_ext_class_rep(m: MixedHodgeStructure) -> Tuple[GaussRat, ...]:
         raise DegenerateRangeError("structure has a single weight")
     total = tuple(GaussRat(0) for _ in range(m.dim * m.dim))
     for p in m.W.jumps[:-1]:
-        wp = m.W.at(p)
-        quo_dim = m.dim - wp.dim
-        rep = ext_class_rep(m, p)
-        b = mh.hom_mat(rep.e, quo_dim, wp.dim)
-        end = la.mat_mul(la.to_qi_mat(la.inclusion_map(wp)),
-                         la.mat_mul(b, la.to_qi_mat(la.quotient_map(wp))))
+        cut = weight_cut(m, p)
+        b = mh.hom_mat(_ext_class(cut).e, cut.quo.dim, cut.wp.dim)
+        end = la.mat_mul(la.to_qi_mat(cut.incl),
+                         la.mat_mul(b, la.to_qi_mat(cut.proj)))
         total = tuple(x + y for x, y in
                       zip(total, mh.hom_vec(end, m.dim, m.dim)))
     return total
@@ -280,33 +286,28 @@ def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
     The subobjects of H = Hom(M/W_pM, W_pM) inject into subsets of its
     rank-one graded blocks (weights are pairwise distinct), each subset
     lifting uniquely if at all; the result is the smallest liftable
-    subobject modulo which the extension class splits.
+    subobject modulo which the extension class splits.  Every candidate
+    is lifted through one inverse Deligne splitting of H.
     """
     _regime_weights(m.W)
-    wp, sub, quo = _cut(m, p)
-    h = mh.hom(quo, sub)
-    rep = ext_class_rep(m, p)
+    cut = weight_cut(m, p)
+    h = cut.h
+    rep = _ext_class(cut)
+    gh = mh.graded_mhs(h)
+    alpha = la.invert(QI, mh.deligne_splitting(h))
     pieces = mh.graded_pieces(h.W)
     r = h.dim
-    best: Optional[Subspace] = None
     for size in range(r + 1):
         for subset in combinations(range(len(pieces)), size):
             rows = []
             for idx in subset:
-                piece = pieces[idx]
-                emb = mh.graded_embedding(piece, r)
+                emb = mh.graded_embedding(pieces[idx], r)
                 rows.extend(la.transpose(emb))
             a_tilde = Subspace.span(Q, r, rows)
-            a_q = lo.can_lift(h, a_tilde)
-            if a_q is None:
-                continue
-            if splits_mod(m, p, a_q, rep):
-                best = a_q
-                break
-        if best is not None:
-            break
-    assert best is not None  # the full space always lifts and splits
-    return UpResult(best, "TATE_EXACT", best.is_full())
+            a_q = lo.lift_graded(h, gh, alpha, a_tilde)
+            if a_q is not None and _splits(cut, a_q, rep):
+                return UpResult(a_q, "TATE_EXACT", a_q.is_full())
+    raise AssertionError("the full space always lifts and splits")
 
 
 def u_large_detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:

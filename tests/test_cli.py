@@ -78,7 +78,7 @@ def test_validate_invalid_structure(capsys, tmp_path):
     assert code == 3 and not doc["valid"] and doc["problems"]
 
 
-def test_io_and_schema_errors(capsys, tmp_path):
+def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
     assert cli.main(["validate", str(tmp_path / "missing.json")]) == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
@@ -86,6 +86,21 @@ def test_io_and_schema_errors(capsys, tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"dim": 1}')
     assert cli.main(["validate", str(wrong)]) == 2
+    # JSON booleans are not integers, although Python's bool is an int.
+    one = {"0": [["1"]]}
+    assert cli.main(["validate", write(tmp_path, "s.json", {
+        "dim": True, "W": one, "F": one})]) == 2
+    for dim, weight in [(True, 0), (1, False)]:
+        mu = write(tmp_path, "mu.json", {"dim": dim, "W": one, "graded": [
+            {"weight": weight, "F": one}]})
+        assert cli.main(["experiment", "--triple", mu, "--samples", "0"]) == 2
+    with open(pencil_file) as fh:
+        doc = json.load(fh)
+    doc["p"] = True
+    assert cli.main(["fiber", write(tmp_path, "pen.json", doc),
+                     "--t", "i"]) == 2
+    assert cli.main(["locus", pencil_file, "--vector", '["1", "0"]',
+                     "--construction", '["WSUB", true, "SELF"]']) == 2
     capsys.readouterr()
 
 

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from mhslab import corpus
 from mhslab import linalg as la
+from mhslab import loci as lo
 from mhslab import mhs as mh
 from mhslab import triples as tr
 from mhslab import unipotent as un
@@ -42,11 +44,13 @@ def test_hom_dagger_kummer():
 
 def test_degenerate_cut_rejected():
     m = corpus.kummer_mhs(I)
+    entry_points = [un.weight_cut, un.hom_dagger, un.ext_class_rep,
+                    lambda m, p: un.splits_mod(m, p, Subspace.zero(Q, 1)),
+                    un.u_p_tate]
     for p in [-4, 0, 5]:
-        with pytest.raises(DegenerateRangeError):
-            un.hom_dagger(m, p)
-        with pytest.raises(DegenerateRangeError):
-            un.ext_class_rep(m, p)
+        for fn in entry_points:
+            with pytest.raises(DegenerateRangeError):
+                fn(m, p)
 
 
 # -- extension classes ------------------------------------------------------------
@@ -124,6 +128,34 @@ def test_u_p_is_a_subobject_modulo_which_the_class_splits():
             if res.subspace.dim > 0:
                 assert not un.splits_mod(
                     m, p, Subspace.zero(Q, res.subspace.ambient_dim))
+
+
+def _u_p_by_public_search(m, p):
+    """u_p by the candidate-by-candidate search through the public
+    can_lift and splits_mod, each call recomputing its own data."""
+    wp = m.W.at(p)
+    h = mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
+    rep = un.ext_class_rep(m, p)
+    pieces = mh.graded_pieces(h.W)
+    for size in range(h.dim + 1):
+        for subset in combinations(range(len(pieces)), size):
+            rows = [row for idx in subset for row in
+                    la.transpose(mh.graded_embedding(pieces[idx], h.dim))]
+            a_q = lo.can_lift(h, Subspace.span(Q, h.dim, rows))
+            if a_q is not None and un.splits_mod(m, p, a_q, rep):
+                return a_q
+    raise AssertionError("no candidate splits the class")
+
+
+@pytest.mark.parametrize("m, p", [
+    (corpus.kummer_mhs(I), -2),
+    (corpus.kummer_mhs(HALF), -2),
+    *[(m, p) for m in (tate3_mhs("or1", height=4), tate3_mhs("or2", height=4),
+                       tate3_mhs("or-rat", rational=True, height=4))
+      for p in (-6, -2)],
+])
+def test_u_p_matches_the_public_search(m, p):
+    assert un.u_p_tate(m, p).subspace == _u_p_by_public_search(m, p)
 
 
 def test_regime_errors():
