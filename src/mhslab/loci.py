@@ -18,7 +18,7 @@ from . import linalg as la
 from . import mhs as mh
 from . import triples as tr
 from .errors import LocusError, NotAnMhsError, NotASubobjectError, ParseError
-from .field import Q, QI, GaussRat
+from .field import Q, QI, GaussRat, parse_q
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import SPoint, Triple
@@ -76,16 +76,21 @@ def _check_term(term) -> None:
     elif head == "WSUB" and len(term) == 3 and type(term[1]) is int:
         _check_term(term[2])
     elif head == "QUOT" and len(term) == 3:
+        if not (isinstance(term[1], (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and
+                all(isinstance(x, str) for x in row) for row in term[1])):
+            raise ParseError(f"QUOT rows must be lists of scalar strings, "
+                             f"got {term[1]!r}")
         _check_term(term[2])
     else:
         raise ParseError(f"malformed construction term {term!r}")
 
 
 def _quot_subspace(spec_rows, ambient: int) -> Subspace:
-    from .field import parse_q
-    rows = [[parse_q(x) if isinstance(x, str) else Fraction(x)
-             for x in row] for row in spec_rows]
-    return Subspace.span(Q, ambient, rows)
+    if any(len(row) != ambient for row in spec_rows):
+        raise ParseError(f"QUOT rows must have length {ambient}")
+    return Subspace.span(Q, ambient,
+                         [[parse_q(x) for x in row] for row in spec_rows])
 
 
 def eval_construction(term, m: MixedHodgeStructure) -> MixedHodgeStructure:

@@ -15,7 +15,7 @@ from . import linalg as la
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      NotAnMhsError, NotASubobjectError)
 from .field import Q, QI, GaussRat
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, Vector
 
 
 def _prune_increasing(steps: List[Tuple[int, Subspace]]) -> Tuple[Tuple[int, Subspace], ...]:
@@ -288,10 +288,38 @@ def zero_mhs() -> MixedHodgeStructure:
 
 # -- functors ---------------------------------------------------------------
 
-def _tensor_sub(u: Subspace, v: Subspace, field: str) -> Subspace:
-    amb = u.ambient_dim * v.ambient_dim
-    rows = [la.kron_vec(a, b) for a in u.basis for b in v.basis]
-    return Subspace.span(field, amb, rows)
+def _adapted_basis(steps: Iterable[Tuple[int, Subspace]]
+                   ) -> List[Tuple[int, Vector]]:
+    """A basis of the top step, each vector tagged with the first step in
+    `steps` that contains it.
+
+    Pass the steps of W upward and those of F downward.  In reduced echelon
+    form the pivots of a subspace are among the pivots of any larger one,
+    so the rows with a pivot not met before are independent, and each step
+    adds as many of them as its dimension grows.
+    """
+    seen = set()
+    out = []
+    for n, s in steps:
+        for row, c in zip(s.basis, s.pivots):
+            if c not in seen:
+                seen.add(c)
+                out.append((n, row))
+    return out
+
+
+def _tensor_steps(field: str, dim: int, a: List[Tuple[int, Vector]],
+                  b: List[Tuple[int, Vector]], keep) -> Dict[int, Subspace]:
+    """For each candidate jump k, the span of the products u (x) v of the
+    adapted bases with keep(tag(u) + tag(v), k).  The products are
+    independent, so as many of them as the dimension span everything."""
+    prods = [(x + y, la.kron_vec(u, v)) for x, u in a for y, v in b]
+    out = {}
+    for k in {x + y for x, _ in a for y, _ in b}:
+        rows = [v for t, v in prods if keep(t, k)]
+        out[k] = (Subspace.full(field, dim) if len(rows) == dim
+                  else Subspace.span(field, dim, rows))
+    return out
 
 
 def direct_sum(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -312,21 +340,13 @@ def direct_sum(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStru
 
 
 def tensor(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
+    """W_k = span{u (x) v : w(u) + w(v) <= k} and F^p = span{u (x) v :
+    f(u) + f(v) >= p} over adapted bases, one reduction per jump."""
     dim = m.dim * n.dim
-    w: Dict[int, Subspace] = {}
-    cand = sorted({a + b for a in m.W.jumps for b in n.W.jumps})
-    for k in cand:
-        total = Subspace.zero(Q, dim)
-        for a in m.W.jumps:
-            total = la.add(total, _tensor_sub(m.W.at(a), n.W.at(k - a), Q))
-        w[k] = total
-    f: Dict[int, Subspace] = {}
-    candf = sorted({a + b for a in m.F.jumps for b in n.F.jumps})
-    for p in candf:
-        total = Subspace.zero(QI, dim)
-        for a in m.F.jumps:
-            total = la.add(total, _tensor_sub(m.F.at(a), n.F.at(p - a), QI))
-        f[p] = total
+    w = _tensor_steps(Q, dim, _adapted_basis(m.W.steps),
+                      _adapted_basis(n.W.steps), lambda t, k: t <= k)
+    f = _tensor_steps(QI, dim, _adapted_basis(reversed(m.F.steps)),
+                      _adapted_basis(reversed(n.F.steps)), lambda t, p: t >= p)
     return make_mhs(dim, w, f)
 
 
@@ -390,6 +410,11 @@ def try_sub_mhs(m: MixedHodgeStructure, a_q: Subspace) -> Optional[MixedHodgeStr
 def quotient_mhs(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
     """Quotient by a validated subobject; filtrations are pushed forward."""
     sub_mhs(m, a_q)  # raises if not a subobject
+    return _push_forward(m, a_q)
+
+
+def _push_forward(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
+    """quotient_mhs for a caller that has already built sub_mhs(m, a_q)."""
     p = la.quotient_map(a_q)
     p_qi = la.to_qi_mat(p)
     k = m.dim - a_q.dim

@@ -56,7 +56,7 @@ def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
         raise DegenerateRangeError(
             f"weight cut {p} leaves nothing on one side")
     sub = mh.sub_mhs(m, wp)
-    quo = mh.quotient_mhs(m, wp)
+    quo = mh._push_forward(m, wp)  # sub_mhs has checked the subobject
     proj = la.quotient_map(wp)
     section = la.solve_matrix(Q, proj, la.identity(Q, quo.dim))
     return WeightCut(m, wp, sub, quo, proj, la.inclusion_map(wp),
@@ -382,9 +382,8 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
                 continue
             actions = [_derivation_action(x, signs, n) for x in basis_maps]
             for v in classes.basis:
-                for row_idx in range(n ** deg):
-                    constraint_rows.append(tuple(
-                        la.mat_vec(act, v)[row_idx] for act in actions))
+                constraint_rows.extend(
+                    zip(*(la.mat_vec(act, v) for act in actions)))
     if not constraint_rows:
         return Subspace.full(Q, n * n)
     return la.kernel(Q, la.mat(Q, constraint_rows), n * n)

@@ -101,6 +101,12 @@ def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
                      "--t", "i"]) == 2
     assert cli.main(["locus", pencil_file, "--vector", '["1", "0"]',
                      "--construction", '["WSUB", true, "SELF"]']) == 2
+    # QUOT rows follow the matrix schema: lists of scalar strings.
+    for rows in [None, [[None, "0"]], 5, [[0.5, "0"]], [[True, "0"]],
+                 [["1"]]]:
+        assert cli.main(["locus", pencil_file, "--vector", '["1", "0"]',
+                         "--construction",
+                         json.dumps(["QUOT", rows, "SELF"])]) == 2
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ from helpers import random_mhs
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
+from mhslab import triples as tr
 from mhslab.errors import NotAnMhsError, NotASubobjectError
 from mhslab.field import Q, QI, GaussRat, I
 from mhslab.linalg import Subspace
@@ -69,6 +70,61 @@ def test_functor_outputs_validate():
         m = random_mhs(s, max_dim=3)
         assert mh.is_valid(mh.tensor(m, m))
         assert mh.is_valid(mh.hom(m, m))
+
+
+def _chained_tensor(m, n):
+    """The reference for mh.tensor: each step is the sum over the jumps
+    a of m of W_a(m) (x) W_(k-a)(n) (and likewise for F), added one
+    product at a time."""
+    def sub(u, v, field):
+        rows = [la.kron_vec(a, b) for a in u.basis for b in v.basis]
+        return Subspace.span(field, u.ambient_dim * v.ambient_dim, rows)
+    dim = m.dim * n.dim
+    w = {}
+    for k in sorted({a + b for a in m.W.jumps for b in n.W.jumps}):
+        total = Subspace.zero(Q, dim)
+        for a in m.W.jumps:
+            total = la.add(total, sub(m.W.at(a), n.W.at(k - a), Q))
+        w[k] = total
+    f = {}
+    for p in sorted({a + b for a in m.F.jumps for b in n.F.jumps}):
+        total = Subspace.zero(QI, dim)
+        for a in m.F.jumps:
+            total = la.add(total, sub(m.F.at(a), n.F.at(p - a), QI))
+        f[p] = total
+    return mh.make_mhs(dim, w, f)
+
+
+def _three_step(seed):
+    mu = corpus.tate3_triple()
+    return tr.build_mhs(mu, tr.sample_point(mu, seed, 10))
+
+
+def test_tensor_matches_chained_sums():
+    structures = [corpus.tate_mhs(0), corpus.tate_mhs(3), corpus.tate_mhs(-2),
+                  corpus.kummer_mhs(GaussRat(0)),
+                  corpus.kummer_mhs(GaussRat(Fraction(1, 2))),
+                  corpus.kummer_mhs(I), corpus.kummer_mhs(GaussRat(1, 1)),
+                  corpus.two_weight_mhs()]
+    structures += [mh.dual(m) for m in structures]
+    for m in structures:
+        for n in structures:
+            assert mh.tensor(m, n) == _chained_tensor(m, n)
+        assert mh.tensor(m, mh.zero_mhs()) == _chained_tensor(m, mh.zero_mhs())
+        assert mh.tensor(mh.zero_mhs(), m) == _chained_tensor(mh.zero_mhs(), m)
+    members = [_three_step("oracle:1"), _three_step("oracle:2")]
+    for m in members:
+        for n in members:
+            assert mh.hom(m, n) == _chained_tensor(mh.dual(m), n)
+    # The four left-associated degree-3 powers that mt_lie_upper_bound uses.
+    m = members[0]
+    md = mh.dual(m)
+    for a in range(4):
+        factors = [m] * a + [md] * (3 - a)
+        fast = slow = factors[0]
+        for x in factors[1:]:
+            fast, slow = mh.tensor(fast, x), _chained_tensor(slow, x)
+        assert fast == slow
 
 
 def test_double_dual_identity():

@@ -200,9 +200,8 @@ def test_mt_bound_decreasing_and_bracket_closed():
         assert un.end_subspace_is_bracket_closed(g2, m.dim)
 
 
-def test_u_p_lies_inside_the_degree2_bound():
-    m = tate3_mhs("up-in-g", height=4)
-    g2 = un.mt_lie_upper_bound(m, 2)
+def _u_p_blocks_in_end(m):
+    """Every basis vector of every u_p block, pushed into End coordinates."""
     for p, res in un.u_large_detail(m):
         wp = m.W.at(p)
         incl = la.to_qi_mat(la.inclusion_map(wp))
@@ -211,8 +210,74 @@ def test_u_p_lies_inside_the_degree2_bound():
             b = mh.hom_mat(tuple(GaussRat(x) for x in row),
                            m.dim - wp.dim, wp.dim)
             end = la.mat_mul(incl, la.mat_mul(b, proj))
-            v = mh.hom_vec(end, m.dim, m.dim)
-            assert g2.to_qi().contains(v)
+            yield mh.hom_vec(end, m.dim, m.dim)
+
+
+def test_u_p_lies_inside_the_degree2_bound():
+    m = tate3_mhs("up-in-g", height=4)
+    g2 = un.mt_lie_upper_bound(m, 2)
+    for v in _u_p_blocks_in_end(m):
+        assert g2.to_qi().contains(v)
+
+
+def _per_row_bound(m, d):
+    """The reference for mt_lie_upper_bound: one mat_vec per constraint
+    row, each row read off its own image of the class vector."""
+    n = m.dim
+    md = mh.dual(m)
+    rows = []
+    basis_maps = [mh.hom_mat(tuple(1 if t == s else 0 for t in range(n * n)),
+                             n, n) for s in range(n * n)]
+    for deg in range(1, d + 1):
+        for a in range(deg + 1):
+            t = None
+            for x in [m] * a + [md] * (deg - a):
+                t = x if t is None else mh.tensor(t, x)
+            classes = mh.hodge_classes(t)
+            if classes.is_zero():
+                continue
+            signs = [1] * a + [-1] * (deg - a)
+            actions = [un._derivation_action(x, signs, n) for x in basis_maps]
+            for v in classes.basis:
+                for i in range(n ** deg):
+                    rows.append(tuple(la.mat_vec(act, v)[i]
+                                      for act in actions))
+    if not rows:
+        return Subspace.full(Q, n * n)
+    return la.kernel(Q, la.mat(Q, rows), n * n)
+
+
+def test_mt_bound_matches_the_per_row_loop():
+    for m in [corpus.kummer_mhs(I), corpus.kummer_mhs(HALF)]:
+        for d in (1, 2, 3):
+            assert un.mt_lie_upper_bound(m, d) == _per_row_bound(m, d)
+    # Here a space has several classes, and each one adds constraints.
+    m = corpus.two_weight_mhs()
+    assert un.mt_lie_upper_bound(m, 1) == _per_row_bound(m, 1)
+    m = mh.direct_sum(corpus.kummer_mhs(I), mh.tate_twist(0))
+    for d in (1, 2):
+        assert un.mt_lie_upper_bound(m, d) == _per_row_bound(m, d)
+
+
+def test_degree3_bound_on_a_three_step_member():
+    m = tate3_mhs("g3", height=4)
+    g3 = un.mt_lie_upper_bound(m, 3)
+    assert un.end_subspace_is_bracket_closed(g3, m.dim)
+    assert un.mt_lie_upper_bound(m, 2).contains_subspace(g3)
+    for v in _u_p_blocks_in_end(m):
+        assert g3.to_qi().contains(v)
+
+
+def test_weight_cut_validates_each_side_once(monkeypatch):
+    m = tate3_mhs("cut-count")
+    calls = []
+    validate = mh.validate_mhs
+    monkeypatch.setattr(mh, "validate_mhs",
+                        lambda s: calls.append(s) or validate(s))
+    for p in m.W.jumps[:-1]:
+        calls.clear()
+        un.weight_cut(m, p)
+        assert len(calls) == 2  # the structures on W_pM and M/W_pM
 
 
 def test_resource_guard(monkeypatch):
