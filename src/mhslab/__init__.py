@@ -13,11 +13,11 @@ from .mhs import (Bigrading, HodgeFiltration, MixedHodgeStructure,
                   deligne_splitting, direct_sum, dual, gr_w, hodge_classes,
                   hom, quotient_mhs, sub_mhs, tate_twist, tensor,
                   validate_mhs)
-from .triples import (LieData, SPoint, TPoint, Triple, build_mhs, dim_S,
-                      equal_in_S, fiber_dim, fiber_point, lie_data,
+from .triples import (LieData, Pencil, SPoint, TPoint, Triple, build_mhs,
+                      dim_S, equal_in_S, fiber_dim, fiber_point, lie_data,
                       sample_point, sections_from_mhs, truncate,
                       truncate_point)
-from .loci import (LocusResult, Pencil, can_lift, eval_construction,
+from .loci import (LocusResult, can_lift, derive, eval_construction,
                    global_hodge_subspace_probe, locus_on_pencil,
                    quotient_at_point)
 from .unipotent import (ExtClassRep, HomDagger, UpResult, ext_class_rep,

@@ -340,18 +340,6 @@ def invert(field: str, a: Matrix) -> Matrix:
     return x
 
 
-def express_in_basis(field: str, basis_rows: Matrix, vectors: Iterable[Vector]) -> Matrix:
-    """Coordinates of each vector in the given (independent) basis rows."""
-    a = transpose(basis_rows)
-    out = []
-    for v in vectors:
-        c = solve(field, a, tuple(as_scalar(field, x) for x in v))
-        if c is None:
-            raise DimensionMismatchError("vector outside the span of the basis")
-        out.append(c)
-    return tuple(out)
-
-
 # -- rational structure -----------------------------------------------------
 
 def rational_part(u: Subspace) -> Subspace:

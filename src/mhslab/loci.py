@@ -21,7 +21,7 @@ from .errors import LocusError, NotAnMhsError, NotASubobjectError, ParseError
 from .field import Q, QI, GaussRat, parse_q
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
-from .triples import SPoint, Triple
+from .triples import Pencil, SPoint, Triple
 
 
 # -- subobject lifting --------------------------------------------------------
@@ -96,56 +96,55 @@ def _quot_subspace(spec_rows, ambient: int) -> Subspace:
 def eval_construction(term, m: MixedHodgeStructure) -> MixedHodgeStructure:
     """Evaluate a construction term at a single structure, exactly."""
     _check_term(term)
-    return _eval(term, m)
+    return derive(term, m, ())[0]
 
 
-def _eval(term, m: MixedHodgeStructure) -> MixedHodgeStructure:
+def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
+           ) -> Tuple[MixedHodgeStructure, List[Matrix]]:
+    """The derived structure of m and the endomorphism each x induces on it.
+
+    Each x acts as a derivation: minus its transpose on a dual, kron(x, 1)
+    + kron(1, x) on a tensor, and by restriction or passage to the
+    quotient on weight subs and quotients.  A quotient needs every x to
+    preserve the subspace.  Each action stays over the field of its x;
+    with no xs this is the plain evaluation of the term.
+    """
     if term == SELF:
-        return m
+        return m, list(xs)
     head = term[0]
     if head == "DUAL":
-        return mh.dual(_eval(term[1], m))
-    if head == "TENSOR":
-        return mh.tensor(_eval(term[1], m), _eval(term[2], m))
-    if head == "HOM":
-        return mh.hom(_eval(term[1], m), _eval(term[2], m))
+        d, ys = derive(term[1], m, xs)
+        return mh.dual(d), [la.mat_scale(-1, la.transpose(y)) for y in ys]
+    if head in ("TENSOR", "HOM"):  # Hom(A, B) is tensor(dual(A), B)
+        a, yas = derive(["DUAL", term[1]] if head == "HOM" else term[1],
+                        m, xs)
+        b, ybs = derive(term[2], m, xs)
+        ia, ib = la.identity(Q, a.dim), la.identity(Q, b.dim)
+        return mh.tensor(a, b), [
+            la.mat_add(la.kron_mat(ya, ib), la.kron_mat(ia, yb))
+            for ya, yb in zip(yas, ybs)]
     if head == "WSUB":
-        inner = _eval(term[2], m)
-        return mh.sub_mhs(inner, inner.W.at(term[1]))
+        d, ys = derive(term[2], m, xs)
+        wp = d.W.at(term[1])
+        sel, incl = la.coords_map(wp), la.inclusion_map(wp)
+        return mh.sub_mhs(d, wp), [la.mat_mul(sel, la.mat_mul(y, incl))
+                                   for y in ys]
     if head == "QUOT":
-        inner = _eval(term[2], m)
-        return mh.quotient_mhs(inner, _quot_subspace(term[1], inner.dim))
+        d, ys = derive(term[2], m, xs)
+        a_q = _quot_subspace(term[1], d.dim)
+        quo = mh.quotient_mhs(d, a_q)
+        a_c = a_q.to_qi()
+        if not all(a_c.contains(la.mat_vec(y, u))
+                   for y in ys for u in a_q.basis):
+            raise LocusError("the quotiented subspace is not preserved "
+                             "along the pencil")
+        proj = la.quotient_map(a_q)
+        section = la.solve_matrix(Q, proj, la.identity(Q, len(proj)))
+        return quo, [la.mat_mul(proj, la.mat_mul(y, section)) for y in ys]
     raise ParseError(f"unknown construction head {head!r}")
 
 
 # -- pencils ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pencil:
-    """psi(t) = psi0 + t * dpsi inside a fiber of truncation at p."""
-
-    triple: Triple
-    p: int
-    x: SPoint
-    y: SPoint
-    psi0: Matrix
-    dpsi: Matrix
-
-    def problems(self) -> List[str]:
-        out = []
-        wp = self.triple.W.at(self.p)
-        if wp.is_zero() or wp.is_full():
-            return ["truncation index must split the weights"]
-        proj = la.to_qi_mat(la.quotient_map(wp))
-        k = self.triple.dim - wp.dim
-        if la.mat_mul(proj, self.psi0) != la.identity(QI, k):
-            out.append("base is not a section of the projection")
-        if la.mat_mul(proj, self.dpsi) != la.zeros(QI, k, k):
-            out.append("direction does not take values in the weight subspace")
-        if self.dpsi == la.zeros(QI, self.triple.dim, k):
-            out.append("direction is zero")
-        return out
-
 
 def pencil_member(pencil: Pencil, t: GaussRat) -> MixedHodgeStructure:
     psi = la.mat_add(pencil.psi0, la.mat_scale(t, pencil.dpsi))
@@ -182,50 +181,6 @@ class LocusResult:
 # -- the locus computation ----------------------------------------------------
 
 _EMPTY = (GaussRat(0), GaussRat(0), GaussRat(1))  # 0 = 1: no solution
-
-
-def _derive(term, m: MixedHodgeStructure,
-            x: Matrix) -> Tuple[MixedHodgeStructure, Matrix]:
-    """The derived structure of m and the endomorphism x induces on it.
-
-    x acts as a derivation: minus its transpose on a dual, kron(x, 1) +
-    kron(1, x) on a tensor, and by restriction or passage to the quotient
-    on weight subs and quotients.  A quotient needs x to preserve the
-    subspace.
-    """
-    if term == SELF:
-        return m, x
-    head = term[0]
-    if head == "DUAL":
-        d, y = _derive(term[1], m, x)
-        return mh.dual(d), la.mat_scale(-1, la.transpose(y))
-    if head == "TENSOR":
-        a, ya = _derive(term[1], m, x)
-        b, yb = _derive(term[2], m, x)
-        return mh.tensor(a, b), la.mat_add(
-            la.kron_mat(ya, la.identity(QI, b.dim)),
-            la.kron_mat(la.identity(QI, a.dim), yb))
-    if head == "HOM":
-        return _derive(["TENSOR", ["DUAL", term[1]], term[2]], m, x)
-    if head == "WSUB":
-        d, y = _derive(term[2], m, x)
-        wp = d.W.at(term[1])
-        sel = la.to_qi_mat(la.coords_map(wp))
-        incl = la.to_qi_mat(la.inclusion_map(wp))
-        return mh.sub_mhs(d, wp), la.mat_mul(sel, la.mat_mul(y, incl))
-    if head == "QUOT":
-        d, y = _derive(term[2], m, x)
-        a_q = _quot_subspace(term[1], d.dim)
-        quo = mh.quotient_mhs(d, a_q)
-        a_c = a_q.to_qi()
-        if not a_c.contains_subspace(la.apply_to_subspace(y, a_c)):
-            raise LocusError("the quotiented subspace is not preserved "
-                             "along the pencil")
-        proj = la.quotient_map(a_q)
-        section = la.solve_matrix(Q, proj, la.identity(Q, len(proj)))
-        return quo, la.mat_mul(la.to_qi_mat(proj),
-                               la.mat_mul(y, la.to_qi_mat(section)))
-    raise ParseError(f"unknown construction head {head!r}")
 
 
 def _trim(p: List[GaussRat]) -> List[GaussRat]:
@@ -273,7 +228,7 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     _check_term(construction)
     wp = pencil.triple.W.at(pencil.p)
     x = la.mat_mul(pencil.dpsi, la.to_qi_mat(la.quotient_map(wp)))
-    d, y = _derive(construction, pencil_member(pencil, GaussRat(0)), x)
+    d, (y,) = derive(construction, pencil_member(pencil, GaussRat(0)), [x])
     vq = tuple(Fraction(c) for c in v)
     if len(vq) != d.dim:
         raise LocusError("vector does not live in the derived space")
@@ -281,7 +236,7 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
         return LocusResult("AFFINE_SUBSET", (_EMPTY,), outside_w0=True)
     # coeffs[k] is the coefficient of t^k in exp(-tY) v; Y is nilpotent.
     coeffs = []
-    w = tuple(GaussRat(c) for c in vq)
+    w = vc = tuple(GaussRat(c) for c in vq)
     while any(w):
         coeffs.append(w)
         w = tuple(c * Fraction(-1, len(coeffs)) for c in la.mat_vec(y, w))
@@ -297,28 +252,36 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
         result = LocusResult("AFFINE_SUBSET", (_EMPTY,))
     else:
         result = LocusResult("AFFINE_SUBSET", ((GaussRat(1), GaussRat(0), g[0]),))
-    _cross_validate(pencil, v, construction, result)
+    _cross_validate(pencil, v, construction, result,
+                    d.F.at(0).contains(vc))
     return result
 
 
-def _cross_validate(pencil: Pencil, v, construction, result: LocusResult) -> None:
+def _cross_validate(pencil: Pencil, v, construction, result: LocusResult,
+                    hodge_at_0: bool) -> None:
+    """Confirm the answer by exact evaluation; hodge_at_0 is whether v is
+    Hodge at the base member, read off the structure the walk built."""
     if result.is_all:
-        for t in (GaussRat(0), GaussRat(1), GaussRat(0, 1)):
-            if not _is_hodge_at(pencil, v, construction, t):
-                raise LocusError("locus computation disagrees with "
-                                 "exact evaluation on an ALL locus")
+        if not (hodge_at_0 and all(_is_hodge_at(pencil, v, construction, t)
+                                   for t in (GaussRat(1), GaussRat(0, 1)))):
+            raise LocusError("locus computation disagrees with "
+                             "exact evaluation on an ALL locus")
         return
     sol = result.solution()
-    if sol is not None:
-        ok = all(a * sol + c == 0 for a, _, c in result.constraints)
-        if ok != _is_hodge_at(pencil, v, construction, sol):
-            raise LocusError("locus computation disagrees with "
-                             "exact evaluation at the candidate point")
-        off = sol + 1
-        if _is_hodge_at(pencil, v, construction, off) and \
-                any(a * off + c != 0 for a, _, c in result.constraints):
-            raise LocusError("exact evaluation found a point the computed "
-                             "locus misses")
+    if sol is None:
+        if hodge_at_0 or _is_hodge_at(pencil, v, construction, GaussRat(1)):
+            raise LocusError("exact evaluation found a point on an empty "
+                             "locus")
+        return
+    ok = all(a * sol + c == 0 for a, _, c in result.constraints)
+    if ok != _is_hodge_at(pencil, v, construction, sol):
+        raise LocusError("locus computation disagrees with "
+                         "exact evaluation at the candidate point")
+    off = sol + 1
+    if _is_hodge_at(pencil, v, construction, off) and \
+            any(a * off + c != 0 for a, _, c in result.constraints):
+        raise LocusError("exact evaluation found a point the computed "
+                         "locus misses")
 
 
 # -- family probes ------------------------------------------------------------

@@ -17,9 +17,8 @@ from . import triples as tr
 from .errors import ParseError
 from .field import Q, QI, format_q, format_qi, parse_q, parse_qi
 from .linalg import Matrix, Subspace, mat
-from .loci import Pencil
 from .mhs import MixedHodgeStructure
-from .triples import SPoint, TPoint, Triple
+from .triples import Pencil, SPoint, TPoint, Triple
 
 
 def dumps(obj) -> str:
@@ -41,6 +40,8 @@ def matrix_to_json(field: str, a: Matrix) -> List[List[str]]:
 def matrix_from_json(field: str, data, what: str = "matrix") -> Matrix:
     _require(isinstance(data, list) and
              all(isinstance(r, list) for r in data), f"{what}: expected rows")
+    _require(all(len(r) == len(data[0]) for r in data),
+             f"{what}: rows of unequal length")
     parse = parse_q if field == Q else parse_qi
     try:
         rows = [[parse(x) for x in row] for row in data]

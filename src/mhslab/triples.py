@@ -373,3 +373,32 @@ def fiber_dim(mu: Triple, p: int, x: SPoint, y: SPoint) -> int:
         return 0
     h = mh.hom(mhs_of_spoint(y), mhs_of_spoint(x))
     return h.dim - h.F.at(0).dim
+
+
+# -- pencils ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Pencil:
+    """psi(t) = psi0 + t * dpsi inside a fiber of truncation at p."""
+
+    triple: Triple
+    p: int
+    x: SPoint
+    y: SPoint
+    psi0: Matrix
+    dpsi: Matrix
+
+    def problems(self) -> List[str]:
+        out = []
+        wp = self.triple.W.at(self.p)
+        if wp.is_zero() or wp.is_full():
+            return ["truncation index must split the weights"]
+        proj = la.to_qi_mat(la.quotient_map(wp))
+        k = self.triple.dim - wp.dim
+        if la.mat_mul(proj, self.psi0) != la.identity(QI, k):
+            out.append("base is not a section of the projection")
+        if la.mat_mul(proj, self.dpsi) != la.zeros(QI, k, k):
+            out.append("direction does not take values in the weight subspace")
+        if self.dpsi == la.zeros(QI, self.triple.dim, k):
+            out.append("direction is zero")
+        return out

@@ -14,6 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,19 +95,19 @@ def hom_dagger(m: MixedHodgeStructure, p: int) -> HomDagger:
                    + [mh.hom_vec(cut.section, k, m.dim)])
     basis = la.mat(Q, dagger_rows)        # (r+1) x k*m.dim, rows = coords
     span = Subspace.span(Q, k * m.dim, dagger_rows)
-    w_steps = {n: la.express_in_basis(Q, basis,
-                                      la.intersect(s, span).basis)
-               for n, s in big.W.steps}
-    basis_qi = la.to_qi_mat(basis)
-    span_qi = span.to_qi()
-    f_steps = {q: la.express_in_basis(QI, basis_qi,
-                                      la.intersect(s, span_qi).basis)
-               for q, s in big.F.steps}
+    cols, spans = la.transpose(basis), {Q: span, QI: span.to_qi()}
+
+    def coords(step: Subspace) -> Matrix:
+        """Dagger coordinates of a basis of the step inside the span."""
+        inside = la.intersect(step, spans[step.field]).basis
+        return la.transpose(la.solve_matrix(step.field, cols,
+                                            la.transpose(inside)))
+
     r = k * w
     dag = mh.make_mhs(
         r + 1,
-        {n: Subspace.span(Q, r + 1, rows) for n, rows in w_steps.items()},
-        {q: Subspace.span(QI, r + 1, rows) for q, rows in f_steps.items()})
+        {n: Subspace.span(Q, r + 1, coords(s)) for n, s in big.W.steps},
+        {q: Subspace.span(QI, r + 1, coords(s)) for q, s in big.F.steps})
     mh.check_valid(dag)
     lam = tuple(Fraction(1) if i == r else Fraction(0) for i in range(r + 1))
     inclusion = la.mat(Q, [[1 if i == j else 0 for j in range(r)]
@@ -332,19 +333,6 @@ def _guard_limit() -> int:
         raise ResourceGuardError(f"{GUARD_ENV} must be an integer, got {raw!r}")
 
 
-def _derivation_action(x: Matrix, signs: Sequence[int], dim: int) -> Matrix:
-    """Sum over factors of 1 x .. x (x or -x^T) x .. x 1."""
-    n = len(signs)
-    total = la.zeros(Q, dim ** n, dim ** n)
-    for k, sign in enumerate(signs):
-        factor = x if sign > 0 else la.mat_scale(Fraction(-1), la.transpose(x))
-        term = la.identity(Q, 1)
-        for j in range(n):
-            term = la.kron_mat(term, factor if j == k else la.identity(Q, dim))
-        total = la.mat_add(total, term)
-    return total
-
-
 def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     """Endomorphisms annihilating all weight-zero Hodge classes in tensor
     powers of degree at most d (primal and dual slots mixed).
@@ -358,7 +346,6 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     n = m.dim
     if n == 0:
         return Subspace.zero(Q, 0)
-    md = mh.dual(m)
     constraint_rows: List[Tuple] = []
     # Ordered to match hom coordinates: slot i*n+j is the (j, i) entry.
     basis_maps = [mh.hom_mat(tuple(1 if t == s else 0
@@ -370,20 +357,14 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
                 f"tensor space of dimension {n ** deg} exceeds the "
                 f"ceiling {limit} (set {GUARD_ENV} to raise it)")
         for a in range(deg + 1):
-            b = deg - a
-            t = None
-            signs = [1] * a + [-1] * b
-            for _ in range(a):
-                t = m if t is None else mh.tensor(t, m)
-            for _ in range(b):
-                t = md if t is None else mh.tensor(t, md)
-            classes = mh.hodge_classes(t)
-            if classes.is_zero():
-                continue
-            actions = [_derivation_action(x, signs, n) for x in basis_maps]
-            for v in classes.basis:
+            # a factors M, then deg - a factors M^v, left-associated.
+            term = reduce(lambda u, f: ["TENSOR", u, f],
+                          [lo.SELF] * a + [["DUAL", lo.SELF]] * (deg - a))
+            t, actions = lo.derive(term, m, basis_maps)
+            for v in mh.hodge_classes(t).basis:
                 constraint_rows.extend(
                     zip(*(la.mat_vec(act, v) for act in actions)))
+            del t, actions  # not alive while the next power is built
     if not constraint_rows:
         return Subspace.full(Q, n * n)
     return la.kernel(Q, la.mat(Q, constraint_rows), n * n)

@@ -86,6 +86,10 @@ def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"dim": 1}')
     assert cli.main(["validate", str(wrong)]) == 2
+    # A ragged matrix is a schema error, not a mathematical rejection.
+    ragged = {"dim": 2, "W": {"0": [["1", "0"], ["1"]]},
+              "F": {"0": [["1", "0"], ["0", "1"]]}}
+    assert cli.main(["validate", write(tmp_path, "ragged.json", ragged)]) == 2
     # JSON booleans are not integers, although Python's bool is an int.
     one = {"0": [["1"]]}
     assert cli.main(["validate", write(tmp_path, "s.json", {

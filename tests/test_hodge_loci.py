@@ -202,6 +202,14 @@ def test_locus_empty_at_special_parameters(k):
     assert res.solution() is None
 
 
+def test_empty_answer_is_checked_by_exact_evaluation(monkeypatch):
+    # A gcd wrongly read as a nonzero constant turns the splitting witness,
+    # Hodge at t = 0, into an empty locus; exact evaluation must object.
+    monkeypatch.setattr(lo, "_poly_gcd", lambda a, b: [GaussRat(1)])
+    with pytest.raises(LocusError):
+        lo.locus_on_pencil(kummer_pencil(), PROJ_VEC, END)
+
+
 GRID_TERMS = [lo.SELF, ["DUAL", lo.SELF], END, ["WSUB", 0, END],
               ["QUOT", [["0", "0", "1", "0"]], END],
               ["TENSOR", lo.SELF, ["DUAL", lo.SELF]]]

@@ -1,0 +1,42 @@
+"""Module layering: each module imports only modules of lower layers."""
+
+import ast
+from pathlib import Path
+
+import mhslab
+
+LAYERS = ["errors", "field", "linalg", "mhs", "triples", "corpus",
+          "serialize", "loci", "unipotent", "cli"]
+PACKAGE = Path(mhslab.__file__).parent
+
+
+def _imported_modules(name):
+    """The mhslab modules a module imports, anywhere in its body."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("mhslab.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("mhslab."):
+                out.add(module.split(".")[1])
+            elif node.level == 1 and module:
+                out.add(module.split(".")[0])
+            elif node.level == 1 or module == "mhslab":
+                # from . import x: x is a module, or a name of the package
+                out |= {a.name for a in node.names if a.name in LAYERS}
+    return out
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+def test_modules_import_only_lower_layers():
+    for rank, name in enumerate(LAYERS):
+        upward = {m for m in _imported_modules(name)
+                  if LAYERS.index(m) >= rank}
+        assert not upward, f"{name} imports {sorted(upward)}"

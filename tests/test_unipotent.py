@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 
@@ -15,7 +16,7 @@ from mhslab import unipotent as un
 from mhslab.errors import (DegenerateRangeError, NotASubobjectError,
                            RegimeError, ResourceGuardError)
 from mhslab.field import Q, QI, GaussRat, I
-from mhslab.linalg import Subspace
+from mhslab.linalg import Matrix, Subspace
 
 HALF = GaussRat(Fraction(1, 2))
 Z_VALUES = [GaussRat(0), HALF, GaussRat(Fraction(2, 3)), GaussRat(3),
@@ -220,9 +221,23 @@ def test_u_p_lies_inside_the_degree2_bound():
         assert g2.to_qi().contains(v)
 
 
+def _derivation_action(x: Matrix, signs: Sequence[int], dim: int) -> Matrix:
+    """Sum over factors of 1 x .. x (x or -x^T) x .. x 1."""
+    n = len(signs)
+    total = la.zeros(Q, dim ** n, dim ** n)
+    for k, sign in enumerate(signs):
+        factor = x if sign > 0 else la.mat_scale(Fraction(-1), la.transpose(x))
+        term = la.identity(Q, 1)
+        for j in range(n):
+            term = la.kron_mat(term, factor if j == k else la.identity(Q, dim))
+        total = la.mat_add(total, term)
+    return total
+
+
 def _per_row_bound(m, d):
     """The reference for mt_lie_upper_bound: one mat_vec per constraint
-    row, each row read off its own image of the class vector."""
+    row, each row read off its own image of the class vector, with each
+    action built as a sum of kron chains by _derivation_action."""
     n = m.dim
     md = mh.dual(m)
     rows = []
@@ -237,7 +252,7 @@ def _per_row_bound(m, d):
             if classes.is_zero():
                 continue
             signs = [1] * a + [-1] * (deg - a)
-            actions = [un._derivation_action(x, signs, n) for x in basis_maps]
+            actions = [_derivation_action(x, signs, n) for x in basis_maps]
             for v in classes.basis:
                 for i in range(n ** deg):
                     rows.append(tuple(la.mat_vec(act, v)[i]
@@ -257,6 +272,27 @@ def test_mt_bound_matches_the_per_row_loop():
     m = mh.direct_sum(corpus.kummer_mhs(I), mh.tate_twist(0))
     for d in (1, 2):
         assert un.mt_lie_upper_bound(m, d) == _per_row_bound(m, d)
+
+
+def test_walker_actions_match_the_kron_chains():
+    m = corpus.kummer_mhs(I)
+    n = m.dim
+    basis_maps = [mh.hom_mat(tuple(1 if t == s else 0 for t in range(n * n)),
+                             n, n) for s in range(n * n)]
+    for deg in (1, 2, 3):
+        for a in range(deg + 1):
+            factors = [lo.SELF] * a + [["DUAL", lo.SELF]] * (deg - a)
+            term = factors[0]
+            for f in factors[1:]:
+                term = ["TENSOR", term, f]
+            t, actions = lo.derive(term, m, basis_maps)
+            chain = None
+            for x in [m] * a + [mh.dual(m)] * (deg - a):
+                chain = x if chain is None else mh.tensor(chain, x)
+            assert t == chain
+            signs = [1] * a + [-1] * (deg - a)
+            assert actions == [_derivation_action(x, signs, n)
+                               for x in basis_maps]
 
 
 def test_degree3_bound_on_a_three_step_member():
