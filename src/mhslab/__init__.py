@@ -9,18 +9,15 @@ from .errors import (DegenerateRangeError, DimensionMismatchError,
 from .field import GaussRat, I, Q, QI
 from .linalg import Subspace
 from .mhs import (Bigrading, HodgeFiltration, MixedHodgeStructure,
-                  MorphismMHS, WeightFiltration, deligne_bigrading,
-                  deligne_splitting, direct_sum, dual, gr_w, hodge_classes,
-                  hom, quotient_mhs, sub_mhs, tate_twist, tensor,
-                  validate_mhs)
+                  WeightFiltration, deligne_bigrading, deligne_splitting,
+                  direct_sum, dual, gr_w, hodge_classes, hom, quotient_mhs,
+                  sub_mhs, tate_twist, tensor, validate_mhs)
 from .triples import (LieData, Pencil, SPoint, TPoint, Triple, build_mhs,
                       dim_S, equal_in_S, fiber_dim, fiber_point, lie_data,
                       sample_point, sections_from_mhs, truncate,
                       truncate_point)
 from .loci import (LocusResult, can_lift, derive, eval_construction,
-                   global_hodge_subspace_probe, locus_on_pencil,
-                   quotient_at_point)
-from .unipotent import (ExtClassRep, HomDagger, UpResult, ext_class_rep,
-                        genericity_experiment, hom_dagger, is_u_large,
-                        mt_lie_upper_bound, splits_mod, total_ext_class_rep,
-                        total_splits_mod, u_p_tate)
+                   locus_on_pencil)
+from .unipotent import (ExtClassRep, UpResult, ext_class_rep,
+                        genericity_experiment, is_u_large, mt_lie_upper_bound,
+                        splits_mod, u_p_tate)

@@ -24,9 +24,7 @@ from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
 from . import unipotent as un
-from .errors import (DegenerateRangeError, LocusError, MhsError,
-                     NotAnMhsError, NotASubobjectError, ParseError,
-                     RegimeError, ResourceGuardError)
+from .errors import MhsError, ParseError, RegimeError, ResourceGuardError
 from .field import Q, QI, format_qi, parse_qi
 
 EXIT_OK = 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import mhs as mh
 from .field import Q, QI, GaussRat, I, as_scalar
-from .linalg import Subspace, mat, to_qi_mat
+from .linalg import Subspace, mat
 from .mhs import MixedHodgeStructure
 from .triples import TPoint, Triple, build_mhs
 

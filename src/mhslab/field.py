@@ -213,11 +213,3 @@ def parse_qi(s: str) -> GaussRat:
             re_part = sign * _fraction(m.group(4), s)
             seen_re = True
     return GaussRat(re_part, im_part)
-
-
-def format_scalar(field: str, x) -> str:
-    return format_q(x) if field == Q else format_qi(x)
-
-
-def parse_scalar(field: str, s: str) -> Scalar:
-    return parse_q(s) if field == Q else parse_qi(s)

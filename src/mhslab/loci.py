@@ -1,4 +1,4 @@
-"""Subobject lifting, Hodge loci along pencils, and derived-family probes.
+"""Subobject lifting, derived structures, and Hodge loci along pencils.
 
 A pencil is an affine line of gluing sections inside one fiber of the
 truncation map; the locus of parameters where a fixed rational vector is
@@ -17,11 +17,11 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg as la
 from . import mhs as mh
 from . import triples as tr
-from .errors import LocusError, NotAnMhsError, NotASubobjectError, ParseError
+from .errors import LocusError, NotAnMhsError, ParseError
 from .field import Q, QI, GaussRat, parse_q
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
-from .triples import Pencil, SPoint, Triple
+from .triples import Pencil
 
 
 # -- subobject lifting --------------------------------------------------------
@@ -34,14 +34,8 @@ def can_lift(m: MixedHodgeStructure, a_tilde_q: Subspace) -> Optional[Subspace]:
     subobject to a subspace defined over Q; it is then unique, and its
     rational points are returned.
     """
-    return lift_graded(m, mh.graded_mhs(m),
-                       la.invert(QI, mh.deligne_splitting(m)), a_tilde_q)
-
-
-def lift_graded(m: MixedHodgeStructure, gm: MixedHodgeStructure,
-                alpha: Matrix, a_tilde_q: Subspace) -> Optional[Subspace]:
-    """can_lift, given gm = graded_mhs(m) and alpha, the inverse of the
-    Deligne splitting of m, so that many candidates can share them."""
+    gm = mh.graded_mhs(m)
+    alpha = la.invert(QI, mh.deligne_splitting(m))
     mh.sub_mhs(gm, a_tilde_q)  # raises if not a subobject of the graded
     if a_tilde_q.is_zero():
         return a_tilde_q
@@ -282,29 +276,3 @@ def _cross_validate(pencil: Pencil, v, construction, result: LocusResult,
             any(a * off + c != 0 for a, _, c in result.constraints):
         raise LocusError("exact evaluation found a point the computed "
                          "locus misses")
-
-
-# -- family probes ------------------------------------------------------------
-
-def global_hodge_subspace_probe(mu: Triple, a_q: Subspace, construction,
-                                samples: Sequence[SPoint]):
-    """Check whether a_q underlies a subobject at every sampled member.
-
-    Returns ("GLOBAL_ON_SAMPLES", None) or ("FAILS_AT", sample).
-    """
-    _check_term(construction)
-    for s in samples:
-        d = eval_construction(construction, tr.mhs_of_spoint(s))
-        try:
-            mh.sub_mhs(d, a_q)
-        except NotASubobjectError:
-            return ("FAILS_AT", s)
-    return ("GLOBAL_ON_SAMPLES", None)
-
-
-def quotient_at_point(s: SPoint, a_q: Subspace,
-                      construction) -> MixedHodgeStructure:
-    """The quotient of the derived structure at one sample by a subobject."""
-    _check_term(construction)
-    d = eval_construction(construction, tr.mhs_of_spoint(s))
-    return mh.quotient_mhs(d, a_q)

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import linalg as la
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      NotAnMhsError, NotASubobjectError)
-from .field import Q, QI, GaussRat
+from .field import Q, QI
 from .linalg import Matrix, Subspace, Vector
 
 
@@ -156,26 +156,6 @@ class Bigrading:
 
     def items(self):
         return self.components
-
-
-@dataclass(frozen=True)
-class MorphismMHS:
-    source: MixedHodgeStructure
-    target: MixedHodgeStructure
-    matrix: Matrix  # over Q, target.dim x source.dim
-
-    def is_morphism(self) -> bool:
-        a = self.matrix
-        for n, s in self.source.W.steps:
-            if not self.target.W.at(n).contains_subspace(
-                    la.apply_to_subspace(a, s)):
-                return False
-        aqi = la.to_qi_mat(a)
-        for p, s in self.source.F.steps:
-            if not self.target.F.at(p).contains_subspace(
-                    la.apply_to_subspace(aqi, s)):
-                return False
-        return True
 
 
 # -- graded coordinates -----------------------------------------------------

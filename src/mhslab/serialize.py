@@ -9,7 +9,6 @@ canonical, so equal values serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, List
 
 from . import mhs as mh

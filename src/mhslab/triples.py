@@ -20,8 +20,7 @@ from . import mhs as mh
 from .errors import DimensionMismatchError, MhsError, NotAnMhsError
 from .field import Q, QI, GaussRat
 from .linalg import Matrix, Subspace
-from .mhs import (GradedPiece, HodgeFiltration, MixedHodgeStructure,
-                  WeightFiltration)
+from .mhs import HodgeFiltration, MixedHodgeStructure, WeightFiltration
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 For a structure M and a weight cut p, the extension of the quotient by
 the subobject is measured by a class in Hom(M/W_pM, W_pM) tensored with
-Q(i), well defined modulo F^0 and rational vectors.  The smallest
-subobject modulo which that class splits is computed exactly when every
-graded piece is a one-dimensional Tate object with pairwise-distinct
-weight gaps; outside that regime only the checker is offered.
+Q(i), well defined modulo F^0 and rational vectors.  When M is
+graded-Tate (every graded piece a sum of copies of one Tate object), the
+smallest subobject modulo which that class splits is computed exactly,
+as the subobject generated by the imaginary part of the class.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from . import loci as lo
@@ -62,57 +61,6 @@ def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
     section = la.solve_matrix(Q, proj, la.identity(Q, quo.dim))
     return WeightCut(m, wp, sub, quo, proj, la.inclusion_map(wp),
                      section, mh.hom(quo, sub))
-
-
-# -- the dagger construction --------------------------------------------------
-
-@dataclass(frozen=True)
-class HomDagger:
-    """Maps M/W_pM -> M whose projection back down is a scalar.
-
-    Coordinates: the first r = dim Hom(M/W_pM, W_pM) coordinates are the
-    kernel of lambda (in hom coordinates of that small space); the last
-    coordinate is the coefficient of a fixed rational section, so lambda
-    is simply the last coordinate.
-    """
-
-    mhs: MixedHodgeStructure
-    lam: Tuple[Fraction, ...]     # rational functional, = last coordinate
-    inclusion: Matrix             # over Q: small hom coords -> dagger coords
-
-    @property
-    def r(self) -> int:
-        return self.mhs.dim - 1
-
-
-def hom_dagger(m: MixedHodgeStructure, p: int) -> HomDagger:
-    cut = weight_cut(m, p)
-    k, w = cut.quo.dim, cut.wp.dim
-    big = mh.hom(cut.quo, m)
-    # Basis of the dagger space: the kernel block, then one section.
-    kernel_emb = la.kron_mat(la.identity(Q, k), cut.incl)  # k*m.dim x k*w
-    dagger_rows = (list(la.transpose(kernel_emb))
-                   + [mh.hom_vec(cut.section, k, m.dim)])
-    basis = la.mat(Q, dagger_rows)        # (r+1) x k*m.dim, rows = coords
-    span = Subspace.span(Q, k * m.dim, dagger_rows)
-    cols, spans = la.transpose(basis), {Q: span, QI: span.to_qi()}
-
-    def coords(step: Subspace) -> Matrix:
-        """Dagger coordinates of a basis of the step inside the span."""
-        inside = la.intersect(step, spans[step.field]).basis
-        return la.transpose(la.solve_matrix(step.field, cols,
-                                            la.transpose(inside)))
-
-    r = k * w
-    dag = mh.make_mhs(
-        r + 1,
-        {n: Subspace.span(Q, r + 1, coords(s)) for n, s in big.W.steps},
-        {q: Subspace.span(QI, r + 1, coords(s)) for q, s in big.F.steps})
-    mh.check_valid(dag)
-    lam = tuple(Fraction(1) if i == r else Fraction(0) for i in range(r + 1))
-    inclusion = la.mat(Q, [[1 if i == j else 0 for j in range(r)]
-                           for i in range(r + 1)])
-    return HomDagger(dag, lam, inclusion)
 
 
 # -- extension classes --------------------------------------------------------
@@ -226,36 +174,7 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
     return _splits(cut, a_q, rep if rep is not None else _ext_class(cut))
 
 
-def total_ext_class_rep(m: MixedHodgeStructure) -> Tuple[GaussRat, ...]:
-    """The sum of all per-cut classes, pushed into End coordinates."""
-    if len(m.W.jumps) < 2:
-        raise DegenerateRangeError("structure has a single weight")
-    total = tuple(GaussRat(0) for _ in range(m.dim * m.dim))
-    for p in m.W.jumps[:-1]:
-        cut = weight_cut(m, p)
-        b = mh.hom_mat(_ext_class(cut).e, cut.quo.dim, cut.wp.dim)
-        end = la.mat_mul(la.to_qi_mat(cut.incl),
-                         la.mat_mul(b, la.to_qi_mat(cut.proj)))
-        total = tuple(x + y for x, y in
-                      zip(total, mh.hom_vec(end, m.dim, m.dim)))
-    return total
-
-
-def total_splits_mod(m: MixedHodgeStructure, a_q: Subspace) -> bool:
-    """Splitting test for the total class, inside W_{-1}End coordinates."""
-    end = mh.hom(m, m)
-    w_m1 = end.W.at(-1)
-    if not w_m1.contains_subspace(a_q):
-        raise MhsError("candidate is not inside the weight -1 part of End")
-    mh.sub_mhs(end, a_q)
-    e = total_ext_class_rep(m)
-    qi_gens = [tuple(GaussRat(x) for x in row) for row in a_q.basis]
-    qi_gens += list(la.intersect(end.F.at(0), w_m1.to_qi()).basis)
-    q_gens = list(w_m1.basis)
-    return _in_mixed_span(e, qi_gens, q_gens)
-
-
-# -- the rank-one Tate regime -------------------------------------------------
+# -- the graded-Tate regime ---------------------------------------------------
 
 @dataclass(frozen=True)
 class UpResult:
@@ -264,57 +183,63 @@ class UpResult:
     large: bool
 
 
-def _regime_weights(w: mh.WeightFiltration) -> List[int]:
-    """The weights of a rank-one graded-Tate object with distinct gaps."""
-    pieces = mh.graded_pieces(w)
-    if any(piece.dim != 1 for piece in pieces):
-        raise RegimeError("graded pieces must all be one-dimensional "
-                          "(checker only: use splits_mod with candidates)")
-    weights = [piece.weight for piece in pieces]
-    if any(n % 2 for n in weights):
-        raise RegimeError("one-dimensional pieces of odd weight are not "
-                          "Tate objects")
-    gaps = [b - a for a, b in combinations(weights, 2)]
-    if len(set(gaps)) != len(gaps):
-        raise RegimeError("weight gaps must be pairwise distinct "
-                          "(checker only: use splits_mod with candidates)")
-    return weights
+def _check_graded_tate(m: MixedHodgeStructure) -> None:
+    """Raise unless every Gr^W_n M is Tate: n is even and F^{n/2} covers
+    Gr^W_n, so that by Hodge symmetry F^{n/2+1} is zero there."""
+    for n in m.W.jumps:
+        f, top, below = m.F.at(n // 2), m.W.at(n), m.W.at(n - 1)
+        if n % 2 or (la.intersect(f, top.to_qi()).dim
+                     - la.intersect(f, below.to_qi()).dim
+                     != top.dim - below.dim):
+            raise RegimeError(f"the graded piece of weight {n} is not Tate "
+                              f"(the structure must be graded-Tate)")
+
+
+def _u_p(cut: WeightCut) -> UpResult:
+    """u_p of a graded-Tate M: H = Hom(M/W_pM, W_pM) has only negative
+    weights, so F^0 H = 0 and the class e splits modulo a subobject B
+    exactly when Im(e) lies in B.  u_p is the smallest subobject holding
+    Im(e): the rational closure of its span under the projectors onto
+    the Deligne components of H."""
+    h = cut.h
+    alpha = mh.deligne_splitting(h)
+    inv = la.invert(QI, alpha)
+    projectors = [la.mat_mul(tuple(row[g.offset:g.offset + g.dim]
+                                   for row in inv),
+                             alpha[g.offset:g.offset + g.dim])
+                  for g in mh.graded_pieces(h.W)]
+    s = Subspace.span(Q, h.dim, [tuple(x.im for x in _ext_class(cut).e)])
+    while True:
+        rows = list(s.basis)
+        for pi in projectors:
+            for v in s.basis:
+                w = la.mat_vec(pi, v)
+                rows += [tuple(x.re for x in w), tuple(x.im for x in w)]
+        grown = Subspace.span(Q, h.dim, rows)
+        if grown.dim == s.dim:
+            break
+        s = grown
+    mh.sub_mhs(h, s)  # a closed rational subspace is a subobject
+    return UpResult(s, "TATE_EXACT", s.is_full())
 
 
 def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
-    """The exact unipotent-radical block at the weight cut p.
+    """The exact unipotent-radical block at the weight cut p of a
+    graded-Tate M: the smallest subobject of Hom(M/W_pM, W_pM) modulo
+    which the extension class splits, found as the subobject generated
+    by the imaginary part of the class."""
+    _check_graded_tate(m)
+    return _u_p(weight_cut(m, p))
 
-    The subobjects of H = Hom(M/W_pM, W_pM) inject into subsets of its
-    rank-one graded blocks (weights are pairwise distinct), each subset
-    lifting uniquely if at all; the result is the smallest liftable
-    subobject modulo which the extension class splits.  Every candidate
-    is lifted through one inverse Deligne splitting of H.
-    """
-    _regime_weights(m.W)
-    cut = weight_cut(m, p)
-    h = cut.h
-    rep = _ext_class(cut)
-    gh = mh.graded_mhs(h)
-    alpha = la.invert(QI, mh.deligne_splitting(h))
-    pieces = mh.graded_pieces(h.W)
-    r = h.dim
-    for size in range(r + 1):
-        for subset in combinations(range(len(pieces)), size):
-            rows = []
-            for idx in subset:
-                emb = mh.graded_embedding(pieces[idx], r)
-                rows.extend(la.transpose(emb))
-            a_tilde = Subspace.span(Q, r, rows)
-            a_q = lo.lift_graded(h, gh, alpha, a_tilde)
-            if a_q is not None and _splits(cut, a_q, rep):
-                return UpResult(a_q, "TATE_EXACT", a_q.is_full())
-    raise AssertionError("the full space always lifts and splits")
+
+def _detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
+    return [(p, _u_p(weight_cut(m, p))) for p in m.W.jumps[:-1]]
 
 
 def u_large_detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
     """u_p at every weight cut, lowest weight first."""
-    _regime_weights(m.W)
-    return [(p, u_p_tate(m, p)) for p in m.W.jumps[:-1]]
+    _check_graded_tate(m)
+    return _detail(m)
 
 
 def is_u_large(m: MixedHodgeStructure) -> bool:
@@ -393,14 +318,14 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
     pure function of (mu, n_samples, seed, height).
     """
     tr.check_triple(mu)
-    _regime_weights(mu.W)
+    _check_graded_tate(tr.graded_space(mu))
     cuts = mu.W.jumps[:-1]
     n_large_per_p = {p: 0 for p in cuts}
     all_large = 0
     for i in range(n_samples):
         alpha = tr.sample_point(mu, f"{seed}:{i}", height)
         m = tr.build_mhs(mu, alpha)
-        detail = u_large_detail(m)
+        detail = _detail(m)
         for p, res in detail:
             if res.large:
                 n_large_per_p[p] += 1
@@ -410,7 +335,7 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
     for j in range(3):
         alpha = tr.sample_rational_point(mu, f"{seed}:deg:{j}", height)
         m = tr.build_mhs(mu, alpha)
-        detail = u_large_detail(m)
+        detail = _detail(m)
         degenerate.append({
             "params": se.tpoint_to_json(alpha)["sections"],
             "u_p_dims": {str(p): res.subspace.dim for p, res in detail},

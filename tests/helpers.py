@@ -78,3 +78,13 @@ def random_mhs(seed, max_dim: int = 6, height: int = 5) -> mh.MixedHodgeStructur
     mu = random_triple(seed, max_dim)
     alpha = tr.sample_point(mu, f"mhs:{seed}", height)
     return tr.build_mhs(mu, alpha)
+
+
+def tate_triple(weights) -> tr.Triple:
+    """The graded-Tate triple with one Q(-w/2) per even weight w, on the
+    coordinate flag, lowest weight first."""
+    n = len(weights)
+    flag = {w: Subspace.span(Q, n, la.identity(Q, n)[:k + 1])
+            for k, w in enumerate(weights)}
+    return tr.Triple(n, mh.WeightFiltration.of(n, flag),
+                     tuple((w, mh.tate_twist(-w // 2)) for w in weights))

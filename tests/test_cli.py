@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import tate_triple
 
 import mhslab
 from mhslab import cli, corpus
@@ -208,7 +209,7 @@ def test_up_and_u_large_verbs(capsys, kummer_file, tmp_path):
     code, doc = run(capsys, ["u-large", kummer_file])
     assert code == 0 and doc["large"] and doc["per_p"] == [
         {"p": -2, "large": True, "dim": 1}]
-    # Outside the rank-one Tate regime: exit code 4.
+    # Outside the graded-Tate regime: exit code 4.
     path = write(tmp_path, "tw.json", se.mhs_to_json(corpus.two_weight_mhs()))
     assert cli.main(["u-large", path]) == 4
     capsys.readouterr()
@@ -240,6 +241,18 @@ def test_experiment_deterministic_bytes(capsys, tmp_path):
     doc = json.loads(outs[0])
     assert doc["n_samples"] == 3 and len(doc["degenerate"]) == 3
     capsys.readouterr()
+
+
+def test_experiment_on_equal_weight_gaps(capsys, tmp_path):
+    # Q(0) + Q(1) + Q(2) has equal weight gaps and is graded-Tate.
+    mu_file = write(tmp_path, "mu.json",
+                    se.triple_to_json(tate_triple((-4, -2, 0))))
+    code, doc = run(capsys, ["experiment", "--triple", mu_file,
+                             "--samples", "2"])
+    assert code == 0 and doc["n_samples"] == 2
+    assert {d["p"] for d in doc["per_p"]} == {-4, -2}
+    assert len(doc["degenerate"]) == 3
+    assert all(control["failing_p"] for control in doc["degenerate"])
 
 
 def test_experiment_defaults_to_tate3_and_rejects_negative_samples(capsys):

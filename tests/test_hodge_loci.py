@@ -237,30 +237,14 @@ def test_locus_rejects_quotient_not_preserved_by_pencil():
                            ["QUOT", [["1", "0", "0", "0"]], END])
 
 
-# -- family probes -----------------------------------------------------------------
-
-def _kummer_samples(zs):
-    mu = corpus.kummer_triple()
-    return [tr.spoint(mu, corpus.kummer_tpoint(z)) for z in zs]
-
-
-def test_global_probe():
-    samples = _kummer_samples([GaussRat(0), HALF, I, GaussRat(1, 1)])
-    kind, witness = lo.global_hodge_subspace_probe(
-        corpus.kummer_triple(), GR_Q1_LINE, lo.SELF, samples)
-    assert kind == "GLOBAL_ON_SAMPLES" and witness is None
-    kind, witness = lo.global_hodge_subspace_probe(
-        corpus.kummer_triple(), GR_Q0_LINE, lo.SELF, samples)
-    assert kind == "FAILS_AT" and witness in samples
-
+# -- quotients of derived structures ----------------------------------------------
 
 def test_quotient_at_point():
-    s = _kummer_samples([I])[0]
+    end = mh.hom(corpus.kummer_mhs(I), corpus.kummer_mhs(I))
     w_m2_end = Subspace.span(Q, 4, [(0, 0, 1, 0)])  # maps lowering weight by 2
-    quo = lo.quotient_at_point(s, w_m2_end, END)
+    quo = mh.quotient_mhs(end, w_m2_end)
     assert mh.is_valid(quo) and quo.dim == 3
     dims = {n: pure.dim for n, pure in mh.gr_w(quo)}
     assert dims == {0: 2, 2: 1}
     # Quotient commutes with taking the associated graded (dimensions).
-    end = lo.eval_construction(END, tr.mhs_of_spoint(s))
     assert sum(dims.values()) == end.dim - w_m2_end.dim

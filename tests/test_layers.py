@@ -40,3 +40,23 @@ def test_modules_import_only_lower_layers():
         upward = {m for m in _imported_modules(name)
                   if LAYERS.index(m) >= rank}
         assert not upward, f"{name} imports {sorted(upward)}"
+
+
+def _unused_imports(name):
+    """The names a module imports but never reads."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0]
+                         for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_modules_use_every_name_they_import():
+    for name in LAYERS:
+        unused = _unused_imports(name)
+        assert not unused, f"{name} imports {sorted(unused)} and never uses them"

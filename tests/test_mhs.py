@@ -158,16 +158,6 @@ def test_hom_vec_mat_round_trip():
 
 # -- morphisms and strictness -------------------------------------------------
 
-def test_morphism_check():
-    z = GaussRat(Fraction(1, 2))
-    k = corpus.kummer_mhs(z)
-    t = mh.tate_twist(0)
-    proj = la.mat(Q, [[0, 1]])  # quotient onto Q(0)
-    assert mh.MorphismMHS(k, t, proj).is_morphism()
-    swap = la.mat(Q, [[1, 0]])  # lands in weight -2: not filtered
-    assert not mh.MorphismMHS(k, t, swap).is_morphism()
-
-
 def test_splitting_is_filtered_isomorphism():
     for s in SEEDS:
         m = random_mhs(s, max_dim=5)

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 from typing import Sequence
 
 import pytest
+from helpers import random_pure_piece, tate_triple
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -29,23 +31,26 @@ def tate3_mhs(seed="gen", rational=False, height=10):
     return tr.build_mhs(mu, maker(mu, seed, height))
 
 
-# -- the dagger space -----------------------------------------------------------
+def partly_rational_mhs(seed, rational_weight, height=4):
+    """A three-step member whose section at one weight is rational and
+    whose other sections are generic."""
+    mu = corpus.tate3_triple()
+    generic = tr.sample_point(mu, seed, height)
+    rational = tr.sample_rational_point(mu, seed, height)
+    return tr.build_mhs(mu, tr.TPoint(tuple(
+        r if r[0] == rational_weight else g
+        for g, r in zip(generic.sections, rational.sections))))
 
-def test_hom_dagger_kummer():
-    m = corpus.kummer_mhs(I)
-    dag = un.hom_dagger(m, -2)
-    assert dag.r == 1 and dag.mhs.dim == 2
-    # The kernel of the last coordinate is Hom(Q(0), Q(1)) = Q(1).
-    ker = Subspace.span(Q, 2, [(1, 0)])
-    assert mh.sub_mhs(dag.mhs, ker) == mh.tate_twist(1)
-    # The last coordinate vanishes on the weight part below zero.
-    for v in dag.mhs.W.at(-1).basis:
-        assert v[-1] == 0
 
+PARTLY_RATIONAL = [partly_rational_mhs("pr", -2), partly_rational_mhs("pr", 0)]
+EQUAL_GAPS = tate_triple((-4, -2, 0))
+
+
+# -- weight cuts -----------------------------------------------------------------
 
 def test_degenerate_cut_rejected():
     m = corpus.kummer_mhs(I)
-    entry_points = [un.weight_cut, un.hom_dagger, un.ext_class_rep,
+    entry_points = [un.weight_cut, un.ext_class_rep,
                     lambda m, p: un.splits_mod(m, p, Subspace.zero(Q, 1)),
                     un.u_p_tate]
     for p in [-4, 0, 5]:
@@ -91,16 +96,7 @@ def test_splits_mod_monotone_in_the_subobject():
             assert un.splits_mod(m, p, Subspace.full(Q, h_dim))
 
 
-def test_total_class_single_jump_consistency():
-    for z in [HALF, I]:
-        m = corpus.kummer_mhs(z)
-        assert un.total_splits_mod(m, Subspace.zero(Q, 4)) == \
-            un.splits_mod(m, -2, Subspace.zero(Q, 1))
-    with pytest.raises(DegenerateRangeError):
-        un.total_ext_class_rep(mh.tate_twist(1))
-
-
-# -- unipotent radical in the Tate regime ------------------------------------------
+# -- unipotent radical in the graded-Tate regime -------------------------------
 
 def test_u_p_kummer():
     res = un.u_p_tate(corpus.kummer_mhs(I), -2)
@@ -133,7 +129,9 @@ def test_u_p_is_a_subobject_modulo_which_the_class_splits():
 
 def _u_p_by_public_search(m, p):
     """u_p by the candidate-by-candidate search through the public
-    can_lift and splits_mod, each call recomputing its own data."""
+    can_lift and splits_mod, each call recomputing its own data.  Valid
+    when every graded piece of Hom(M/W_pM, W_pM) has rank one: then each
+    subobject lifts a unique set of graded blocks."""
     wp = m.W.at(p)
     h = mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
     rep = un.ext_class_rep(m, p)
@@ -152,33 +150,81 @@ def _u_p_by_public_search(m, p):
     (corpus.kummer_mhs(I), -2),
     (corpus.kummer_mhs(HALF), -2),
     *[(m, p) for m in (tate3_mhs("or1", height=4), tate3_mhs("or2", height=4),
-                       tate3_mhs("or-rat", rational=True, height=4))
+                       tate3_mhs("or-rat", rational=True, height=4),
+                       *PARTLY_RATIONAL)
       for p in (-6, -2)],
+    # Equal weight gaps: Q(0) + Q(1) + Q(2).
+    *[(tr.build_mhs(EQUAL_GAPS, tr.sample_point(EQUAL_GAPS, "eq", 4)), p)
+      for p in (-4, -2)],
 ])
 def test_u_p_matches_the_public_search(m, p):
     assert un.u_p_tate(m, p).subspace == _u_p_by_public_search(m, p)
 
 
+def test_partly_rational_members_have_a_line_at_the_low_cut():
+    for m in PARTLY_RATIONAL:
+        assert un.u_p_tate(m, -6).subspace.dim == 1
+
+
 def test_regime_errors():
     with pytest.raises(RegimeError):
         un.u_p_tate(corpus.two_weight_mhs(), -1)  # dim-2 graded piece
-    # Equal weight gaps (0, -2, -4) are outside the regime.
-    mu = tr.Triple(
-        3,
-        mh.WeightFiltration.of(3, {-4: Subspace.span(Q, 3, [(1, 0, 0)]),
-                                   -2: Subspace.span(Q, 3, [(1, 0, 0),
-                                                            (0, 1, 0)]),
-                                   0: Subspace.full(Q, 3)}),
-        ((-4, mh.tate_twist(2)), (-2, mh.tate_twist(1)),
-         (0, mh.tate_twist(0))))
-    m = tr.build_mhs(mu, tr.sample_point(mu, "gap", 5))
-    with pytest.raises(RegimeError):
-        un.u_p_tate(m, -2)
+    # Equal weight gaps (0, -2, -4) are inside the graded-Tate regime.
+    m = tr.build_mhs(EQUAL_GAPS, tr.sample_point(EQUAL_GAPS, "gap", 5))
+    assert un.u_p_tate(m, -2).subspace == _u_p_by_public_search(m, -2)
     # Odd one-dimensional weight.
     odd = mh.make_mhs(1, {1: Subspace.full(Q, 1)},
                       {0: Subspace.full(QI, 1), 1: Subspace.zero(QI, 1)})
     with pytest.raises(RegimeError):
         un.u_large_detail(odd)
+    # An even-weight rank-two piece of Hodge types (1, -1) and (-1, 1).
+    piece = random_pure_piece(random.Random(2), 0)
+    assert piece.dim == 2 and piece.F.jumps == (-1, 1)
+    with pytest.raises(RegimeError):
+        un.u_p_tate(mh.direct_sum(mh.tate_twist(1), piece), -2)
+
+
+def _bounded_height_candidates(h):
+    """Subspaces of the graded coordinates of h: in each rank-one block
+    nothing or everything, in each rank-two block nothing, everything or
+    a primitive line of height at most 2."""
+    lines = [(a, b) for a in range(3) for b in range(-2, 3)
+             if gcd(a, b) == 1 and (a, b) > (0, 0)]
+    choices = []
+    for g in mh.graded_pieces(h.W):
+        unit = la.transpose(mh.graded_embedding(g, h.dim))
+        options = [[], list(unit)]
+        if g.dim == 2:
+            options += [[tuple(a * x + b * y for x, y in zip(*unit))]
+                        for a, b in lines]
+        choices.append(options)
+    for rows in product(*choices):
+        yield Subspace.span(Q, h.dim, [r for block in rows for r in block])
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_u_p_with_a_rank_two_piece_against_bounded_height_candidates(
+        rational, monkeypatch):
+    # Q(0) + Q(1) + Q(2) + Q(3) at the cut -4: Hom(M/W_pM, W_pM) has a
+    # rank-two piece of weight -4, where the public search does not apply.
+    mu = tate_triple((-6, -4, -2, 0))
+    maker = tr.sample_rational_point if rational else tr.sample_point
+    m = tr.build_mhs(mu, maker(mu, "rank-two", 4))
+    wp = m.W.at(-4)
+    h = mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
+    u = un.u_p_tate(m, -4).subspace
+    mh.sub_mhs(h, u)  # raises when u_p is not a subobject
+    assert un.splits_mod(m, -4, u)
+    assert u.dim == (0 if rational else 4)
+    rep = un.ext_class_rep(m, -4)
+    # can_lift splits h afresh on every call; compute that once.
+    splitting, split = mh.deligne_splitting(h), mh.deligne_splitting
+    monkeypatch.setattr(mh, "deligne_splitting",
+                        lambda s: splitting if s is h else split(s))
+    for cand in _bounded_height_candidates(h):
+        if cand.dim < u.dim:
+            a_q = lo.can_lift(h, cand)
+            assert a_q is None or not un.splits_mod(m, -4, a_q, rep)
 
 
 # -- Lie-algebra upper bound ---------------------------------------------------------
