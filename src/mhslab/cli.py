@@ -50,8 +50,11 @@ def _read_json(path: str, digests: Dict[str, str]):
 def _emit(doc: dict, out: Optional[str]) -> None:
     text = se.dumps(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"{out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -296,6 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     digests: Dict[str, str] = {}
     try:
         doc, code = args.fn(args, digests)
+        _emit(doc, args.out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -309,7 +313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Not-an-MHS, not-a-subobject, degenerate ranges, locus failures.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    _emit(doc, args.out)
     return code
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -84,30 +85,105 @@ def to_qi_mat(a: Matrix) -> Matrix:
 
 # -- row reduction ----------------------------------------------------------
 
-def _rref(rows: list) -> Tuple[Matrix, Tuple[int, ...]]:
-    """In-place reduced row echelon; returns (nonzero rows, pivot columns)."""
-    if not rows:
+_ZERO_Q = Fraction(0)
+_ZERO_QI = GaussRat(0)
+
+
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref(rows: Sequence[Sequence[Scalar]], field: str) -> Tuple[Matrix, Tuple[int, ...]]:
+    """Reduced row echelon of rows over field; returns (nonzero rows, pivot columns).
+
+    Gauss-Jordan elimination without fractions: each row is scaled to
+    integers (over Q(i), Gaussian integers held as interleaved real and
+    imaginary ints), eliminated by cross-multiplication and kept primitive
+    by dividing out the gcd of its integer components.  Fractions are
+    built only for the output, when each pivot row is divided by its
+    pivot.  The reduced echelon form is unique, so the result is the one
+    exact division would give.
+    """
+    if not rows or not rows[0]:
         return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+    if field == Q:
+        return _rref_z(rows)
+    return _rref_zi(rows)
+
+
+def _rref_z(rows) -> Tuple[Matrix, Tuple[int, ...]]:
+    m = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    nrows, pivots, r = len(m), [], 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    basis = tuple(tuple(row) for row in rows[:r])
+    basis = tuple(tuple(Fraction(x, row[p]) if x else _ZERO_Q for x in row)
+                  for row, p in zip(m, pivots))
     return basis, tuple(pivots)
+
+
+def _rref_zi(rows) -> Tuple[Matrix, Tuple[int, ...]]:
+    # Row entry j is re + i*im with re = row[2j], im = row[2j + 1].
+    m = []
+    for row in rows:
+        den = lcm(*[d for x in row for d in (x.re.denominator, x.im.denominator)])
+        m.append(_primitive([y.numerator * (den // y.denominator)
+                             for x in row for y in (x.re, x.im)]))
+    nrows, pivots, r = len(m), [], 0
+    for c in range(0, len(m[0]), 2):
+        pr = next((i for i in range(r, nrows) if m[i][c] or m[i][c + 1]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        pre, pim = prow[c], prow[c + 1]
+        for i in range(nrows):
+            fre, fim = m[i][c], m[i][c + 1]
+            if (fre or fim) and i != r:
+                g = gcd(pre, pim, fre, fim)
+                a, b, s, t = pre // g, pim // g, fre // g, fim // g
+                row = m[i]
+                # (a + bi) * row_i - (s + ti) * row_r, component by component.
+                m[i] = _primitive([
+                    v for xr, xi, yr, yi in zip(row[::2], row[1::2], prow[::2], prow[1::2])
+                    for v in (a * xr - b * xi - s * yr + t * yi,
+                              a * xi + b * xr - s * yi - t * yr)])
+        pivots.append(c // 2)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for row, c in zip(m, pivots):
+        re, im = row[::2], row[1::2]
+        a, b = re[c], im[c]
+        den = a
+        if b:  # x / p = x * conj(p) / |p|^2
+            re, im = ([x * a + y * b for x, y in zip(re, im)],
+                      [y * a - x * b for x, y in zip(re, im)])
+            den = a * a + b * b
+        basis.append(tuple(
+            GaussRat(Fraction(x, den) if x else _ZERO_Q,
+                     Fraction(y, den) if y else _ZERO_Q) if x or y else _ZERO_QI
+            for x, y in zip(re, im)))
+    return tuple(basis), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -121,11 +197,11 @@ class Subspace:
 
     @classmethod
     def span(cls, field: str, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        m = [list(r) for r in mat(field, rows)]
+        m = mat(field, rows)
         if m and len(m[0]) != ambient_dim:
             raise DimensionMismatchError(
                 f"rows of length {len(m[0])} in ambient dimension {ambient_dim}")
-        basis, pivots = _rref(m)
+        basis, pivots = _rref(m, field)
         return cls(field, ambient_dim, basis, pivots)
 
     @classmethod
@@ -212,7 +288,7 @@ def kernel(field: str, a: Matrix, ncols: Optional[int] = None) -> Subspace:
         ncols = len(a[0])
     if not a:
         return Subspace.full(field, ncols)
-    red, pivots = _rref([list(map(lambda x: as_scalar(field, x), row)) for row in a])
+    red, pivots = _rref([[as_scalar(field, x) for x in row] for row in a], field)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     vecs = []
@@ -310,7 +386,7 @@ def solve(field: str, a: Matrix, b: Vector) -> Optional[Vector]:
     n = len(a[0])
     aug = [[as_scalar(field, x) for x in row] + [as_scalar(field, y)]
            for row, y in zip(a, b)]
-    red, pivots = _rref(aug)
+    red, pivots = _rref(aug, field)
     x = [zero(field)] * n
     for row, p in zip(red, pivots):
         if p == n:

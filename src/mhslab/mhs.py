@@ -431,15 +431,12 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     check_valid(m)
     if m.dim == 0:
         return Bigrading(0, ())
-    wj, fj = m.W.jumps, m.F.jumps
-    lo = min(min(fj), min(wj) - max(fj)) - 1
-    hi = max(max(fj), max(wj) - min(fj)) + 1
+    # I^{p,q} lies in F^p and W_{p+q} and meets F^{p+1} and W_{p+q-1} in
+    # zero, so it vanishes unless p is a jump of F and p + q one of W.
     comps = []
-    for p in range(lo, hi + 1):
-        for q in range(lo, hi + 1):
-            n = p + q
-            if n < min(wj) or n > max(wj):
-                continue
+    for p in m.F.jumps:
+        for n in m.W.jumps:
+            q = n - p
             wn = m.W.at(n).to_qi()
             corr = la.intersect(m.F.at(q).conj(), wn)
             j = 2

@@ -112,7 +112,12 @@ def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
         assert cli.main(["locus", pencil_file, "--vector", '["1", "0"]',
                          "--construction",
                          json.dumps(["QUOT", rows, "SELF"])]) == 2
+    # An --out path that cannot be written is an I/O error.
+    kummer = write(tmp_path, "k.json", se.mhs_to_json(corpus.kummer_mhs(I)))
     capsys.readouterr()
+    assert cli.main(["validate", kummer, "--out",
+                     str(tmp_path / "no" / "such" / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("text", ["1/0", "1/0i", "2-3/0i"])

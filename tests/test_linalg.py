@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical forms, lattice identities, rationality."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,129 @@ def test_quotient_map_kernel():
     p = la.quotient_map(u)
     assert la.kernel(Q, p, 3) == u
     assert la.image(Q, la.transpose(p), 3).dim == 2
+
+
+# -- fraction-free elimination against exact division -------------------------
+
+def division_rref(rows):
+    """Reference: Gauss-Jordan elimination by exact division in the field.
+
+    The elimination `linalg._rref` ran before it went fraction-free; it
+    reduces the list `rows` in place."""
+    if not rows:
+        return (), ()
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    basis = tuple(tuple(row) for row in rows[:r])
+    return basis, tuple(pivots)
+
+
+def by_division(fn, *args):
+    """fn(*args) with every row reduction done by `division_rref`."""
+    with mock.patch.object(la, "_rref", lambda rows, field:
+                           division_rref([list(r) for r in rows])):
+        return fn(*args)
+
+
+ENTRY_TYPE = {Q: Fraction, QI: GaussRat}
+
+# Small entries make dependencies likely; the large ones have denominators
+# up to 10^6 and numerators above 2^64 in lowest terms.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(2**84, 2**90) | st.integers(-2**90, -2**84),
+              st.integers(1, 10**6)))
+
+
+def scalars(field):
+    return rationals if field == Q else st.builds(GaussRat, rationals, rationals)
+
+
+@st.composite
+def matrices(draw, field):
+    """Up to 8 x 10, tall or wide, with zero, repeated and dependent rows."""
+    short, long = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    nrows, ncols = (long, short) if draw(st.booleans()) else (short, long)
+    elem = scalars(field)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(
+            ["new", "new", "zero", "repeat", "combination"] if rows else ["new", "zero"]))
+        if kind == "new":
+            rows.append(draw(st.lists(elem, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([ENTRY_TYPE[field](0)] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            x, y, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(elem)
+            rows.append([u + c * v for u, v in zip(x, y)])
+    return field, rows
+
+
+fields_and_matrices = st.sampled_from([Q, QI]).flatmap(matrices)
+
+
+def assert_same(got, want, field):
+    """Equal values, and every scalar of the field's own type."""
+    assert got == want
+    rows = got.basis if isinstance(got, Subspace) else got
+    assert all(type(x) is ENTRY_TYPE[field] for row in rows for x in row)
+
+
+def test_rref_of_nothing():
+    assert la._rref([], Q) == ((), ())
+    assert la._rref([[], []], QI) == ((), ())
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields_and_matrices)
+def test_rref_matches_division(case):
+    field, rows = case
+    before = [list(r) for r in rows]
+    basis, pivots = la._rref(rows, field)
+    assert rows == before
+    want_basis, want_pivots = division_rref(before)
+    assert_same(basis, want_basis, field)
+    assert pivots == want_pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_and_matrices, st.data())
+def test_kernel_solve_rational_part_match_division(case, data):
+    field, rows = case
+    a = la.mat(field, rows)
+    n = len(a[0])
+    assert_same(la.kernel(field, a, n), by_division(la.kernel, field, a, n), field)
+    solvable = la.mat_vec(a, (ENTRY_TYPE[field](1),) * n)
+    drawn = data.draw(st.lists(scalars(field), min_size=len(a), max_size=len(a)))
+    for b in [solvable, drawn]:
+        x = la.solve(field, a, b)
+        want = by_division(la.solve, field, a, b)
+        if x is None:
+            assert want is None and b is drawn
+        else:
+            assert_same([x], [want], field)
+            assert la.mat_vec(a, x) == tuple(b)
+    u = Subspace.span(field, n, a).to_qi()
+    assert_same(la.rational_part(u), by_division(la.rational_part, u), Q)
 
 
 # -- scalar serialization -----------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_mhs
+from helpers import random_mhs, tate_triple
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
@@ -217,6 +217,57 @@ def test_bigrading_axioms_on_corpus():
 def test_bigrading_axioms_random():
     for s in SEEDS:
         _bigrading_axioms(random_mhs(s, max_dim=5))
+
+
+def grid_bigrading(m):
+    """Reference: I^{p,q} over the whole square (p, q) grid around the
+    jumps of F and W, as `deligne_bigrading` scanned it before it visited
+    only p in F.jumps and p + q in W.jumps."""
+    mh.check_valid(m)
+    if m.dim == 0:
+        return mh.Bigrading(0, ())
+    wj, fj = m.W.jumps, m.F.jumps
+    lo = min(min(fj), min(wj) - max(fj)) - 1
+    hi = max(max(fj), max(wj) - min(fj)) + 1
+    comps = []
+    for p in range(lo, hi + 1):
+        for q in range(lo, hi + 1):
+            n = p + q
+            if n < min(wj) or n > max(wj):
+                continue
+            wn = m.W.at(n).to_qi()
+            corr = la.intersect(m.F.at(q).conj(), wn)
+            j = 2
+            while True:
+                wlow = m.W.at(n - j).to_qi()
+                if wlow.is_zero():
+                    break
+                corr = la.add(corr, la.intersect(m.F.at(q - j + 1).conj(), wlow))
+                j += 1
+            comp = la.intersect(la.intersect(m.F.at(p), wn), corr)
+            if comp.dim:
+                comps.append(((p, q), comp))
+    return mh.Bigrading(m.dim, tuple(comps))
+
+
+def _bigrading_cases():
+    yield from [corpus.kummer_mhs(I), corpus.kummer_mhs(GaussRat(1, 1)),
+                corpus.two_weight_mhs(), corpus.tate_mhs(2)]
+    for s in SEEDS[:6]:
+        yield random_mhs(s, max_dim=5)
+    three = tate_triple((-6, -2, 0))
+    m = tr.build_mhs(three, tr.sample_point(three, "grid", 10))
+    yield mh.hom(m, m)
+    four = tate_triple((-14, -6, -2, 0))
+    m = tr.build_mhs(four, tr.sample_point(four, "grid", 10))
+    for p in (-14, -6, -2):
+        wp = m.W.at(p)
+        yield mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
+
+
+def test_bigrading_on_jumps_matches_grid():
+    for m in _bigrading_cases():
+        assert mh.deligne_bigrading(m) == grid_bigrading(m)
 
 
 def test_kummer_bigrading_explicit():
