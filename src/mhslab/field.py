@@ -30,6 +30,11 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        # Rebuild through __init__: restoring slot state would go through
+        # the __setattr__ above.
+        return (GaussRat, (self.re, self.im))
+
     # -- arithmetic ---------------------------------------------------------
 
     @staticmethod

@@ -101,7 +101,10 @@ def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
     + kron(1, x) on a tensor, and by restriction or passage to the
     quotient on weight subs and quotients.  A quotient needs every x to
     preserve the subspace.  Each action stays over the field of its x;
-    with no xs this is the plain evaluation of the term.
+    with no xs this is the plain evaluation of the term.  Every action is
+    a dense square matrix on the derived space, so this suits a few xs
+    (the pencil direction of locus_on_pencil); unipotent.mt_lie_upper_bound
+    reads the action of all of End off the Hodge classes instead.
     """
     if term == SELF:
         return m, list(xs)

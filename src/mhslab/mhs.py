@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import linalg as la
-from .errors import (DimensionMismatchError, FieldMismatchError,
+from .errors import (DimensionMismatchError, FieldMismatchError, MhsError,
                      NotAnMhsError, NotASubobjectError)
 from .field import Q, QI
 from .linalg import Matrix, Subspace, Vector
@@ -288,18 +288,29 @@ def _adapted_basis(steps: Iterable[Tuple[int, Subspace]]
     return out
 
 
-def _tensor_steps(field: str, dim: int, a: List[Tuple[int, Vector]],
-                  b: List[Tuple[int, Vector]], keep) -> Dict[int, Subspace]:
-    """For each candidate jump k, the span of the products u (x) v of the
-    adapted bases with keep(tag(u) + tag(v), k).  The products are
-    independent, so as many of them as the dimension span everything."""
-    prods = [(x + y, la.kron_vec(u, v)) for x, u in a for y, v in b]
-    out = {}
-    for k in {x + y for x, _ in a for y, _ in b}:
-        rows = [v for t, v in prods if keep(t, k)]
-        out[k] = (Subspace.full(field, dim) if len(rows) == dim
-                  else Subspace.span(field, dim, rows))
+def _products(factors: List[List[Tuple[int, Vector]]]
+              ) -> List[Tuple[int, Vector]]:
+    """The kron products u_1 (x) ... (x) u_k of one tagged vector per
+    factor, in kron order, each tagged with the sum of its factors' tags."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = [(s + t, la.kron_vec(u, v)) for s, u in out for t, v in f]
     return out
+
+
+def _span_products(field: str, dim: int, rows: List[Vector]) -> Subspace:
+    """The span of some products of adapted bases.  The products are
+    independent, so as many of them as the dimension span everything."""
+    return (Subspace.full(field, dim) if len(rows) == dim
+            else Subspace.span(field, dim, rows))
+
+
+def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, Vector]],
+                  keep) -> Dict[int, Subspace]:
+    """For each candidate jump k, the span of the products u (x) v of the
+    adapted bases with keep(tag(u) + tag(v), k)."""
+    return {k: _span_products(field, dim, [v for t, v in prods if keep(t, k)])
+            for k in {t for t, _ in prods}}
 
 
 def direct_sum(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -323,10 +334,12 @@ def tensor(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructur
     """W_k = span{u (x) v : w(u) + w(v) <= k} and F^p = span{u (x) v :
     f(u) + f(v) >= p} over adapted bases, one reduction per jump."""
     dim = m.dim * n.dim
-    w = _tensor_steps(Q, dim, _adapted_basis(m.W.steps),
-                      _adapted_basis(n.W.steps), lambda t, k: t <= k)
-    f = _tensor_steps(QI, dim, _adapted_basis(reversed(m.F.steps)),
-                      _adapted_basis(reversed(n.F.steps)), lambda t, p: t >= p)
+    w = _tensor_steps(Q, dim, _products([_adapted_basis(m.W.steps),
+                                         _adapted_basis(n.W.steps)]),
+                      lambda t, k: t <= k)
+    f = _tensor_steps(QI, dim, _products([_adapted_basis(reversed(m.F.steps)),
+                                          _adapted_basis(reversed(n.F.steps))]),
+                      lambda t, p: t >= p)
     return make_mhs(dim, w, f)
 
 
@@ -422,6 +435,30 @@ def hodge_classes(m: MixedHodgeStructure) -> Subspace:
     if m.dim == 0:
         return Subspace.zero(Q, 0)
     return la.rational_part(la.intersect(m.W.at(0).to_qi(), m.F.at(0)))
+
+
+def power_hodge_classes(m: MixedHodgeStructure, a: int, b: int) -> Subspace:
+    """hodge_classes of M^(x a) (x) (M^v)^(x b), the a factors M first,
+    in the coordinates of the chained tensor product, for a + b >= 1.
+
+    Only W_0 and F^0 of the power are built: over the adapted bases of M
+    and M^v, W_0 is the span of the products with weight tags summing to
+    at most 0, and F^0 of those with Hodge tags summing to at least 0.
+    No intermediate tensor product is formed.
+    """
+    if a < 0 or b < 0 or a + b == 0:
+        raise MhsError("a tensor power needs a, b >= 0 and a + b >= 1")
+    dim = m.dim ** (a + b)
+    if dim == 0:
+        return Subspace.zero(Q, 0)
+    md = dual(m)
+    w = _products([_adapted_basis(m.W.steps)] * a
+                  + [_adapted_basis(md.W.steps)] * b)
+    f = _products([_adapted_basis(reversed(m.F.steps))] * a
+                  + [_adapted_basis(reversed(md.F.steps))] * b)
+    w0 = _span_products(Q, dim, [v for t, v in w if t <= 0])
+    f0 = _span_products(QI, dim, [v for t, v in f if t >= 0])
+    return la.rational_part(la.intersect(w0.to_qi(), f0))
 
 
 # -- Deligne bigrading and splitting ----------------------------------------

@@ -14,11 +14,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from . import loci as lo
 from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
@@ -258,12 +256,39 @@ def _guard_limit() -> int:
         raise ResourceGuardError(f"{GUARD_ENV} must be an integer, got {raw!r}")
 
 
+def _image_rows(v, n: int, a: int, deg: int) -> List[Tuple]:
+    """The linear map x -> x.v for a class v of M^(x a) (x) (M^v)^(x deg-a),
+    as n^deg rows of n^2 columns in hom coordinates (column i*n + j is
+    x[j][i]).  x acts on each primal slot as x and on each dual slot as
+    -x^T; the coefficients are read off v by index arithmetic."""
+    rows = []
+    for idx in range(n ** deg):
+        row = [0] * (n * n)
+        for s in range(deg):
+            stride = n ** (deg - 1 - s)
+            k = idx // stride % n            # the index in slot s
+            base = idx - k * stride
+            for i in range(n):
+                c = v[base + i * stride]     # v with slot s set to i
+                if not c:
+                    continue
+                if s < a:
+                    row[i * n + k] += c      # coefficient of x[k][i]
+                else:
+                    row[k * n + i] -= c      # coefficient of x[i][k]
+        rows.append(tuple(row))
+    return rows
+
+
 def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     """Endomorphisms annihilating all weight-zero Hodge classes in tensor
     powers of degree at most d (primal and dual slots mixed).
 
     An upper bound for the Lie algebra acting on the structure: shrinks
-    as d grows, and is closed under the commutator bracket.
+    as d grows, and is closed under the commutator bracket.  Each power
+    contributes only its classes (mhs.power_hodge_classes, from W_0 and
+    F^0 alone) and the image x.v of each class v, read off v slot by
+    slot; no tensor structure or derivation matrix is built.
     """
     if d < 1:
         raise MhsError("tensor degree must be at least 1")
@@ -271,25 +296,16 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     n = m.dim
     if n == 0:
         return Subspace.zero(Q, 0)
+    if n ** d > limit:
+        raise ResourceGuardError(
+            f"tensor space of dimension {n ** d} exceeds the "
+            f"ceiling {limit} (set {GUARD_ENV} to raise it)")
     constraint_rows: List[Tuple] = []
-    # Ordered to match hom coordinates: slot i*n+j is the (j, i) entry.
-    basis_maps = [mh.hom_mat(tuple(1 if t == s else 0
-                                   for t in range(n * n)), n, n)
-                  for s in range(n * n)]
     for deg in range(1, d + 1):
-        if n ** deg > limit:
-            raise ResourceGuardError(
-                f"tensor space of dimension {n ** deg} exceeds the "
-                f"ceiling {limit} (set {GUARD_ENV} to raise it)")
         for a in range(deg + 1):
-            # a factors M, then deg - a factors M^v, left-associated.
-            term = reduce(lambda u, f: ["TENSOR", u, f],
-                          [lo.SELF] * a + [["DUAL", lo.SELF]] * (deg - a))
-            t, actions = lo.derive(term, m, basis_maps)
-            for v in mh.hodge_classes(t).basis:
-                constraint_rows.extend(
-                    zip(*(la.mat_vec(act, v) for act in actions)))
-            del t, actions  # not alive while the next power is built
+            # a factors M, then deg - a factors M^v.
+            for v in mh.power_hodge_classes(m, a, deg - a).basis:
+                constraint_rows.extend(_image_rows(v, n, a, deg))
     if not constraint_rows:
         return Subspace.full(Q, n * n)
     return la.kernel(Q, la.mat(Q, constraint_rows), n * n)

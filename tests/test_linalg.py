@@ -1,5 +1,7 @@
 """Exact linear algebra: canonical forms, lattice identities, rationality."""
 
+import copy
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -263,3 +265,11 @@ def test_format_parse_inverse(re, im):
     g = GaussRat(re, im)
     assert parse_qi(format_qi(g)) == g
     assert parse_q(format_q(re)) == re
+
+
+@pytest.mark.parametrize("g", [GaussRat(1, 2), GaussRat(Fraction(-3, 7)),
+                               GaussRat(0), I])
+def test_gauss_rat_pickles_and_deep_copies(g):
+    for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert type(back) is GaussRat
+        assert back == g and hash(back) == hash(g)

@@ -9,7 +9,7 @@ from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
-from mhslab.errors import NotAnMhsError, NotASubobjectError
+from mhslab.errors import MhsError, NotAnMhsError, NotASubobjectError
 from mhslab.field import Q, QI, GaussRat, I
 from mhslab.linalg import Subspace
 
@@ -343,6 +343,30 @@ def test_hodge_classes_live_in_w0():
             sub = mh.sub_mhs(m, w0)
             hs = mh.hodge_classes(sub)
             assert hs.dim == h.dim
+
+
+def _chained_power(m, a, b):
+    """M^(x a) (x) (M^v)^(x b), left-associated through mh.tensor."""
+    out = None
+    for x in [m] * a + [mh.dual(m)] * b:
+        out = x if out is None else mh.tensor(out, x)
+    return out
+
+
+def test_power_hodge_classes_match_the_chained_tensor():
+    structures = [corpus.tate_mhs(0), corpus.tate_mhs(3), corpus.tate_mhs(-2),
+                  corpus.kummer_mhs(GaussRat(0)),
+                  corpus.kummer_mhs(GaussRat(Fraction(1, 2))),
+                  corpus.kummer_mhs(I), corpus.kummer_mhs(GaussRat(1, 1)),
+                  corpus.two_weight_mhs(), _three_step("powers"),
+                  mh.zero_mhs()]
+    for m in structures:
+        for deg in (1, 2, 3):
+            for a in range(deg + 1):
+                assert (mh.power_hodge_classes(m, a, deg - a)
+                        == mh.hodge_classes(_chained_power(m, a, deg - a)))
+    with pytest.raises(MhsError):
+        mh.power_hodge_classes(corpus.kummer_mhs(I), 0, 0)
 
 
 def test_identity_is_hodge_class_in_end():

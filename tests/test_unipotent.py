@@ -7,7 +7,7 @@ from math import gcd
 from typing import Sequence
 
 import pytest
-from helpers import random_pure_piece, tate_triple
+from helpers import random_mhs, random_pure_piece, tate_triple
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -320,6 +320,25 @@ def test_mt_bound_matches_the_per_row_loop():
         assert un.mt_lie_upper_bound(m, d) == _per_row_bound(m, d)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_mt_bound_matches_the_per_row_loop_on_random_structures(seed):
+    # These have non-Tate graded pieces, unlike the cases above.
+    m = random_mhs(seed, max_dim=3)
+    for d in ((1, 2, 3) if m.dim <= 2 else (1, 2)):
+        assert un.mt_lie_upper_bound(m, d) == _per_row_bound(m, d)
+
+
+def test_mt_bound_builds_no_tensor_structure(monkeypatch):
+    m = tate3_mhs("no-tensor", height=4)
+    expected = un.mt_lie_upper_bound(m, 2)
+
+    def forbidden(*args):
+        raise AssertionError("the bound built a tensor structure")
+    monkeypatch.setattr(mh, "tensor", forbidden)
+    monkeypatch.setattr(lo, "derive", forbidden)
+    assert un.mt_lie_upper_bound(m, 2) == expected
+
+
 def test_walker_actions_match_the_kron_chains():
     m = corpus.kummer_mhs(I)
     n = m.dim
@@ -365,8 +384,13 @@ def test_weight_cut_validates_each_side_once(monkeypatch):
 def test_resource_guard(monkeypatch):
     m = corpus.kummer_mhs(I)
     monkeypatch.setenv(un.GUARD_ENV, "10")
+    products = []
+    build = mh._products
+    monkeypatch.setattr(mh, "_products",
+                        lambda fs: products.append(fs) or build(fs))
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 4)  # 2^4 = 16 > 10
+    assert not products  # refused before any power was formed
     monkeypatch.setenv(un.GUARD_ENV, "sixteen")
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 2)
