@@ -222,6 +222,13 @@ def _count(text: str) -> int:
     return n
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mhslab",
@@ -282,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("mt-bound", _cmd_mt_bound,
              help="bounded-degree Lie-algebra upper bound")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_positive, default=2)
 
     p = verb("experiment", _cmd_experiment, help="genericity experiment")
     p.add_argument("--triple", help="triple JSON file (default: the "
                    "three-step Tate triple, weights -6, -2, 0)")
     p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", default="0")
-    p.add_argument("--height", type=int, default=10)
+    p.add_argument("--height", type=_positive, default=10)
     return parser
 
 

@@ -8,14 +8,18 @@ jump steps; queries resolve to the nearest lower (W) / higher (F) step.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import linalg as la
 from .errors import (DimensionMismatchError, FieldMismatchError, MhsError,
-                     NotAnMhsError, NotASubobjectError)
+                     NotAnMhsError, NotASubobjectError, ResourceGuardError)
 from .field import Q, QI
 from .linalg import Matrix, Subspace, Vector
+
+GUARD_ENV = "MHSLAB_TENSOR_GUARD"
+DEFAULT_GUARD = 10 ** 4
 
 
 def _prune_increasing(steps: List[Tuple[int, Subspace]]) -> Tuple[Tuple[int, Subspace], ...]:
@@ -216,22 +220,18 @@ def _purity_window(n: int, fjumps: Iterable[int]) -> range:
     return range(lo, hi + 1)
 
 
-def _graded_f(m: MixedHodgeStructure, piece: GradedPiece, p: int) -> Subspace:
-    wn = m.W.at(piece.weight).to_qi()
-    return la.apply_to_subspace(piece.pi_qi, la.intersect(m.F.at(p), wn))
-
-
 def validate_mhs(m: MixedHodgeStructure) -> List[str]:
-    """Empty list iff m is a mixed Hodge structure; otherwise the failures."""
+    """Empty list iff m is a mixed Hodge structure; otherwise the failures.
+
+    Gr^W_n is pure of weight n when G^p (+) conj G^{n+1-p} is all of it
+    for each p, G being the filtration gr_w induces there."""
     problems = m.W.problems() + m.F.problems()
     if problems:
         return problems
-    for piece in graded_pieces(m.W):
-        n = piece.weight
+    for n, pure in gr_w(m):
         for p in _purity_window(n, m.F.jumps):
-            fp = _graded_f(m, piece, p)
-            opp = _graded_f(m, piece, n - p + 1).conj()
-            if la.intersect(fp, opp).dim != 0 or la.add(fp, opp).dim != piece.dim:
+            fp, opp = pure.F.at(p), pure.F.at(n - p + 1).conj()
+            if fp.dim + opp.dim != pure.dim or la.add(fp, opp).dim != pure.dim:
                 problems.append(
                     f"Gr_{n} is not pure of weight {n}: "
                     f"F^{p} (+) conj(F^{n - p + 1}) fails")
@@ -267,6 +267,19 @@ def zero_mhs() -> MixedHodgeStructure:
 
 
 # -- functors ---------------------------------------------------------------
+
+def check_guard(dim: int) -> None:
+    """Refuse a tensor space of dimension above the ceiling in GUARD_ENV."""
+    raw = os.environ.get(GUARD_ENV)
+    try:
+        limit = DEFAULT_GUARD if raw is None else int(raw)
+    except ValueError:
+        raise ResourceGuardError(f"{GUARD_ENV} must be an integer, got {raw!r}")
+    if dim > limit:
+        raise ResourceGuardError(
+            f"tensor space of dimension {dim} exceeds the "
+            f"ceiling {limit} (set {GUARD_ENV} to raise it)")
+
 
 def _adapted_basis(steps: Iterable[Tuple[int, Subspace]]
                    ) -> List[Tuple[int, Vector]]:
@@ -334,6 +347,7 @@ def tensor(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructur
     """W_k = span{u (x) v : w(u) + w(v) <= k} and F^p = span{u (x) v :
     f(u) + f(v) >= p} over adapted bases, one reduction per jump."""
     dim = m.dim * n.dim
+    check_guard(dim)
     w = _tensor_steps(Q, dim, _products([_adapted_basis(m.W.steps),
                                          _adapted_basis(n.W.steps)]),
                       lambda t, k: t <= k)
@@ -419,12 +433,15 @@ def _push_forward(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
 
 
 def gr_w(m: MixedHodgeStructure) -> List[Tuple[int, MixedHodgeStructure]]:
-    """The associated graded, one pure structure per nonzero weight piece."""
+    """The associated graded, one structure per nonzero weight piece, with
+    F^p Gr^W_n the image of F^p M ∩ W_n, taken at the jumps of F."""
     out = []
     for piece in graded_pieces(m.W):
-        f = {p: _graded_f(m, piece, p) for p in _purity_window(piece.weight, m.F.jumps)}
-        pure = make_mhs(piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)
-        out.append((piece.weight, pure))
+        wn = m.W.at(piece.weight).to_qi()
+        f = {p: la.apply_to_subspace(piece.pi_qi, la.intersect(s, wn))
+             for p, s in m.F.steps}
+        out.append((piece.weight, make_mhs(
+            piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)))
     return out
 
 

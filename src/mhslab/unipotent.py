@@ -10,7 +10,6 @@ as the subobject generated by the imaginary part of the class.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +19,13 @@ from . import linalg as la
 from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
-from .errors import (DegenerateRangeError, MhsError, RegimeError,
-                     ResourceGuardError)
+from .errors import DegenerateRangeError, MhsError, RegimeError
 from .field import Q, QI, GaussRat, as_scalar
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Triple
 
-GUARD_ENV = "MHSLAB_TENSOR_GUARD"
-DEFAULT_GUARD = 10 ** 4
+GUARD_ENV = mh.GUARD_ENV  # the guard lives in mhs.tensor; kept importable here
 
 
 # -- the weight cut -----------------------------------------------------------
@@ -65,58 +62,43 @@ def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
 
 @dataclass(frozen=True)
 class ExtClassRep:
-    """e = f_rational - f_hodge, in small hom coordinates over Q(i)."""
+    """e = (rational section) - (Hodge section), in h coordinates over Q(i)."""
 
     e: Tuple[GaussRat, ...]
-    f_rational: Tuple
-    f_hodge: Tuple
 
 
-def _f0_section_solutions(cut: WeightCut):
-    """Particular + homogeneous solutions of: vec in F^0 Hom(M/W_p, M),
-    projection of the map is the identity."""
-    k = cut.quo.dim
-    f0 = mh.hom(cut.quo, cut.m).F.at(0)
-    gens = la.transpose(f0.basis)                 # columns over QI
-    # Row (i, j) of the system is entry (j, i) of proj . gen, in the order
-    # of hom coordinates, so its right-hand side is the identity there.
-    sys = la.mat_mul(la.kron_mat(la.identity(QI, k), la.to_qi_mat(cut.proj)),
-                     gens)
-    rhs = mh.hom_vec(la.identity(QI, k), k, k)
-    part = la.solve(QI, sys, rhs)
-    if part is None:
-        raise MhsError("no Hodge-filtration section exists; "
-                       "the input is not a valid structure")
-    hom_kernel = la.kernel(QI, sys, f0.dim)
-    return gens, part, hom_kernel
+def _hodge_section(cut: WeightCut) -> Matrix:
+    """A section M/W_pM -> M over Q(i) of the projection that maps each
+    F^q(M/W_pM) into F^qM: each vector of an adapted basis of F on
+    M/W_pM, tagged q, lifted into F^qM; then the basis matrix inverted."""
+    proj = la.to_qi_mat(cut.proj)
+    basis, lifts = [], []
+    for q, v in mh._adapted_basis(reversed(cut.quo.F.steps)):
+        gens = la.transpose(cut.m.F.at(q).basis)
+        basis.append(v)
+        lifts.append(la.mat_vec(gens, la.solve(QI, la.mat_mul(proj, gens), v)))
+    return la.mat_mul(la.transpose(tuple(lifts)),
+                      la.invert(QI, la.transpose(tuple(basis))))
 
 
 def _ext_class(cut: WeightCut,
                rng: Optional[random.Random] = None) -> ExtClassRep:
-    k, w, n = cut.quo.dim, cut.wp.dim, cut.m.dim
-    f0 = cut.section
+    k, w = cut.quo.dim, cut.wp.dim
+    # The two sections differ by a map into W_pM; read it in h coordinates.
+    diff = tuple(tuple(x - y for x, y in zip(r, s))
+                 for r, s in zip(cut.section, _hodge_section(cut)))
+    e = mh.hom_vec(la.solve_matrix(QI, la.to_qi_mat(cut.incl), diff), k, w)
     if rng is not None:
-        noise = la.mat(Q, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                            for _ in range(k)] for _ in range(w)])
-        f0 = la.mat_add(f0, la.mat_mul(cut.incl, noise))
-    f_rational = tuple(GaussRat(x) for x in mh.hom_vec(f0, k, n))
-    gens, part, hom_kernel = _f0_section_solutions(cut)
-    coeffs = list(part)
-    if rng is not None and hom_kernel.dim:
-        for kv in hom_kernel.basis:
+        # Shift the rational section by a rational map M/W_pM -> W_pM and
+        # the Hodge section by a vector of F^0 h.
+        noise = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(k)] for _ in range(w)]
+        e = [x + y for x, y in zip(e, mh.hom_vec(noise, k, w))]
+        for v in cut.h.F.at(0).basis:
             c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            coeffs = [x + c * y for x, y in zip(coeffs, kv)]
-    f_hodge = tuple(sum((c * gens[t][j] for j, c in enumerate(coeffs)),
-                        GaussRat(0)) for t in range(k * n))
-    diff = tuple(x - y for x, y in zip(f_rational, f_hodge))
-    # Pull the difference back to Hom(M/W_p, W_p) coordinates.
-    a = mh.hom_mat(diff, k, n)
-    b = la.solve_matrix(QI, la.to_qi_mat(cut.incl), a)
-    if b is None:
-        raise MhsError("extension difference does not land in the subobject")
-    e = tuple(mh.hom_vec(b, k, w))
-    return ExtClassRep(e, f_rational, f_hodge)
+            e = [x - c * y for x, y in zip(e, v)]
+    return ExtClassRep(tuple(e))
 
 
 def ext_class_rep(m: MixedHodgeStructure, p: int,
@@ -184,11 +166,8 @@ class UpResult:
 def _check_graded_tate(m: MixedHodgeStructure) -> None:
     """Raise unless every Gr^W_n M is Tate: n is even and F^{n/2} covers
     Gr^W_n, so that by Hodge symmetry F^{n/2+1} is zero there."""
-    for n in m.W.jumps:
-        f, top, below = m.F.at(n // 2), m.W.at(n), m.W.at(n - 1)
-        if n % 2 or (la.intersect(f, top.to_qi()).dim
-                     - la.intersect(f, below.to_qi()).dim
-                     != top.dim - below.dim):
+    for n, pure in mh.gr_w(m):
+        if n % 2 or not pure.F.at(n // 2).is_full():
             raise RegimeError(f"the graded piece of weight {n} is not Tate "
                               f"(the structure must be graded-Tate)")
 
@@ -246,16 +225,6 @@ def is_u_large(m: MixedHodgeStructure) -> bool:
 
 # -- bounded-degree Lie-algebra upper bound -----------------------------------
 
-def _guard_limit() -> int:
-    raw = os.environ.get(GUARD_ENV)
-    if raw is None:
-        return DEFAULT_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise ResourceGuardError(f"{GUARD_ENV} must be an integer, got {raw!r}")
-
-
 def _image_rows(v, n: int, a: int, deg: int) -> List[Tuple]:
     """The linear map x -> x.v for a class v of M^(x a) (x) (M^v)^(x deg-a),
     as n^deg rows of n^2 columns in hom coordinates (column i*n + j is
@@ -292,14 +261,10 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     """
     if d < 1:
         raise MhsError("tensor degree must be at least 1")
-    limit = _guard_limit()
     n = m.dim
+    mh.check_guard(n ** d)
     if n == 0:
         return Subspace.zero(Q, 0)
-    if n ** d > limit:
-        raise ResourceGuardError(
-            f"tensor space of dimension {n ** d} exceeds the "
-            f"ceiling {limit} (set {GUARD_ENV} to raise it)")
     constraint_rows: List[Tuple] = []
     for deg in range(1, d + 1):
         for a in range(deg + 1):

@@ -1,9 +1,10 @@
-"""Seeded generators for random valid structures used across the tests."""
+"""Seeded generators for the structures used across the tests, valid and perturbed."""
 
 import functools
 import random
 from fractions import Fraction
 
+from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
@@ -88,3 +89,40 @@ def tate_triple(weights) -> tr.Triple:
             for k, w in enumerate(weights)}
     return tr.Triple(n, mh.WeightFiltration.of(n, flag),
                      tuple((w, mh.tate_twist(-w // 2)) for w in weights))
+
+
+def _perturbed(rng: random.Random, m: mh.MixedHodgeStructure):
+    """m with one filtration step moved to another index or replaced by
+    random rows of the same count; most such structures are invalid."""
+    w, f = dict(m.W.steps), dict(m.F.steps)
+    steps, field = rng.choice([(w, Q), (f, QI)])
+    k = rng.choice(sorted(steps))
+    if rng.random() < 0.5:
+        steps[k + rng.choice([-1, 1])] = steps.pop(k)
+    else:
+        entries = [0, 1, -1, 2] + ([GaussRat(0, 1), GaussRat(1, 1)]
+                                   if field == QI else [])
+        steps[k] = Subspace.span(field, m.dim, [
+            [rng.choice(entries) for _ in range(m.dim)]
+            for _ in range(max(steps[k].dim, 1))])
+    return mh.make_mhs(m.dim, w, f)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_structures():
+    """Valid structures (the corpus, seeded random ones, three- and
+    four-step members), then 175 perturbed copies of them."""
+    valid = [corpus.tate_mhs(0), corpus.tate_mhs(3), corpus.tate_mhs(-2),
+             corpus.two_weight_mhs()]
+    valid += [corpus.kummer_mhs(z) for z in
+              (GaussRat(0), GaussRat(Fraction(1, 2)), GaussRat(0, 1),
+               GaussRat(1, 1))]
+    valid += [random_mhs(s) for s in range(24)]
+    for weights in ((-6, -2, 0), (-14, -6, -2, 0)):
+        mu = tate_triple(weights)
+        valid += [tr.build_mhs(mu, tr.sample_point(mu, f"oracle:{s}", 10))
+                  for s in range(3)]
+        valid.append(tr.build_mhs(mu, tr.sample_rational_point(mu, "oracle", 10)))
+    rng = random.Random("perturb")
+    return tuple(valid + [_perturbed(rng, rng.choice(valid))
+                          for _ in range(175)])

@@ -1,12 +1,17 @@
 """Command-line interface: verbs, JSON round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import tate_triple
 
 import mhslab
@@ -233,6 +238,37 @@ def test_mt_bound_verb_and_guard(capsys, kummer_file, monkeypatch):
     capsys.readouterr()
 
 
+def test_functors_and_locus_guard(capsys, kummer_file, pencil_file,
+                                  monkeypatch):
+    # The tensor square and End of Kummer have dimension 4.
+    monkeypatch.setenv("MHSLAB_TENSOR_GUARD", "3")
+    products = []
+    build = mh._products
+    monkeypatch.setattr(mh, "_products",
+                        lambda fs: products.append(fs) or build(fs))
+    assert cli.main(["functors", kummer_file]) == 5
+    assert not products  # refused before any product was formed
+    assert cli.main(["locus", pencil_file, "--vector", '["1","0","0","1"]',
+                     "--construction", '["HOM","SELF","SELF"]']) == 5
+    assert capsys.readouterr().err.startswith("error: tensor space of "
+                                              "dimension 4 exceeds")
+    monkeypatch.setenv("MHSLAB_TENSOR_GUARD", "4")
+    assert cli.main(["functors", kummer_file]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--degree", "0"), ("--degree", "-1"),
+                                         ("--height", "0"), ("--height", "-3")])
+def test_numeric_arguments_below_one_are_usage_errors(capsys, kummer_file,
+                                                      flag, value):
+    argv = (["mt-bound", kummer_file] if flag == "--degree"
+            else ["experiment", "--samples", "0"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_experiment_deterministic_bytes(capsys, tmp_path):
     mu_file = write(tmp_path, "mu.json", se.triple_to_json(corpus.tate3_triple()))
     outs = []
@@ -285,3 +321,60 @@ def test_out_flag_writes_file(capsys, kummer_file, tmp_path):
     code = cli.main(["validate", kummer_file, "--out", str(target)])
     assert code == 0 and json.loads(target.read_text())["valid"]
     assert capsys.readouterr().out == ""
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+_RATIONAL = ["0", "1", "-1", "2", "1/2"]
+_GAUSSIAN = _RATIONAL + ["i", "-i", "1+i", "2-1/3i"]
+_BAD = ["1/0", "x", "", "1.5", "i/0", 1, 0.5, None, True, []]
+
+
+@st.composite
+def structure_docs(draw):
+    """Structure documents of dimension 0-3, mostly well formed, with
+    malformed scalars, ragged rows, wrong dimensions and odd keys.  The
+    well-formed choice comes first in each list, so it is the common one."""
+    dim = draw(st.integers(0, 3))
+
+    def rows(good):
+        scalars = st.sampled_from(good * 8 + _BAD)
+        width = draw(st.sampled_from([dim] * 12 + [dim + 1, max(dim - 1, 0)]))
+        out = [[draw(scalars) for _ in range(width)]
+               for _ in range(draw(st.integers(0, dim + 1)))]
+        if out and draw(st.sampled_from([False] * 9 + [True])):
+            out[-1] = out[-1][:-1]  # ragged
+        return out
+
+    def filtration(good):
+        keys = draw(st.lists(st.sampled_from(
+            ["0", "-1", "1", "-2", "2"] * 4 + ["x", "1.5", ""]),
+            min_size=0, max_size=3, unique=True))
+        return {k: rows(good) for k in keys}
+
+    doc = {"dim": draw(st.sampled_from([dim] * 16 + [-1, "2", None, True])),
+           "W": filtration(_RATIONAL), "F": filtration(_GAUSSIAN)}
+    odd = draw(st.sampled_from([None] * 8 + ["extra", "drop"]))
+    if odd == "extra":
+        doc["extra"] = 1
+    elif odd == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+FUZZ_VERBS = [["validate"], ["functors"], ["split"], ["u-large"],
+              ["up", "--p", "-2"], ["mt-bound", "--degree", "2"]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(structure_docs())
+def test_fuzzed_structures_get_a_documented_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for verb in FUZZ_VERBS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([verb[0], path] + verb[1:])
+            assert code in {0, 2, 3, 4, 5}, (verb, doc)

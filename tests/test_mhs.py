@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_mhs, tate_triple
+from helpers import oracle_structures, random_mhs, tate_triple
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
@@ -49,6 +49,52 @@ def test_invalid_non_opposed_rejected():
 def test_random_structures_validate():
     for s in SEEDS:
         assert mh.is_valid(random_mhs(s))
+
+
+def _window_graded_f(m, piece, p):
+    """F^p on a graded piece, as the image of F^p M ∩ W_n, at any p."""
+    wn = m.W.at(piece.weight).to_qi()
+    return la.apply_to_subspace(piece.pi_qi, la.intersect(m.F.at(p), wn))
+
+
+def window_validate(m):
+    """Reference for validate_mhs: the purity test by intersection and
+    sum, with F of each graded piece formed anew for every p."""
+    problems = m.W.problems() + m.F.problems()
+    if problems:
+        return problems
+    for piece in mh.graded_pieces(m.W):
+        n = piece.weight
+        for p in mh._purity_window(n, m.F.jumps):
+            fp = _window_graded_f(m, piece, p)
+            opp = _window_graded_f(m, piece, n - p + 1).conj()
+            if la.intersect(fp, opp).dim != 0 or la.add(fp, opp).dim != piece.dim:
+                problems.append(
+                    f"Gr_{n} is not pure of weight {n}: "
+                    f"F^{p} (+) conj(F^{n - p + 1}) fails")
+    return problems
+
+
+def window_gr_w(m):
+    """Reference for gr_w: F of each graded piece over the purity window."""
+    out = []
+    for piece in mh.graded_pieces(m.W):
+        f = {p: _window_graded_f(m, piece, p)
+             for p in mh._purity_window(piece.weight, m.F.jumps)}
+        out.append((piece.weight, mh.make_mhs(
+            piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)))
+    return out
+
+
+def test_validate_and_gr_w_match_the_window_oracle():
+    invalid = 0
+    for m in oracle_structures():
+        problems = mh.validate_mhs(m)
+        assert problems == window_validate(m)
+        invalid += bool(problems)
+        if not (m.W.problems() or m.F.problems()):
+            assert mh.gr_w(m) == window_gr_w(m)
+    assert invalid >= 100
 
 
 # -- functors -----------------------------------------------------------------

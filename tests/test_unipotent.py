@@ -7,7 +7,8 @@ from math import gcd
 from typing import Sequence
 
 import pytest
-from helpers import random_mhs, random_pure_piece, tate_triple
+from helpers import (oracle_structures, random_mhs, random_pure_piece,
+                     tate_triple)
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -96,6 +97,69 @@ def test_splits_mod_monotone_in_the_subobject():
             assert un.splits_mod(m, p, Subspace.full(Q, h_dim))
 
 
+def solved_ext_class(cut, rng=None):
+    """Reference for the class: the Hodge section solved as a vector of
+    F^0 Hom(M/W_pM, M) whose projection is the identity, shifted with an
+    rng by the kernel of that system (which is F^0 h)."""
+    k, w, n = cut.quo.dim, cut.wp.dim, cut.m.dim
+    f0 = cut.section
+    if rng is not None:
+        noise = la.mat(Q, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                            for _ in range(k)] for _ in range(w)])
+        f0 = la.mat_add(f0, la.mat_mul(cut.incl, noise))
+    f_rational = tuple(GaussRat(x) for x in mh.hom_vec(f0, k, n))
+    f0_hom = mh.hom(cut.quo, cut.m).F.at(0)
+    gens = la.transpose(f0_hom.basis)
+    system = la.mat_mul(la.kron_mat(la.identity(QI, k),
+                                    la.to_qi_mat(cut.proj)), gens)
+    coeffs = list(la.solve(QI, system, mh.hom_vec(la.identity(QI, k), k, k)))
+    if rng is not None:
+        for kv in la.kernel(QI, system, f0_hom.dim).basis:
+            c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            coeffs = [x + c * y for x, y in zip(coeffs, kv)]
+    f_hodge = tuple(sum((c * gens[t][j] for j, c in enumerate(coeffs)),
+                        GaussRat(0)) for t in range(k * n))
+    diff = tuple(x - y for x, y in zip(f_rational, f_hodge))
+    b = la.solve_matrix(QI, la.to_qi_mat(cut.incl), mh.hom_mat(diff, k, n))
+    return tuple(mh.hom_vec(b, k, w))
+
+
+def _cuts(structures):
+    for m in structures:
+        for p in m.W.jumps[:-1]:
+            yield un.weight_cut(m, p)
+
+
+def test_ext_class_is_the_solved_one_on_graded_tate_members():
+    four = tate_triple((-14, -6, -2, 0))
+    members = ([corpus.kummer_mhs(z) for z in Z_VALUES]
+               + [tate3_mhs(s, height=4) for s in ("o1", "o2")]
+               + [tate3_mhs("o3", rational=True)] + PARTLY_RATIONAL
+               + [tr.build_mhs(EQUAL_GAPS, tr.sample_point(EQUAL_GAPS, "o", 5)),
+                  tr.build_mhs(four, tr.sample_point(four, "o", 4))])
+    for i, cut in enumerate(_cuts(members)):
+        assert un._ext_class(cut).e == solved_ext_class(cut)
+        assert (un._ext_class(cut, random.Random(i)).e
+                == solved_ext_class(cut, random.Random(i)))
+
+
+def test_ext_class_equals_the_solved_one_modulo_f0_and_rationals():
+    structures = [corpus.two_weight_mhs()] + [random_mhs(s) for s in range(12)]
+    f0_dims = []
+    for i, cut in enumerate(_cuts(structures)):
+        f0 = cut.h.F.at(0).basis
+        rational = la.identity(Q, cut.h.dim)
+        f0_dims.append(len(f0))
+        for rng in (None, random.Random(i)):
+            new = un._ext_class(cut, rng).e
+            old = solved_ext_class(cut, None if rng is None
+                                   else random.Random(f"old:{i}"))
+            assert un._in_mixed_span([x - y for x, y in zip(new, old)],
+                                     f0, rational)
+    assert max(f0_dims) > 0  # some cut has a choice of Hodge section
+
+
 # -- unipotent radical in the graded-Tate regime -------------------------------
 
 def test_u_p_kummer():
@@ -182,6 +246,36 @@ def test_regime_errors():
     assert piece.dim == 2 and piece.F.jumps == (-1, 1)
     with pytest.raises(RegimeError):
         un.u_p_tate(mh.direct_sum(mh.tate_twist(1), piece), -2)
+
+
+def intersection_graded_tate(m):
+    """Reference for _check_graded_tate: the rank of F^{n/2} on Gr^W_n
+    from two intersections with the weight steps."""
+    for n in m.W.jumps:
+        f, top, below = m.F.at(n // 2), m.W.at(n), m.W.at(n - 1)
+        if n % 2 or (la.intersect(f, top.to_qi()).dim
+                     - la.intersect(f, below.to_qi()).dim
+                     != top.dim - below.dim):
+            raise RegimeError(f"the graded piece of weight {n} is not Tate "
+                              f"(the structure must be graded-Tate)")
+
+
+def _regime_message(check, m):
+    try:
+        check(m)
+    except RegimeError as exc:
+        return str(exc)
+    return None
+
+
+def test_graded_tate_check_matches_the_intersection_oracle():
+    messages = []
+    for m in oracle_structures():
+        if m.W.problems() or m.F.problems():
+            continue
+        messages.append(_regime_message(un._check_graded_tate, m))
+        assert messages[-1] == _regime_message(intersection_graded_tate, m)
+    assert None in messages and len(set(messages)) > 2
 
 
 def _bounded_height_candidates(h):
