@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from . import corpus
-from . import linalg as la
 from . import loci as lo
 from . import mhs as mh
 from . import serialize as se
@@ -134,10 +133,9 @@ def _cmd_truncate(args, digests):
 def _cmd_fiber(args, digests):
     pencil = se.pencil_from_json(_read_json(args.file, digests))
     t = parse_qi(args.t)
-    psi = la.mat_add(pencil.psi0, la.mat_scale(t, pencil.dpsi))
-    s = tr.fiber_point(pencil.triple, pencil.p, pencil.x, pencil.y, psi)
+    m = lo.pencil_member(pencil.check(), t)
     doc = {"run": _run_record("fiber", digests, t=args.t),
-           "point": se.spoint_to_json(s),
+           "point": se.spoint_to_json(tr.SPoint(pencil.triple, m.F)),
            "fiber_dim": tr.fiber_dim(pencil.triple, pencil.p,
                                      pencil.x, pencil.y)}
     return doc, EXIT_OK

@@ -59,6 +59,8 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise DimensionMismatchError("cannot add matrices of different shapes")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 

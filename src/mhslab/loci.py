@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg as la
 from . import mhs as mh
 from . import triples as tr
-from .errors import LocusError, NotAnMhsError, ParseError
+from .errors import LocusError, ParseError
 from .field import Q, QI, GaussRat, parse_q
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
@@ -34,7 +34,7 @@ def can_lift(m: MixedHodgeStructure, a_tilde_q: Subspace) -> Optional[Subspace]:
     subobject to a subspace defined over Q; it is then unique, and its
     rational points are returned.
     """
-    gm = mh.graded_mhs(m)
+    gm = mh.graded_mhs(mh.gr_w(m))
     alpha = la.invert(QI, mh.deligne_splitting(m))
     mh.sub_mhs(gm, a_tilde_q)  # raises if not a subobject of the graded
     if a_tilde_q.is_zero():
@@ -219,9 +219,7 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     set of their gcd, for every t.  The answer is cross-validated by exact
     evaluation at the solution and at control points.
     """
-    probs = pencil.problems()
-    if probs:
-        raise NotAnMhsError(probs)
+    pencil.check()
     _check_term(construction)
     wp = pencil.triple.W.at(pencil.p)
     x = la.mat_mul(pencil.dpsi, la.to_qi_mat(la.quotient_map(wp)))

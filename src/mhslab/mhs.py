@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import linalg as la
 from .errors import (DimensionMismatchError, FieldMismatchError, MhsError,
                      NotAnMhsError, NotASubobjectError, ResourceGuardError)
-from .field import Q, QI
+from .field import Q, QI, zero
 from .linalg import Matrix, Subspace, Vector
 
 GUARD_ENV = "MHSLAB_TENSOR_GUARD"
@@ -196,17 +196,6 @@ def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
         offset += g
         prev = wn
     return tuple(pieces)
-
-
-def graded_embedding(piece: GradedPiece, total: int) -> Matrix:
-    """Embedding of the piece's coordinate block into graded coordinates."""
-    rows = []
-    for i in range(total):
-        row = [0] * piece.dim
-        if piece.offset <= i < piece.offset + piece.dim:
-            row[i - piece.offset] = 1
-        rows.append(row)
-    return la.mat(Q, rows)
 
 
 # -- validation -------------------------------------------------------------
@@ -516,14 +505,15 @@ def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
         return ()
     big = deligne_bigrading(m)
     pieces = {piece.weight: piece for piece in graded_pieces(m.W)}
+    z = (zero(QI),)
     src_cols = []
     tgt_cols = []
     for (p, q), comp in big.items():
         piece = pieces[p + q]
-        emb = la.to_qi_mat(graded_embedding(piece, m.dim))
+        before, after = piece.offset, m.dim - piece.offset - piece.dim
         for v in comp.basis:
             src_cols.append(v)
-            tgt_cols.append(la.mat_vec(emb, la.mat_vec(piece.pi_qi, v)))
+            tgt_cols.append(z * before + la.mat_vec(piece.pi_qi, v) + z * after)
     if len(src_cols) != m.dim:
         raise NotAnMhsError(["bigrading does not span the space"])
     s = la.transpose(tuple(src_cols))
@@ -531,12 +521,12 @@ def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
     return la.mat_mul(t, la.invert(QI, s))
 
 
-def graded_mhs(m: MixedHodgeStructure) -> MixedHodgeStructure:
-    """The split structure on graded coordinates (target of deligne_splitting)."""
-    if m.dim == 0:
-        return zero_mhs()
-    pieces = gr_w(m)
-    out = None
+def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]
+               ) -> MixedHodgeStructure:
+    """The split structure on graded coordinates, from (weight, pure piece)
+    pairs such as gr_w(m) or the pieces of a triple: the target of
+    deligne_splitting."""
+    out = zero_mhs()
     for _, pure in pieces:
-        out = pure if out is None else direct_sum(out, pure)
+        out = direct_sum(out, pure) if out.dim else pure
     return out

@@ -41,10 +41,13 @@ def matrix_from_json(field: str, data, what: str = "matrix") -> Matrix:
              all(isinstance(r, list) for r in data), f"{what}: expected rows")
     _require(all(len(r) == len(data[0]) for r in data),
              f"{what}: rows of unequal length")
+    bad = [x for row in data for x in row if not isinstance(x, str)]
+    if bad:
+        raise ParseError(f"{what}: expected a scalar string, got {bad[0]!r}")
     parse = parse_q if field == Q else parse_qi
     try:
         rows = [[parse(x) for x in row] for row in data]
-    except (ParseError, TypeError, AttributeError) as exc:
+    except ParseError as exc:
         raise ParseError(f"{what}: {exc}") from exc
     return mat(field, rows)
 
@@ -68,7 +71,8 @@ def _filtration_to_json(steps) -> Dict[str, List[List[str]]]:
     return {str(n): subspace_to_json(s) for n, s in steps}
 
 
-def _w_from_json(dim: int, data, what: str) -> mh.WeightFiltration:
+def _filtration_from_json(field: str, dim: int, data, what: str):
+    """W (field Q) or F (field Q(i)) from a map of indices to bases."""
     _require(isinstance(data, dict), f"{what}: expected an object")
     out = {}
     for key, rows in data.items():
@@ -76,20 +80,9 @@ def _w_from_json(dim: int, data, what: str) -> mh.WeightFiltration:
             n = int(key)
         except ValueError:
             raise ParseError(f"{what}: non-integer index {key!r}")
-        out[n] = subspace_from_json(Q, dim, rows, f"{what}[{key}]")
-    return mh.WeightFiltration.of(dim, out)
-
-
-def _f_from_json(dim: int, data, what: str) -> mh.HodgeFiltration:
-    _require(isinstance(data, dict), f"{what}: expected an object")
-    out = {}
-    for key, rows in data.items():
-        try:
-            p = int(key)
-        except ValueError:
-            raise ParseError(f"{what}: non-integer index {key!r}")
-        out[p] = subspace_from_json(QI, dim, rows, f"{what}[{key}]")
-    return mh.HodgeFiltration.of(dim, out)
+        out[n] = subspace_from_json(field, dim, rows, f"{what}[{key}]")
+    cls = mh.WeightFiltration if field == Q else mh.HodgeFiltration
+    return cls.of(dim, out)
 
 
 def mhs_to_json(m: MixedHodgeStructure) -> dict:
@@ -104,8 +97,9 @@ def mhs_from_json(data) -> MixedHodgeStructure:
              "structure: expected keys dim, W, F")
     dim = data["dim"]
     _require(type(dim) is int and dim >= 0, "structure: bad dim")
-    return MixedHodgeStructure(dim, _w_from_json(dim, data["W"], "W"),
-                               _f_from_json(dim, data["F"], "F"))
+    return MixedHodgeStructure(
+        dim, _filtration_from_json(Q, dim, data["W"], "W"),
+        _filtration_from_json(QI, dim, data["F"], "F"))
 
 
 # -- triples and points -------------------------------------------------------
@@ -123,7 +117,7 @@ def triple_from_json(data) -> Triple:
              "triple: expected keys dim, W, graded")
     dim = data["dim"]
     _require(type(dim) is int and dim >= 0, "triple: bad dim")
-    w = _w_from_json(dim, data["W"], "W")
+    w = _filtration_from_json(Q, dim, data["W"], "W")
     pieces = mh.graded_pieces(w)
     dims = {p.weight: p.dim for p in pieces}
     _require(isinstance(data["graded"], list), "triple: graded must be a list")
@@ -136,9 +130,10 @@ def triple_from_json(data) -> Triple:
                  f"triple: weight {n!r} is not a jump of W")
         g = dims[n]
         graded.append((n, mh.make_mhs(g, {n: Subspace.full(Q, g)},
-                                      dict(_f_from_json(g, entry["F"],
-                                                        f"graded[{n}].F").steps))))
-    mu = Triple(dim, w, tuple(sorted(graded)))
+                                      dict(_filtration_from_json(
+                                          QI, g, entry["F"],
+                                          f"graded[{n}].F").steps))))
+    mu = Triple(dim, w, tuple(sorted(graded, key=lambda entry: entry[0])))
     problems = tr.triple_problems(mu)
     if problems:
         raise ParseError("triple: " + "; ".join(problems))
@@ -172,7 +167,7 @@ def spoint_to_json(s: SPoint) -> dict:
 def spoint_from_json(mu: Triple, data) -> SPoint:
     _require(isinstance(data, dict) and set(data) == {"F"},
              "fiber point: expected key F")
-    return SPoint(mu, _f_from_json(mu.dim, data["F"], "F"))
+    return SPoint(mu, _filtration_from_json(QI, mu.dim, data["F"], "F"))
 
 
 def pencil_to_json(pencil: Pencil) -> dict:

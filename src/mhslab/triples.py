@@ -101,16 +101,6 @@ def triple_of(m: MixedHodgeStructure) -> Triple:
     return Triple(m.dim, m.W, tuple(mh.gr_w(m)))
 
 
-def graded_space(mu: Triple) -> MixedHodgeStructure:
-    """The split structure on graded block coordinates."""
-    if mu.dim == 0:
-        return mh.zero_mhs()
-    out = None
-    for _, g in mu.graded:
-        out = g if out is None else mh.direct_sum(out, g)
-    return out
-
-
 def tpoint_problems(mu: Triple, alpha: TPoint) -> List[str]:
     out = []
     pieces = mh.graded_pieces(mu.W)
@@ -170,11 +160,10 @@ def sections_from_mhs(mu: Triple, m: MixedHodgeStructure) -> TPoint:
     if not matches_triple(mu, m):
         raise NotAnMhsError(["structure is not associated to the triple"])
     ainv = la.invert(QI, mh.deligne_splitting(m))
-    secs = []
-    for piece in mh.graded_pieces(m.W):
-        emb = la.to_qi_mat(mh.graded_embedding(piece, m.dim))
-        secs.append((piece.weight, la.mat_mul(ainv, emb)))
-    return TPoint(tuple(secs))
+    return TPoint(tuple(
+        (piece.weight,
+         tuple(row[piece.offset:piece.offset + piece.dim] for row in ainv))
+        for piece in mh.graded_pieces(m.W)))
 
 
 def total_section_matrix(mu: Triple, alpha: TPoint) -> Matrix:
@@ -195,7 +184,7 @@ def equal_in_S_group(mu: Triple, alpha: TPoint, beta: TPoint) -> bool:
     a = total_section_matrix(mu, alpha)
     b = total_section_matrix(mu, beta)
     u = la.mat_mul(la.invert(QI, a), b)
-    gm = graded_space(mu)
+    gm = mh.graded_mhs(mu.graded)
     for p, s in gm.F.steps:
         if not s.contains_subspace(la.apply_to_subspace(u, s)):
             return False
@@ -206,7 +195,7 @@ def equal_in_S_group(mu: Triple, alpha: TPoint, beta: TPoint) -> bool:
 
 def lie_data(mu: Triple) -> LieData:
     check_triple(mu)
-    gm = graded_space(mu)
+    gm = mh.graded_mhs(mu.graded)
     if gm.dim == 0:
         return LieData(Subspace.zero(Q, 0), Subspace.zero(QI, 0))
     end = mh.hom(gm, gm)
@@ -269,70 +258,53 @@ def zero_triple() -> Triple:
     return Triple(0, WeightFiltration(0, ()), ())
 
 
-def _transport(mu: Triple, proj: Matrix, keep, new_w: WeightFiltration,
-               new_dim: int) -> Triple:
-    """Move graded pure structures along an ambient map (restriction or
-    quotient), re-expressing each in the coordinates of the new triple."""
-    new_pieces = {p.weight: p for p in mh.graded_pieces(new_w)}
-    graded = []
-    for piece, (n, g) in zip(mh.graded_pieces(mu.W), mu.graded):
-        if not keep(n):
-            continue
-        t = la.mat_mul(new_pieces[n].pi_q,
-                       la.mat_mul(proj, piece.section))
-        f = {p: la.apply_to_subspace(la.to_qi_mat(t), g.F.at(p))
-             for p in g.F.jumps}
-        graded.append((n, mh.make_mhs(g.dim, {n: Subspace.full(Q, g.dim)}, f)))
-    return Triple(new_dim, new_w, tuple(graded))
-
-
 def truncate(mu: Triple, p: int) -> Tuple[Triple, Triple]:
-    """The two truncated triples carried by W_p and by the quotient."""
+    """The two truncated triples carried by W_p and by the quotient.
+
+    Both keep the graded pieces of mu as they are, because the graded
+    coordinates of W_p and of M/W_p are those of M: the change of
+    coordinates pi_new . proj . section from Gr_n M to Gr_n of either side
+    is the identity.
+    - coords_map(W_p) sends the echelon basis of each W_n, n <= p, to an
+      echelon basis with the same pivot order.
+    - For v in W_n, n > p, the graded coordinates of proj(v) and of v are
+      both its coefficients on the rows of W_n whose pivots are new at n,
+      taken modulo W_{n-1}, which contains W_p.
+    """
     check_triple(mu)
     wp = mu.W.at(p)
     if wp.is_zero():
         return zero_triple(), mu
     if wp.is_full():
         return mu, zero_triple()
-    sel = la.coords_map(wp)
-    k = wp.dim
-    w_low = WeightFiltration.of(
-        k, {n: la.apply_to_subspace(sel, s) for n, s in mu.W.steps if n <= p})
-    low = _transport(mu, sel, lambda n: n <= p, w_low, k)
-    proj = la.quotient_map(wp)
-    kq = mu.dim - k
-    w_high = WeightFiltration.of(
-        kq, {n: la.apply_to_subspace(proj, s) for n, s in mu.W.steps if n > p})
-    high = _transport(mu, proj, lambda n: n > p, w_high, kq)
+    sel, proj = la.coords_map(wp), la.quotient_map(wp)
+    low = Triple(wp.dim, WeightFiltration.of(wp.dim, {
+        n: la.apply_to_subspace(sel, s) for n, s in mu.W.steps if n <= p}),
+        tuple((n, g) for n, g in mu.graded if n <= p))
+    kq = mu.dim - wp.dim
+    high = Triple(kq, WeightFiltration.of(kq, {
+        n: la.apply_to_subspace(proj, s) for n, s in mu.W.steps if n > p}),
+        tuple((n, g) for n, g in mu.graded if n > p))
     return low, high
 
 
-def _transport_point(mu: Triple, new: Triple, proj: Matrix, keep,
-                     alpha: TPoint) -> TPoint:
-    new_pieces = {piece.weight: piece for piece in mh.graded_pieces(new.W)}
-    proj_qi = la.to_qi_mat(proj)
-    secs = []
-    for piece, (n, a) in zip(mh.graded_pieces(mu.W), alpha.sections):
-        if not keep(n):
-            continue
-        t = la.mat_mul(new_pieces[n].pi_q, la.mat_mul(proj, piece.section))
-        secs.append((n, la.mat_mul(la.mat_mul(proj_qi, a),
-                                   la.invert(QI, la.to_qi_mat(t)))))
-    return TPoint(tuple(secs))
-
-
 def truncate_point(mu: Triple, p: int, alpha: TPoint) -> Tuple[TPoint, TPoint]:
-    """Restrict and project a section tuple to the truncated triples."""
+    """Restrict and project a section tuple to the truncated triples; in
+    the graded coordinates they share with mu (see truncate), each section
+    is just its image in W_p or M/W_p."""
     check_tpoint(mu, alpha)
-    low, high = truncate(mu, p)
+    check_triple(mu)
     wp = mu.W.at(p)
     if wp.is_zero():
         return TPoint(()), alpha
     if wp.is_full():
         return alpha, TPoint(())
-    a_low = _transport_point(mu, low, la.coords_map(wp), lambda n: n <= p, alpha)
-    a_high = _transport_point(mu, high, la.quotient_map(wp), lambda n: n > p, alpha)
-    return a_low, a_high
+    sel = la.to_qi_mat(la.coords_map(wp))
+    proj = la.to_qi_mat(la.quotient_map(wp))
+    return (TPoint(tuple((n, la.mat_mul(sel, a))
+                         for n, a in alpha.sections if n <= p)),
+            TPoint(tuple((n, la.mat_mul(proj, a))
+                         for n, a in alpha.sections if n > p)))
 
 
 # -- fibers -------------------------------------------------------------------
@@ -345,11 +317,10 @@ def fiber_point(mu: Triple, p: int, x: SPoint, y: SPoint,
     split the projection; the resulting filtration is the image of x's
     filtration plus psi of y's.
     """
-    check_triple(mu)
+    low, high = truncate(mu, p)
     wp = mu.W.at(p)
     if wp.is_zero() or wp.is_full():
         raise DimensionMismatchError("truncation index must split the weights")
-    low, high = truncate(mu, p)
     if x.triple != low or y.triple != high:
         raise NotAnMhsError(["points do not match the truncated triples"])
     proj_qi = la.to_qi_mat(la.quotient_map(wp))
@@ -401,3 +372,9 @@ class Pencil:
         if self.dpsi == la.zeros(QI, self.triple.dim, k):
             out.append("direction is zero")
         return out
+
+    def check(self) -> "Pencil":
+        problems = self.problems()
+        if problems:
+            raise NotAnMhsError(problems)
+        return self

@@ -32,12 +32,11 @@ GUARD_ENV = mh.GUARD_ENV  # the guard lives in mhs.tensor; kept importable here
 
 @dataclass(frozen=True)
 class WeightCut:
-    """M at one weight cut p: W_pM, the structures on both sides, the maps
+    """M at one weight cut p: W_pM, the structure on M/W_pM, the maps
     between them and h = Hom(M/W_pM, W_pM), built once per (M, p)."""
 
     m: MixedHodgeStructure
     wp: Subspace                  # W_pM
-    sub: MixedHodgeStructure      # on W_pM
     quo: MixedHodgeStructure      # on M/W_pM
     proj: Matrix                  # over Q, M -> M/W_pM
     incl: Matrix                  # over Q, W_pM -> M
@@ -54,7 +53,7 @@ def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
     quo = mh._push_forward(m, wp)  # sub_mhs has checked the subobject
     proj = la.quotient_map(wp)
     section = la.solve_matrix(Q, proj, la.identity(Q, quo.dim))
-    return WeightCut(m, wp, sub, quo, proj, la.inclusion_map(wp),
+    return WeightCut(m, wp, quo, proj, la.inclusion_map(wp),
                      section, mh.hom(quo, sub))
 
 
@@ -299,7 +298,7 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
     pure function of (mu, n_samples, seed, height).
     """
     tr.check_triple(mu)
-    _check_graded_tate(tr.graded_space(mu))
+    _check_graded_tate(mh.graded_mhs(mu.graded))
     cuts = mu.W.jumps[:-1]
     n_large_per_p = {p: 0 for p in cuts}
     all_large = 0

@@ -94,7 +94,7 @@ def test_criterion_2_bigrading_axioms(capsys):
                 assert la.add(conj_comp, lower).contains_subspace(sub)
             # The splitting preserves W and F and induces id on the graded.
             a = mh.deligne_splitting(m)
-            gm = mh.graded_mhs(m)
+            gm = mh.graded_mhs(mh.gr_w(m))
             for n in m.W.jumps:
                 assert gm.W.at(n).to_qi().contains_subspace(
                     la.apply_to_subspace(a, m.W.at(n).to_qi()))

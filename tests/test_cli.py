@@ -1,6 +1,8 @@
 """Command-line interface: verbs, JSON round trips, exit codes, determinism."""
 
 import contextlib
+import copy
+import functools
 import io
 import json
 import os
@@ -104,6 +106,10 @@ def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
         mu = write(tmp_path, "mu.json", {"dim": dim, "W": one, "graded": [
             {"weight": weight, "F": one}]})
         assert cli.main(["experiment", "--triple", mu, "--samples", "0"]) == 2
+    # Two graded entries of one weight do not match the jumps of W.
+    mu = write(tmp_path, "mu.json", {"dim": 1, "W": one, "graded": [
+        {"weight": 0, "F": one}, {"weight": 0, "F": {"1": [["1"]]}}]})
+    assert cli.main(["experiment", "--triple", mu, "--samples", "0"]) == 2
     with open(pencil_file) as fh:
         doc = json.load(fh)
     doc["p"] = True
@@ -117,6 +123,14 @@ def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
         assert cli.main(["locus", pencil_file, "--vector", '["1", "0"]',
                          "--construction",
                          json.dumps(["QUOT", rows, "SELF"])]) == 2
+    # A non-string scalar is named as such.
+    for rows, shown in [([[True]], "True"), ([[1]], "1"), ([[None]], "None")]:
+        path = write(tmp_path, "scalar.json",
+                     {"dim": 1, "W": one, "F": {"0": rows}})
+        capsys.readouterr()
+        assert cli.main(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: F[0]: expected a scalar string, got {shown}\n")
     # An --out path that cannot be written is an I/O error.
     kummer = write(tmp_path, "k.json", se.mhs_to_json(corpus.kummer_mhs(I)))
     capsys.readouterr()
@@ -183,6 +197,25 @@ def test_fiber_verb(capsys, pencil_file):
     mu = corpus.kummer_triple()
     s = se.spoint_from_json(mu, doc["point"])
     assert tr.mhs_of_spoint(s) == corpus.kummer_mhs(I)
+
+
+@pytest.mark.parametrize("dpsi, problem", [
+    ([["1"], ["0"], ["2"]], "cannot multiply 2-col by 3-row"),
+    ([["1", "5"], ["0", "7"]], "direction does not take values in the "
+                               "weight subspace"),
+    ([["0"], ["0"]], "direction is zero")])
+def test_fiber_rejects_malformed_pencils(capsys, tmp_path, pencil_file,
+                                         dpsi, problem):
+    with open(pencil_file) as fh:
+        doc = json.load(fh)
+    doc["dpsi"] = dpsi
+    assert cli.main(["fiber", write(tmp_path, "pen.json", doc),
+                     "--t", "i"]) == 3
+    assert problem in capsys.readouterr().err
+    assert cli.main(["locus", write(tmp_path, "pen.json", doc), "--vector",
+                     '["1","0","0","1"]', "--construction",
+                     '["HOM","SELF","SELF"]']) == 3
+    capsys.readouterr()
 
 
 def test_lift_verb(capsys, tmp_path):
@@ -378,3 +411,120 @@ def test_fuzzed_structures_get_a_documented_exit_code(doc):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([verb[0], path] + verb[1:])
             assert code in {0, 2, 3, 4, 5}, (verb, doc)
+
+
+@functools.lru_cache(maxsize=None)
+def _documents():
+    """Valid triple, point, structure and pencil documents (the pencil cut
+    at -2), with the identity of End as a locus vector, for the Kummer
+    triple and the three-step Tate triple."""
+    out = []
+    for mu, alpha, base, direction in [
+            (corpus.kummer_triple(), corpus.kummer_tpoint(I),
+             [[0], [1]], [[1], [0]]),
+            (corpus.tate3_triple(), tr.sample_point(corpus.tate3_triple(),
+                                                     "fuzz", 5),
+             [[0], [0], [1]], [[1], [0], [0]])]:
+        low, high = tr.truncate(mu, -2)
+        a_low, a_high = tr.truncate_point(mu, -2, alpha)
+        pencil = lo.Pencil(mu, -2, tr.spoint(low, a_low),
+                           tr.spoint(high, a_high),
+                           la.mat(QI, base), la.mat(QI, direction))
+        out.append({"triple": se.triple_to_json(mu),
+                    "point": se.tpoint_to_json(alpha),
+                    "structure": se.mhs_to_json(tr.build_mhs(mu, alpha)),
+                    "pencil": se.pencil_to_json(pencil),
+                    "identity": json.dumps([
+                        "1" if i == j else "0"
+                        for i in range(mu.dim) for j in range(mu.dim)])})
+    return tuple(out)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return not isinstance(doc, (dict, list))
+
+
+_SWAPS = ["0", "1", "-1", "i", "1/2", "2-i"] * 4 + [
+    "x", "1/0", "", 0, 1, -3, True, None, [], {}, [["1"]], [["1", "0"]]]
+
+
+@st.composite
+def mutated_documents(draw):
+    """One family's documents with one to three mutations applied to one
+    of them: a node replaced by another value, an integer moved, a list
+    entry dropped or repeated, or a key dropped or added.  Swapping a
+    scalar for a well-formed scalar string comes first in each choice, so
+    it is the common case."""
+    docs = copy.deepcopy(draw(st.sampled_from(_documents())))
+    target = draw(st.sampled_from(["triple", "point", "structure",
+                                   "pencil"]))
+    for _ in range(draw(st.sampled_from([1] * 4 + [2, 3]))):
+        paths = list(_paths(docs[target]))[1:]
+        if draw(st.sampled_from([True] * 3 + [False])):
+            paths = [p for p in paths if _leaf(docs[target], p)] or paths
+        if not paths:
+            break  # every key was dropped
+        path = draw(st.sampled_from(paths))
+        parent = docs[target]
+        for key in path[:-1]:
+            parent = parent[key]
+        node, last = parent[path[-1]], path[-1]
+        kind = draw(st.sampled_from(["swap"] * 4 + ["shift", "drop",
+                                                    "repeat", "key"]))
+        if kind == "shift" and type(node) is int:
+            parent[last] = node + draw(st.sampled_from([-4, -1, 1, 2]))
+        elif kind == "drop":
+            del parent[last]
+        elif kind == "repeat" and isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(node))
+        elif kind == "key" and isinstance(node, dict):
+            node["extra"] = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
+    return target, docs
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_fuzzed_triples_points_and_pencils_get_a_documented_exit_code(case):
+    target, docs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in ("triple", "point", "structure", "pencil"):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(docs[name], fh)
+        verbs = {
+            "triple": [["build", "--triple", paths["triple"],
+                        "--point", paths["point"]],
+                       ["sections", "--triple", paths["triple"],
+                        paths["structure"]],
+                       ["truncate", "--triple", paths["triple"], "--p", "-2",
+                        "--point", paths["point"]]],
+            "point": [["build", "--triple", paths["triple"],
+                       "--point", paths["point"]],
+                      ["truncate", "--triple", paths["triple"], "--p", "-6",
+                       "--point", paths["point"]]],
+            "structure": [["sections", "--triple", paths["triple"],
+                           paths["structure"]]],
+            "pencil": [["fiber", paths["pencil"], "--t", "1/2+i"],
+                       ["locus", paths["pencil"], "--vector", docs["identity"],
+                        "--construction", '["HOM","SELF","SELF"]']],
+        }[target]
+        for argv in verbs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in {0, 2, 3, 4, 5}, (argv, docs[target])

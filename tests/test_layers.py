@@ -60,3 +60,30 @@ def test_modules_use_every_name_they_import():
     for name in LAYERS:
         unused = _unused_imports(name)
         assert not unused, f"{name} imports {sorted(unused)} and never uses them"
+
+
+def _private_functions_left_unreferenced():
+    """Private top-level functions no other top-level statement of the
+    package reads, by name or as a module attribute."""
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
+             for name in LAYERS}
+    defined, reads = set(), set()
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defined.add((name, stmt.name))
+                own = stmt.name
+            else:
+                own = None
+            for node in ast.walk(stmt):
+                read = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if read is not None and read != own:
+                    reads.add(read)
+    return sorted((module, fn) for module, fn in defined if fn not in reads)
+
+
+def test_private_functions_are_referenced():
+    unused = _private_functions_left_unreferenced()
+    assert not unused, f"private functions never referenced: {unused}"

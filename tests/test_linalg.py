@@ -40,6 +40,16 @@ def test_ragged_rejected():
         la.rref(Q, [[1, 2], [1, 2, 3]])
 
 
+def test_mat_add_rejects_different_shapes():
+    a = la.identity(Q, 2)
+    assert la.mat_add(a, a) == la.mat_scale(2, a)
+    for b in [la.zeros(Q, 3, 2), la.zeros(Q, 2, 1), la.zeros(Q, 1, 2), ()]:
+        with pytest.raises(DimensionMismatchError):
+            la.mat_add(a, b)
+        with pytest.raises(DimensionMismatchError):
+            la.mat_add(b, a)
+
+
 @settings(max_examples=60)
 @given(rows_strategy(Q, 3))
 def test_rref_idempotent(rows):

@@ -208,7 +208,7 @@ def test_splitting_is_filtered_isomorphism():
     for s in SEEDS:
         m = random_mhs(s, max_dim=5)
         a = mh.deligne_splitting(m)
-        gm = mh.graded_mhs(m)
+        gm = mh.graded_mhs(mh.gr_w(m))
         # a_M maps M_C to its graded, respecting W (rationally) and F.
         for n in m.W.jumps:
             w = m.W.at(n).to_qi()
@@ -355,7 +355,7 @@ def test_gr_w_pieces():
 def test_graded_mhs_is_direct_sum_of_gr():
     for s in SEEDS:
         m = random_mhs(s, max_dim=5)
-        g = mh.graded_mhs(m)
+        g = mh.graded_mhs(mh.gr_w(m))
         assert mh.is_valid(g)
         # Same weight jumps with the same graded dimensions (the graded
         # structure lives in block coordinates, so the flags differ).

@@ -1,16 +1,17 @@
 """Parametrizing space: triples, section tuples, truncation, fibers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_mhs, random_triple
+from helpers import random_mhs, random_triple, tate_triple
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
 from mhslab import unipotent as un
-from mhslab.errors import NotAnMhsError
+from mhslab.errors import DimensionMismatchError, NotAnMhsError
 from mhslab.field import Q, QI, GaussRat, I
 from mhslab.linalg import Subspace
 
@@ -195,6 +196,111 @@ def test_truncation_commutes_with_build():
             m_high = tr.build_mhs(high, a_high)
             quo = mh.quotient_mhs(m, wp)
             assert m_high.F == quo.F and m_high.W == quo.W
+
+
+# The truncation that re-expressed every kept piece through the change of
+# coordinates t = pi_new . proj . section, kept as the oracle for truncate,
+# which keeps the pieces as they are because t is always the identity.
+
+def _transport(mu, proj, keep, new_w, new_dim):
+    new_pieces = {p.weight: p for p in mh.graded_pieces(new_w)}
+    graded = []
+    for piece, (n, g) in zip(mh.graded_pieces(mu.W), mu.graded):
+        if not keep(n):
+            continue
+        t = la.mat_mul(new_pieces[n].pi_q,
+                       la.mat_mul(proj, piece.section))
+        f = {p: la.apply_to_subspace(la.to_qi_mat(t), g.F.at(p))
+             for p in g.F.jumps}
+        graded.append((n, mh.make_mhs(g.dim, {n: Subspace.full(Q, g.dim)}, f)))
+    return tr.Triple(new_dim, new_w, tuple(graded))
+
+
+def transport_truncate(mu, p):
+    tr.check_triple(mu)
+    wp = mu.W.at(p)
+    if wp.is_zero():
+        return tr.zero_triple(), mu
+    if wp.is_full():
+        return mu, tr.zero_triple()
+    sel = la.coords_map(wp)
+    k = wp.dim
+    w_low = mh.WeightFiltration.of(
+        k, {n: la.apply_to_subspace(sel, s) for n, s in mu.W.steps if n <= p})
+    low = _transport(mu, sel, lambda n: n <= p, w_low, k)
+    proj = la.quotient_map(wp)
+    kq = mu.dim - k
+    w_high = mh.WeightFiltration.of(
+        kq, {n: la.apply_to_subspace(proj, s) for n, s in mu.W.steps if n > p})
+    high = _transport(mu, proj, lambda n: n > p, w_high, kq)
+    return low, high
+
+
+def _transport_point(mu, new, proj, keep, alpha):
+    new_pieces = {piece.weight: piece for piece in mh.graded_pieces(new.W)}
+    proj_qi = la.to_qi_mat(proj)
+    secs = []
+    for piece, (n, a) in zip(mh.graded_pieces(mu.W), alpha.sections):
+        if not keep(n):
+            continue
+        t = la.mat_mul(new_pieces[n].pi_q, la.mat_mul(proj, piece.section))
+        secs.append((n, la.mat_mul(la.mat_mul(proj_qi, a),
+                                   la.invert(QI, la.to_qi_mat(t)))))
+    return tr.TPoint(tuple(secs))
+
+
+def transport_truncate_point(mu, p, alpha, low, high):
+    """The oracle for truncate_point(mu, p, alpha), given the truncated
+    triples (low, high) at p."""
+    wp = mu.W.at(p)
+    if wp.is_zero():
+        return tr.TPoint(()), alpha
+    if wp.is_full():
+        return alpha, tr.TPoint(())
+    a_low = _transport_point(mu, low, la.coords_map(wp), lambda n: n <= p,
+                             alpha)
+    a_high = _transport_point(mu, high, la.quotient_map(wp), lambda n: n > p,
+                              alpha)
+    return a_low, a_high
+
+
+def _scrambled_flag(mu, seed):
+    """mu on the flag spanned by rows of a unit upper triangular matrix taken
+    in a random order: the pivots new at a step may lie left of the old."""
+    rng = random.Random(f"scramble:{seed}")
+    order = list(range(mu.dim))
+    rng.shuffle(order)
+    rows = [[1 if i == j else (rng.randint(-3, 3) if j > i else 0)
+             for j in range(mu.dim)] for i in order]
+    steps, k = {}, 0
+    for n, g in mu.graded:
+        k += g.dim
+        steps[n] = Subspace.span(Q, mu.dim, rows[:k])
+    return tr.check_triple(tr.Triple(
+        mu.dim, mh.WeightFiltration.of(mu.dim, steps), mu.graded))
+
+
+def _oracle_triples():
+    named = [corpus.tate3_triple(), tate_triple((-14, -6, -2, 0)),
+             corpus.two_weight_triple(), corpus.kummer_triple()]
+    randoms = [random_triple(s) for s in range(40)]
+    scrambled = [_scrambled_flag(mu, s) for s, mu in
+                 enumerate(named + [random_triple(s, max_dim=5)
+                                    for s in range(8)])]
+    return named + randoms + scrambled
+
+
+def test_truncation_matches_transport_oracle():
+    for i, mu in enumerate(_oracle_triples()):
+        points = [maker(mu, f"oracle:{i}", 7)
+                  for maker in (tr.sample_point, tr.sample_rational_point)]
+        for p in (min(mu.W.jumps) - 1,) + mu.W.jumps:
+            low, high = transport_truncate(mu, p)
+            assert tr.truncate(mu, p) == (low, high), (i, p)
+            for alpha in points:
+                assert (tr.truncate_point(mu, p, alpha) ==
+                        transport_truncate_point(mu, p, alpha, low, high)
+                        ), (i, p)
 
 
 # -- fibers ---------------------------------------------------------------------

@@ -199,11 +199,11 @@ def _u_p_by_public_search(m, p):
     wp = m.W.at(p)
     h = mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
     rep = un.ext_class_rep(m, p)
-    pieces = mh.graded_pieces(h.W)
+    unit = la.identity(Q, h.dim)
+    blocks = [unit[g.offset:g.offset + g.dim] for g in mh.graded_pieces(h.W)]
     for size in range(h.dim + 1):
-        for subset in combinations(range(len(pieces)), size):
-            rows = [row for idx in subset for row in
-                    la.transpose(mh.graded_embedding(pieces[idx], h.dim))]
+        for subset in combinations(range(len(blocks)), size):
+            rows = [row for idx in subset for row in blocks[idx]]
             a_q = lo.can_lift(h, Subspace.span(Q, h.dim, rows))
             if a_q is not None and un.splits_mod(m, p, a_q, rep):
                 return a_q
@@ -286,7 +286,7 @@ def _bounded_height_candidates(h):
              if gcd(a, b) == 1 and (a, b) > (0, 0)]
     choices = []
     for g in mh.graded_pieces(h.W):
-        unit = la.transpose(mh.graded_embedding(g, h.dim))
+        unit = la.identity(Q, h.dim)[g.offset:g.offset + g.dim]
         options = [[], list(unit)]
         if g.dim == 2:
             options += [[tuple(a * x + b * y for x, y in zip(*unit))]
