@@ -2,8 +2,9 @@
 
 Everything here is hand-checkable: the Kummer family (an extension of
 Q(0) by Q(1) with one Gaussian-rational parameter), pure Tate objects,
-a three-step Tate triple with pairwise-distinct weight gaps, and a
-dimension-4 example mixing a weight -1 piece with two copies of Q(0).
+a three-step Tate triple with pairwise-distinct weight gaps, a
+three-step triple with a CM piece in the middle, and a dimension-4
+example mixing a weight -1 piece with two copies of Q(0).
 """
 
 from __future__ import annotations
@@ -56,13 +57,33 @@ def tate3_triple() -> Triple:
         ((-6, mh.tate_twist(3)), (-2, mh.tate_twist(1)), (0, mh.tate_twist(0))))
 
 
+def cm_piece(w: int) -> MixedHodgeStructure:
+    """E(w), w odd: dimension 2 with CM by Q(i), Hodge types
+    ((w+1)/2, (w-1)/2) and ((w-1)/2, (w+1)/2), F^{(w+1)/2} = span(1, i)."""
+    top = (w + 1) // 2
+    return mh.make_mhs(
+        2, {w: Subspace.full(Q, 2)},
+        {top - 1: Subspace.full(QI, 2),
+         top: Subspace.span(QI, 2, [(GaussRat(1), I)])})
+
+
+def tate_cm_triple() -> Triple:
+    """Weights -6, -3, 0: graded Q(3) + E(-3) + Q(0), a CM piece between
+    two Tate pieces, on the coordinate flag."""
+    return Triple(
+        4,
+        mh.WeightFiltration.of(4, {-6: Subspace.span(Q, 4, [(1, 0, 0, 0)]),
+                                   -3: Subspace.span(Q, 4, [(1, 0, 0, 0),
+                                                            (0, 1, 0, 0),
+                                                            (0, 0, 1, 0)]),
+                                   0: Subspace.full(Q, 4)}),
+        ((-6, mh.tate_twist(3)), (-3, cm_piece(-3)), (0, mh.tate_twist(0))))
+
+
 def two_weight_triple() -> Triple:
     """Dimension 4: a weight -1 piece of Hodge type {(0,-1),(-1,0)} under
     two copies of Q(0)."""
-    piece = mh.make_mhs(
-        2, {-1: Subspace.full(Q, 2)},
-        {0: Subspace.span(QI, 2, [(GaussRat(1), I)]),
-         -1: Subspace.full(QI, 2)})
+    piece = cm_piece(-1)
     q0_sq = mh.direct_sum(mh.tate_twist(0), mh.tate_twist(0))
     return Triple(
         4,

@@ -187,6 +187,9 @@ def _fraction(text: str, s: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {s!r}") from None
+    except ValueError:  # more digits than int() converts from a string
+        raise ParseError(f"scalar {text[:20]}... has too many digits "
+                         f"({len(text)} characters)") from None
 
 
 def parse_qi(s: str) -> GaussRat:

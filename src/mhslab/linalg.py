@@ -99,13 +99,16 @@ def _primitive(row: list) -> list:
 def _rref(rows: Sequence[Sequence[Scalar]], field: str) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon of rows over field; returns (nonzero rows, pivot columns).
 
-    Gauss-Jordan elimination without fractions: each row is scaled to
-    integers (over Q(i), Gaussian integers held as interleaved real and
-    imaginary ints), eliminated by cross-multiplication and kept primitive
-    by dividing out the gcd of its integer components.  Fractions are
-    built only for the output, when each pivot row is divided by its
-    pivot.  The reduced echelon form is unique, so the result is the one
-    exact division would give.
+    Gauss-Jordan elimination without fractions, in one integer core
+    (`_eliminate`) for both fields.  Over Q each row is scaled by the lcm
+    of its denominators.  Over Q(i) scalars are restricted to Q: entry j
+    of a row v becomes the ints (re, im) in columns 2j and 2j + 1, and v
+    contributes two integer rows, R(v) and R(i*v).  Rows are eliminated
+    by cross-multiplication and kept primitive by dividing out the gcd
+    of their components, which bounds each entry by a minor of the
+    input.  Fractions are built only for the output, when each pivot row
+    is divided by its pivot.  The reduced echelon form is unique, so the
+    result is the one exact division would give.
     """
     if not rows or not rows[0]:
         return (), ()
@@ -114,11 +117,10 @@ def _rref(rows: Sequence[Sequence[Scalar]], field: str) -> Tuple[Matrix, Tuple[i
     return _rref_zi(rows)
 
 
-def _rref_z(rows) -> Tuple[Matrix, Tuple[int, ...]]:
-    m = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+def _eliminate(m: list) -> list:
+    """Gauss-Jordan elimination of the integer rows m in place, keeping
+    every row primitive; returns the pivot columns, and m[:len(pivots)]
+    are the echelon rows (divided by their pivots, the reduced ones)."""
     nrows, pivots, r = len(m), [], 0
     for c in range(len(m[0])):
         pr = next((i for i in range(r, nrows) if m[i][c]), None)
@@ -137,54 +139,41 @@ def _rref_z(rows) -> Tuple[Matrix, Tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _rref_z(rows) -> Tuple[Matrix, Tuple[int, ...]]:
+    m = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    pivots = _eliminate(m)
     basis = tuple(tuple(Fraction(x, row[p]) if x else _ZERO_Q for x in row)
                   for row, p in zip(m, pivots))
     return basis, tuple(pivots)
 
 
 def _rref_zi(rows) -> Tuple[Matrix, Tuple[int, ...]]:
-    # Row entry j is re + i*im with re = row[2j], im = row[2j + 1].
+    # The span of the rows R(v), R(i*v) is stable under i, so its reduced
+    # echelon basis is {R(b), R(i*b)} for the Q(i) echelon basis b, with
+    # pivots 2c and 2c + 1: the rows with an even pivot are the answer.
     m = []
     for row in rows:
         den = lcm(*[d for x in row for d in (x.re.denominator, x.im.denominator)])
-        m.append(_primitive([y.numerator * (den // y.denominator)
-                             for x in row for y in (x.re, x.im)]))
-    nrows, pivots, r = len(m), [], 0
-    for c in range(0, len(m[0]), 2):
-        pr = next((i for i in range(r, nrows) if m[i][c] or m[i][c + 1]), None)
-        if pr is None:
+        v = _primitive([y.numerator * (den // y.denominator)
+                        for x in row for y in (x.re, x.im)])
+        m.append(v)
+        m.append([w for x, y in zip(v[::2], v[1::2]) for w in (-y, x)])
+    basis, pivots = [], []
+    for row, c in zip(m, _eliminate(m)):
+        if c % 2:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        pre, pim = prow[c], prow[c + 1]
-        for i in range(nrows):
-            fre, fim = m[i][c], m[i][c + 1]
-            if (fre or fim) and i != r:
-                g = gcd(pre, pim, fre, fim)
-                a, b, s, t = pre // g, pim // g, fre // g, fim // g
-                row = m[i]
-                # (a + bi) * row_i - (s + ti) * row_r, component by component.
-                m[i] = _primitive([
-                    v for xr, xi, yr, yi in zip(row[::2], row[1::2], prow[::2], prow[1::2])
-                    for v in (a * xr - b * xi - s * yr + t * yi,
-                              a * xi + b * xr - s * yi - t * yr)])
-        pivots.append(c // 2)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for row, c in zip(m, pivots):
-        re, im = row[::2], row[1::2]
-        a, b = re[c], im[c]
-        den = a
-        if b:  # x / p = x * conj(p) / |p|^2
-            re, im = ([x * a + y * b for x, y in zip(re, im)],
-                      [y * a - x * b for x, y in zip(re, im)])
-            den = a * a + b * b
+        p = row[c]
         basis.append(tuple(
-            GaussRat(Fraction(x, den) if x else _ZERO_Q,
-                     Fraction(y, den) if y else _ZERO_Q) if x or y else _ZERO_QI
-            for x, y in zip(re, im)))
+            GaussRat(Fraction(x, p) if x else _ZERO_Q,
+                     Fraction(y, p) if y else _ZERO_Q) if x or y else _ZERO_QI
+            for x, y in zip(row[::2], row[1::2])))
+        pivots.append(c // 2)
     return tuple(basis), tuple(pivots)
 
 

@@ -168,8 +168,7 @@ class Bigrading:
 class GradedPiece:
     weight: int
     dim: int
-    pi_q: Matrix    # over Q, dim x ambient; valid on W_n
-    pi_qi: Matrix   # scalar extension of pi_q
+    pi_qi: Matrix   # over Q(i) with rational entries, dim x ambient; valid on W_n
     section: Matrix  # over Q, ambient x dim; pi . section = id, image in W_n
     offset: int      # block offset in graded coordinates
 
@@ -192,7 +191,7 @@ def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
         pw = la.mat_mul(pi, incl)  # g x dim(wn), surjective
         c = la.solve_matrix(Q, pw, la.identity(Q, g))
         section = la.mat_mul(incl, c)
-        pieces.append(GradedPiece(n, g, pi, la.to_qi_mat(pi), section, offset))
+        pieces.append(GradedPiece(n, g, la.to_qi_mat(pi), section, offset))
         offset += g
         prev = wn
     return tuple(pieces)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg as la
 from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
 from .errors import DegenerateRangeError, MhsError, RegimeError
-from .field import Q, QI, GaussRat, as_scalar
+from .field import Q, QI, GaussRat
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Triple
@@ -110,35 +110,16 @@ def ext_class_rep(m: MixedHodgeStructure, p: int,
     return _ext_class(weight_cut(m, p), rng)
 
 
-def _in_mixed_span(e: Sequence, qi_gens: Sequence, q_gens: Sequence) -> bool:
-    """Decide e in span_{Q(i)}(qi_gens) + span_Q(q_gens) exactly.
-
-    Restricting Q(i)-scalars to Q doubles the generators; real and
-    imaginary coordinates are split and the membership becomes a plain
-    rational solvability question.
-    """
-    def realify(v):
-        vals = [as_scalar(QI, x) for x in v]
-        return tuple(x.re for x in vals) + tuple(x.im for x in vals)
-    cols = []
-    for g in qi_gens:
-        cols.append(realify(g))
-        cols.append(realify(tuple(GaussRat(0, 1) * as_scalar(QI, x)
-                                  for x in g)))
-    for g in q_gens:
-        cols.append(realify(g))
-    target = realify(e)
-    if not cols:
-        return all(x == 0 for x in target)
-    return la.solve(Q, la.transpose(la.mat(Q, cols)), target) is not None
-
-
 def _splits(cut: WeightCut, a_q: Subspace, rep: ExtClassRep) -> bool:
-    """Membership of the class in a_q (x) Q(i) + F^0 h + rational vectors."""
-    h = cut.h
-    qi_gens = [tuple(GaussRat(x) for x in row) for row in a_q.basis]
-    qi_gens += list(h.F.at(0).basis)
-    return _in_mixed_span(rep.e, qi_gens, list(la.identity(Q, h.dim)))
+    """Membership of the class in V + rational vectors, V = a_q (x) Q(i)
+    + F^0 h.  As a Q-space V is spanned by b and i*b over a basis b of V,
+    so e = v + r with r rational exactly when Im e lies in the Q-span of
+    Im b and Re b."""
+    v = la.add(a_q.to_qi(), cut.h.F.at(0))
+    rows = [tuple(x.im for x in b) for b in v.basis]
+    rows += [tuple(x.re for x in b) for b in v.basis]
+    return Subspace.span(Q, cut.h.dim, rows).contains(
+        tuple(x.im for x in rep.e))
 
 
 def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,

@@ -131,6 +131,11 @@ def test_io_and_schema_errors(capsys, tmp_path, pencil_file):
         assert cli.main(["validate", path]) == 2
         assert capsys.readouterr().err == (
             f"error: F[0]: expected a scalar string, got {shown}\n")
+    # A scalar with more digits than int() converts is a parse error.
+    capsys.readouterr()
+    assert cli.main(["validate", write(tmp_path, "long.json", {
+        "dim": 1, "W": {"0": [["1" * 5000]]}, "F": one})]) == 2
+    assert capsys.readouterr().err.startswith("error: W[0]: scalar 1")
     # An --out path that cannot be written is an I/O error.
     kummer = write(tmp_path, "k.json", se.mhs_to_json(corpus.kummer_mhs(I)))
     capsys.readouterr()

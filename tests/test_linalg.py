@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhslab import corpus
 from mhslab import linalg as la
+from mhslab import triples as tr
+from mhslab import unipotent as un
 from mhslab.errors import DimensionMismatchError, ParseError
 from mhslab.field import (GaussRat, I, Q, QI, format_q, format_qi, parse_q,
                           parse_qi)
@@ -251,6 +255,70 @@ def test_kernel_solve_rational_part_match_division(case, data):
             assert la.mat_vec(a, x) == tuple(b)
     u = Subspace.span(field, n, a).to_qi()
     assert_same(la.rational_part(u), by_division(la.rational_part, u), Q)
+
+
+def _big(rng):
+    """A rational with an 84-90-bit numerator and a denominator up to 10^6."""
+    return Fraction(rng.choice([1, -1]) * rng.randint(2**84, 2**90),
+                    rng.randint(1, 10**6))
+
+
+@pytest.mark.parametrize("nrows, ncols", [(8, 10), (10, 8)])
+def test_dense_gaussian_rows_with_large_entries_match_division(nrows, ncols):
+    rng = random.Random(f"dense:{nrows}x{ncols}")
+    rows = [[GaussRat(_big(rng), _big(rng)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    basis, pivots = la._rref(rows, QI)
+    assert len(pivots) == min(nrows, ncols)
+    assert (basis, pivots) == division_rref([list(r) for r in rows])
+
+
+@pytest.fixture
+def capped_rows(monkeypatch):
+    """Fail a reduction once a primitive row holds an entry of more than
+    2,000 bits.  The gcd of a row's integer components cannot remove a
+    common Gaussian factor such as 2 + i, so elimination on Gaussian
+    integers that divides only by it lets such factors pile up."""
+    primitive = la._primitive
+
+    def bounded(row):
+        out = primitive(row)
+        bits = max(abs(x) for x in out).bit_length()
+        if bits > 2000:
+            raise AssertionError(f"a {bits}-bit entry in a primitive row")
+        return out
+    monkeypatch.setattr(la, "_primitive", bounded)
+    return monkeypatch
+
+
+def test_rows_sharing_gaussian_factors_match_division(capped_rows):
+    # Each row is (2+i)^k times a small row, 10 <= k <= 20; an integer
+    # gcd cannot remove that factor.  Two more rows are dependent.
+    rng = random.Random("two-plus-i")
+    rows = []
+    for _ in range(10):
+        f = GaussRat(1)
+        for _ in range(rng.randint(10, 20)):
+            f = f * GaussRat(2, 1)
+        rows.append([f * GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(12)])
+    for x, y in [(rows[0], rows[3]), (rows[5], rows[9])]:
+        rows.append([GaussRat(2, -1) * a + b for a, b in zip(x, y)])
+    basis, pivots = la._rref(rows, QI)
+    capped_rows.undo()
+    assert len(pivots) == 10
+    assert (basis, pivots) == division_rref([list(r) for r in rows])
+
+
+def test_degree3_bound_on_a_cm_member_keeps_entries_bounded(capped_rows):
+    # On this member of Q(3) + E(-3) + Q(0) the bound reduces matrices
+    # of up to 57 x 64 over Q(i).
+    mu = corpus.tate_cm_triple()
+    m = tr.build_mhs(mu, tr.sample_point(mu, "0", 10))
+    g3 = un.mt_lie_upper_bound(m, 3)
+    capped_rows.undo()
+    assert g3.dim == 5
+    assert g3 == by_division(un.mt_lie_upper_bound, m, 3)
 
 
 # -- scalar serialization -----------------------------------------------------

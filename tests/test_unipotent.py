@@ -18,7 +18,7 @@ from mhslab import triples as tr
 from mhslab import unipotent as un
 from mhslab.errors import (DegenerateRangeError, NotASubobjectError,
                            RegimeError, ResourceGuardError)
-from mhslab.field import Q, QI, GaussRat, I
+from mhslab.field import Q, QI, GaussRat, I, as_scalar
 from mhslab.linalg import Matrix, Subspace
 
 HALF = GaussRat(Fraction(1, 2))
@@ -97,6 +97,70 @@ def test_splits_mod_monotone_in_the_subobject():
             assert un.splits_mod(m, p, Subspace.full(Q, h_dim))
 
 
+# The splitting test by restriction of scalars on every generator, kept
+# as the oracle for un._splits, which reads imaginary parts only.
+
+def _in_mixed_span(e: Sequence, qi_gens: Sequence, q_gens: Sequence) -> bool:
+    """Decide e in span_{Q(i)}(qi_gens) + span_Q(q_gens) exactly.
+
+    Restricting Q(i)-scalars to Q doubles the generators; real and
+    imaginary coordinates are split and the membership becomes a plain
+    rational solvability question.
+    """
+    def realify(v):
+        vals = [as_scalar(QI, x) for x in v]
+        return tuple(x.re for x in vals) + tuple(x.im for x in vals)
+    cols = []
+    for g in qi_gens:
+        cols.append(realify(g))
+        cols.append(realify(tuple(GaussRat(0, 1) * as_scalar(QI, x)
+                                  for x in g)))
+    for g in q_gens:
+        cols.append(realify(g))
+    target = realify(e)
+    if not cols:
+        return all(x == 0 for x in target)
+    return la.solve(Q, la.transpose(la.mat(Q, cols)), target) is not None
+
+
+def mixed_span_splits(cut, a_q, rep):
+    h = cut.h
+    qi_gens = [tuple(GaussRat(x) for x in row) for row in a_q.basis]
+    qi_gens += list(h.F.at(0).basis)
+    return _in_mixed_span(rep.e, qi_gens, list(la.identity(Q, h.dim)))
+
+
+def _rational_candidates(dim, rng):
+    """Zero, everything, each coordinate line and two random subspaces."""
+    unit = la.identity(Q, dim)
+    yield Subspace.zero(Q, dim)
+    yield Subspace.full(Q, dim)
+    for row in unit:
+        yield Subspace.span(Q, dim, [row])
+    for k in (1, dim - 1):
+        yield Subspace.span(Q, dim, [[Fraction(rng.randint(-3, 3),
+                                               rng.randint(1, 3))
+                                      for _ in range(dim)] for _ in range(k)])
+
+
+def test_splits_matches_the_mixed_span_oracle():
+    structures = ([corpus.kummer_mhs(z) for z in Z_VALUES]
+                  + [corpus.two_weight_mhs()]
+                  + [random_mhs(s) for s in range(6)])
+    outcomes, f0_dims = set(), []
+    for i, cut in enumerate(_cuts(structures)):
+        rng = random.Random(f"splits:{i}")
+        f0_dims.append(cut.h.F.at(0).dim)
+        reps = [un._ext_class(cut)] + [un._ext_class(cut, random.Random(
+            f"redraw:{i}:{k}")) for k in range(2)]
+        for a_q in _rational_candidates(cut.h.dim, rng):
+            for rep in reps:
+                got = un._splits(cut, a_q, rep)
+                assert got == mixed_span_splits(cut, a_q, rep)
+                outcomes.add(got)
+    assert outcomes == {True, False} and max(f0_dims) > 0
+
+
 def solved_ext_class(cut, rng=None):
     """Reference for the class: the Hodge section solved as a vector of
     F^0 Hom(M/W_pM, M) whose projection is the identity, shifted with an
@@ -155,8 +219,8 @@ def test_ext_class_equals_the_solved_one_modulo_f0_and_rationals():
             new = un._ext_class(cut, rng).e
             old = solved_ext_class(cut, None if rng is None
                                    else random.Random(f"old:{i}"))
-            assert un._in_mixed_span([x - y for x, y in zip(new, old)],
-                                     f0, rational)
+            assert _in_mixed_span([x - y for x, y in zip(new, old)],
+                                  f0, rational)
     assert max(f0_dims) > 0  # some cut has a choice of Hodge section
 
 
