@@ -69,7 +69,8 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def kron_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(x * y for x in u for y in v)
+    """u (x) v; a zero factor is returned as it is, without multiplying."""
+    return tuple(x * y if x and y else (y if x else x) for x in u for y in v)
 
 
 def kron_mat(a: Matrix, b: Matrix) -> Matrix:
@@ -400,7 +401,7 @@ def solve_matrix(field: str, a: Matrix, b: Matrix) -> Optional[Matrix]:
 def invert(field: str, a: Matrix) -> Matrix:
     n = len(a)
     x = solve_matrix(field, a, identity(field, n))
-    if x is None or len(a[0]) != n:
+    if x is None or any(len(row) != n for row in a):
         raise DimensionMismatchError("matrix is not invertible")
     if mat_mul(a, x) != identity(field, n):
         raise DimensionMismatchError("matrix is not invertible")

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import linalg as la
 from .errors import (DimensionMismatchError, FieldMismatchError, MhsError,
                      NotAnMhsError, NotASubobjectError, ResourceGuardError)
-from .field import Q, QI, zero
+from .field import Q, QI
 from .linalg import Matrix, Subspace, Vector
 
 GUARD_ENV = "MHSLAB_TENSOR_GUARD"
@@ -151,12 +151,6 @@ class Bigrading:
 
     dim: int
     components: Tuple[Tuple[Tuple[int, int], Subspace], ...]
-
-    def at(self, p: int, q: int) -> Subspace:
-        for (a, b), s in self.components:
-            if (a, b) == (p, q):
-                return s
-        return Subspace.zero(QI, self.dim)
 
     def items(self):
         return self.components
@@ -494,30 +488,36 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     return Bigrading(m.dim, tuple(comps))
 
 
+def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
+    """For each weight n, the projector P_n of M_C onto the sum of the
+    I^{p,q} with p + q = n along the other components.
+
+    With S the matrix whose columns are bases of the components, P_n is
+    S[:, cols_n] . S^-1[cols_n, :], from one inversion of S.
+    """
+    cols: Dict[int, List[Vector]] = {n: [] for n in m.W.jumps}
+    for (p, q), comp in deligne_bigrading(m).items():
+        cols[p + q].extend(comp.basis)
+    s_inv = la.invert(QI, la.transpose(tuple(v for c in cols.values()
+                                             for v in c)))
+    out, at = {}, 0
+    for n, c in cols.items():
+        out[n] = la.mat_mul(la.transpose(tuple(c)), s_inv[at:at + len(c)])
+        at += len(c)
+    return out
+
+
 def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
     """The canonical isomorphism a_M : M_C -> Gr^W M_C in graded coordinates.
 
-    Sends each I^{p,q} identically onto its image in Gr^W_{p+q}; preserves
-    W and F; induces the identity on the associated graded.
+    Its rows for Gr^W_n are pi_n . P_n, so it sends each I^{p,q}
+    identically onto its image in Gr^W_{p+q}; preserves W and F; induces
+    the identity on the associated graded, since P_n v = v mod W_{n-1}
+    for v in W_n and pi_n kills W_{n-1}.
     """
-    if m.dim == 0:
-        return ()
-    big = deligne_bigrading(m)
-    pieces = {piece.weight: piece for piece in graded_pieces(m.W)}
-    z = (zero(QI),)
-    src_cols = []
-    tgt_cols = []
-    for (p, q), comp in big.items():
-        piece = pieces[p + q]
-        before, after = piece.offset, m.dim - piece.offset - piece.dim
-        for v in comp.basis:
-            src_cols.append(v)
-            tgt_cols.append(z * before + la.mat_vec(piece.pi_qi, v) + z * after)
-    if len(src_cols) != m.dim:
-        raise NotAnMhsError(["bigrading does not span the space"])
-    s = la.transpose(tuple(src_cols))
-    t = la.transpose(tuple(tgt_cols))
-    return la.mat_mul(t, la.invert(QI, s))
+    proj = deligne_projectors(m)
+    return tuple(row for piece in graded_pieces(m.W)
+                 for row in la.mat_mul(piece.pi_qi, proj[piece.weight]))
 
 
 def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]

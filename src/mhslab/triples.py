@@ -156,17 +156,18 @@ def matches_triple(mu: Triple, m: MixedHodgeStructure) -> bool:
 
 
 def sections_from_mhs(mu: Triple, m: MixedHodgeStructure) -> TPoint:
-    """The canonical point: the inverse of the splitting, block by block."""
+    """The canonical point: the inverse of the splitting, block by block.
+    On Gr^W_n that inverse is P_n . section_n, for the Deligne projector
+    P_n and any section of W_n -> Gr^W_n."""
     if not matches_triple(mu, m):
         raise NotAnMhsError(["structure is not associated to the triple"])
-    ainv = la.invert(QI, mh.deligne_splitting(m))
+    proj = mh.deligne_projectors(m)
     return TPoint(tuple(
-        (piece.weight,
-         tuple(row[piece.offset:piece.offset + piece.dim] for row in ainv))
+        (piece.weight, la.mat_mul(proj[piece.weight], piece.section))
         for piece in mh.graded_pieces(m.W)))
 
 
-def total_section_matrix(mu: Triple, alpha: TPoint) -> Matrix:
+def total_section_matrix(alpha: TPoint) -> Matrix:
     """The map from graded block coordinates to the ambient space."""
     cols: List[Tuple] = []
     for _, a in alpha.sections:
@@ -181,8 +182,8 @@ def equal_in_S(mu: Triple, alpha: TPoint, beta: TPoint) -> bool:
 
 def equal_in_S_group(mu: Triple, alpha: TPoint, beta: TPoint) -> bool:
     """Group criterion: alpha^{-1} beta preserves the graded filtration."""
-    a = total_section_matrix(mu, alpha)
-    b = total_section_matrix(mu, beta)
+    a = total_section_matrix(alpha)
+    b = total_section_matrix(beta)
     u = la.mat_mul(la.invert(QI, a), b)
     gm = mh.graded_mhs(mu.graded)
     for p, s in gm.F.steps:

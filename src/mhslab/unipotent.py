@@ -159,12 +159,7 @@ def _u_p(cut: WeightCut) -> UpResult:
     Im(e): the rational closure of its span under the projectors onto
     the Deligne components of H."""
     h = cut.h
-    alpha = mh.deligne_splitting(h)
-    inv = la.invert(QI, alpha)
-    projectors = [la.mat_mul(tuple(row[g.offset:g.offset + g.dim]
-                                   for row in inv),
-                             alpha[g.offset:g.offset + g.dim])
-                  for g in mh.graded_pieces(h.W)]
+    projectors = mh.deligne_projectors(h).values()
     s = Subspace.span(Q, h.dim, [tuple(x.im for x in _ext_class(cut).e)])
     while True:
         rows = list(s.basis)

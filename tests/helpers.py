@@ -12,6 +12,11 @@ from mhslab.field import Q, QI, GaussRat
 from mhslab.linalg import Subspace
 
 
+def kron_vec(u, v):
+    """u (x) v with every product formed: the oracle for la.kron_vec."""
+    return tuple(x * y for x in u for y in v)
+
+
 def random_invertible(rng: random.Random, n: int):
     """A random invertible integer matrix (unit upper x unit lower)."""
     upper = [[1 if i == j else (rng.randint(-3, 3) if j > i else 0)

@@ -187,6 +187,20 @@ def test_build_and_sections_round_trip(capsys, tmp_path):
     assert tr.build_mhs(corpus.tate3_triple(), beta) == built
 
 
+def test_zero_dimensional_structure_splits_sections_and_lifts(capsys, tmp_path):
+    zero = mh.zero_mhs()
+    m_file = write(tmp_path, "m.json", se.mhs_to_json(zero))
+    mu_file = write(tmp_path, "mu.json", se.triple_to_json(tr.triple_of(zero)))
+    lift_file = write(tmp_path, "lift.json", {"structure": se.mhs_to_json(zero),
+                                              "graded_rows": []})
+    code, doc = run(capsys, ["split", m_file])
+    assert code == 0 and doc["splitting"] == [] and doc["bigrading"] == {}
+    code, doc = run(capsys, ["sections", "--triple", mu_file, m_file])
+    assert code == 0 and doc["sections"] == {}
+    code, doc = run(capsys, ["lift", lift_file])
+    assert code == 0 and doc["liftable"] and doc["lift"] == []
+
+
 def test_truncate_verb(capsys, tmp_path):
     mu_file = write(tmp_path, "mu.json", se.triple_to_json(corpus.tate3_triple()))
     code, doc = run(capsys, ["truncate", "--triple", mu_file, "--p", "-2"])

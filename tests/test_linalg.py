@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import kron_vec
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import triples as tr
@@ -52,6 +53,22 @@ def test_mat_add_rejects_different_shapes():
             la.mat_add(a, b)
         with pytest.raises(DimensionMismatchError):
             la.mat_add(b, a)
+
+
+def _sparse(elem):
+    """Vectors of length 0-4, about half of their entries zero."""
+    return st.lists(st.one_of(st.just(0), elem), max_size=4)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.sampled_from([Q, QI]), st.data())
+def test_kron_vec_matches_the_multiplying_oracle(field, data):
+    elem = fractions if field == Q else gauss(fractions, fractions)
+    u, v = (tuple(la.mat(field, [data.draw(_sparse(elem))])[0])
+            for _ in range(2))
+    out = la.kron_vec(u, v)
+    assert out == kron_vec(u, v)
+    assert [type(x) for x in out] == [type(x) for x in kron_vec(u, v)]
 
 
 @settings(max_examples=60)
@@ -125,6 +142,9 @@ def test_solve_and_invert():
     inv = la.invert(Q, a)
     assert la.mat_mul(a, inv) == la.identity(Q, 2)
     assert la.solve(Q, la.mat(Q, [[1, 1], [1, 1]]), (0, 1)) is None
+    assert la.invert(Q, ()) == () and la.invert(QI, ()) == ()
+    with pytest.raises(DimensionMismatchError):
+        la.invert(Q, la.mat(Q, [[1, 0]]))
 
 
 def test_quotient_map_kernel():

@@ -1,16 +1,17 @@
 """Mixed Hodge structures: validation, functors, bigrading, sub/quotient."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_structures, random_mhs, tate_triple
+from helpers import kron_vec, oracle_structures, random_mhs, tate_triple
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
 from mhslab.errors import MhsError, NotAnMhsError, NotASubobjectError
-from mhslab.field import Q, QI, GaussRat, I
+from mhslab.field import Q, QI, GaussRat, I, zero
 from mhslab.linalg import Subspace
 
 SEEDS = range(12)
@@ -123,7 +124,7 @@ def _chained_tensor(m, n):
     a of m of W_a(m) (x) W_(k-a)(n) (and likewise for F), added one
     product at a time."""
     def sub(u, v, field):
-        rows = [la.kron_vec(a, b) for a in u.basis for b in v.basis]
+        rows = [kron_vec(a, b) for a in u.basis for b in v.basis]
         return Subspace.span(field, u.ambient_dim * v.ambient_dim, rows)
     dim = m.dim * n.dim
     w = {}
@@ -314,6 +315,97 @@ def _bigrading_cases():
 def test_bigrading_on_jumps_matches_grid():
     for m in _bigrading_cases():
         assert mh.deligne_bigrading(m) == grid_bigrading(m)
+
+
+# -- Deligne projectors ---------------------------------------------------------
+
+def _splitting_oracle(m):
+    """T . S^-1, as deligne_splitting built it before the projectors: S
+    has bases of the I^{p,q} as columns, T their images placed in graded
+    coordinates."""
+    if m.dim == 0:
+        return ()
+    big = mh.deligne_bigrading(m)
+    pieces = {piece.weight: piece for piece in mh.graded_pieces(m.W)}
+    z = (zero(QI),)
+    src_cols = []
+    tgt_cols = []
+    for (p, q), comp in big.items():
+        piece = pieces[p + q]
+        before, after = piece.offset, m.dim - piece.offset - piece.dim
+        for v in comp.basis:
+            src_cols.append(v)
+            tgt_cols.append(z * before + la.mat_vec(piece.pi_qi, v) + z * after)
+    if len(src_cols) != m.dim:
+        raise NotAnMhsError(["bigrading does not span the space"])
+    s = la.transpose(tuple(src_cols))
+    t = la.transpose(tuple(tgt_cols))
+    return la.mat_mul(t, la.invert(QI, s))
+
+
+def _inverted_splitting_projectors(m, alpha):
+    """The weight projectors as u_p read them off the splitting alpha of
+    m: the blocks of its inverse and of itself at each graded offset."""
+    inv = la.invert(QI, alpha)
+    return [la.mat_mul(tuple(row[g.offset:g.offset + g.dim] for row in inv),
+                       alpha[g.offset:g.offset + g.dim])
+            for g in mh.graded_pieces(m.W)]
+
+
+@functools.lru_cache(maxsize=None)
+def _projector_cases():
+    """The valid oracle structures, then three- and four-step members at
+    fresh seeds with the Hom structures of their weight cuts."""
+    out = [m for m in oracle_structures() if mh.is_valid(m)]
+    for weights in ((-6, -2, 0), (-14, -6, -2, 0)):
+        mu = tate_triple(weights)
+        for s in range(2):
+            m = tr.build_mhs(mu, tr.sample_point(mu, f"projectors:{s}", 10))
+            out.append(m)
+            for p in weights[:-1]:
+                wp = m.W.at(p)
+                out.append(mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp)))
+    return tuple(out)
+
+
+_bigrading_once = functools.lru_cache(maxsize=None)(mh.deligne_bigrading)
+
+
+@pytest.fixture
+def bigrading_once(monkeypatch):
+    """One bigrading per structure for every map read off it; the
+    bigrading itself is checked against the grid oracle above."""
+    monkeypatch.setattr(mh, "deligne_bigrading", _bigrading_once)
+
+
+def test_splitting_and_projectors_match_the_inverted_splitting_oracles(
+        bigrading_once):
+    assert mh.deligne_splitting(mh.zero_mhs()) == _splitting_oracle(mh.zero_mhs())
+    assert mh.deligne_projectors(mh.zero_mhs()) == {}
+    for m in _projector_cases():
+        alpha = _splitting_oracle(m)
+        assert mh.deligne_splitting(m) == alpha
+        proj = mh.deligne_projectors(m)
+        assert list(proj) == [g.weight for g in mh.graded_pieces(m.W)]
+        assert list(proj.values()) == _inverted_splitting_projectors(m, alpha)
+
+
+def test_projectors_decompose_the_space_into_weights(bigrading_once):
+    for m in _projector_cases():
+        proj = mh.deligne_projectors(m)
+        big = mh.deligne_bigrading(m).items()
+        zeros = la.zeros(QI, m.dim, m.dim)
+        total = zeros
+        for n, pn in proj.items():
+            for k, pk in proj.items():
+                assert la.mat_mul(pn, pk) == (pn if k == n else zeros)
+            image = Subspace.zero(QI, m.dim)
+            for (p, q), comp in big:
+                if p + q == n:
+                    image = la.add(image, comp)
+            assert la.image(QI, pn, m.dim) == image
+            total = la.mat_add(total, pn)
+        assert total == la.identity(QI, m.dim)
 
 
 def test_kummer_bigrading_explicit():

@@ -73,6 +73,29 @@ def test_build_sections_identity():
         assert tr.equal_in_S(mu, alpha, beta)
 
 
+def _sections_oracle(m):
+    """sections_from_mhs as it was before the projectors: the blocks of
+    the inverse splitting at each graded offset."""
+    ainv = la.invert(QI, mh.deligne_splitting(m))
+    return tr.TPoint(tuple(
+        (piece.weight,
+         tuple(row[piece.offset:piece.offset + piece.dim] for row in ainv))
+        for piece in mh.graded_pieces(m.W)))
+
+
+def test_sections_match_the_inverse_splitting_oracle():
+    cases = [(random_triple(s),
+              tr.sample_point(random_triple(s), f"oracle:{s}", 7))
+             for s in range(16)]
+    for weights in ((-6, -2, 0), (-14, -6, -2, 0)):
+        mu = tate_triple(weights)
+        cases += [(mu, tr.sample_point(mu, "oracle", 10)),
+                  (mu, tr.sample_rational_point(mu, "oracle", 10))]
+    for mu, alpha in cases:
+        m = tr.build_mhs(mu, alpha)
+        assert tr.sections_from_mhs(mu, m) == _sections_oracle(m)
+
+
 # -- equality criteria ----------------------------------------------------------
 
 def _perturbed_point(mu, alpha, k):
@@ -83,7 +106,7 @@ def _perturbed_point(mu, alpha, k):
     if f0.is_zero():
         return alpha
     u = mh.hom_mat(f0.basis[k % f0.dim], mu.dim, mu.dim)
-    total = la.mat_mul(tr.total_section_matrix(mu, alpha),
+    total = la.mat_mul(tr.total_section_matrix(alpha),
                        la.mat_add(la.identity(QI, mu.dim), u))
     cols = la.transpose(total)
     secs, at = [], 0
