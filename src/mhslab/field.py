@@ -23,9 +23,12 @@ class GaussRat:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        # A part that is already a Fraction is kept, not wrapped again.
+        object.__setattr__(self, "re",
+                           re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im",
+                           im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -66,11 +69,18 @@ class GaussRat:
         return GaussRat(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        # A real factor takes two Fraction products, not four and two sums.
+        if isinstance(other, GaussRat):
+            if not other.im:
+                other = other.re
+            elif not self.im:
+                return GaussRat(self.re * other.re, self.re * other.im)
+            else:
+                return GaussRat(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        return GaussRat(self.re * other, self.im * other)
 
     __rmul__ = __mul__
 
@@ -125,12 +135,17 @@ I = GaussRat(0, 1)
 Scalar = Union[Fraction, GaussRat]
 
 
+# Scalars are immutable, so every zero and one can be the same object.
+_ZERO_Q, _ZERO_QI = Fraction(0), GaussRat(0)
+_ONE_Q, _ONE_QI = Fraction(1), GaussRat(1)
+
+
 def zero(field: str) -> Scalar:
-    return Fraction(0) if field == Q else GaussRat(0)
+    return _ZERO_Q if field == Q else _ZERO_QI
 
 
 def one(field: str) -> Scalar:
-    return Fraction(1) if field == Q else GaussRat(1)
+    return _ONE_Q if field == Q else _ONE_QI
 
 
 def as_scalar(field: str, x) -> Scalar:

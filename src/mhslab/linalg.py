@@ -42,20 +42,33 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
+def _nonzero(v: Vector) -> list:
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a . b, forming no product with a zero factor.  Each sum starts from
+    a zero of the product's field, so it has that type when it is empty."""
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatchError(f"cannot multiply {len(a[0])}-col by {len(b)}-row")
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), 0 * row[0])
-                       for col in bt)
+    cols = [_nonzero(col) for col in transpose(b)]
+    if not a or not cols:
+        return tuple(() for _ in a)
+    z = 0 * a[0][0] * b[0][0]
+    return tuple(tuple(sum((row[j] * y for j, y in col if row[j]), z)
+                       for col in cols)
                  for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
+    """a . v, forming no product with a zero factor, as mat_mul."""
     if a and len(a[0]) != len(v):
         raise DimensionMismatchError("matrix/vector size mismatch")
-    return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v else 0
-                 for row in a)
+    if not a or not v:
+        return tuple(0 for _ in a)
+    z = 0 * a[0][0] * v[0]
+    nz = _nonzero(v)
+    return tuple(sum((row[j] * y for j, y in nz if row[j]), z) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -88,8 +101,7 @@ def to_qi_mat(a: Matrix) -> Matrix:
 
 # -- row reduction ----------------------------------------------------------
 
-_ZERO_Q = Fraction(0)
-_ZERO_QI = GaussRat(0)
+_ZERO_Q, _ZERO_QI = zero(Q), zero(QI)
 
 
 def _primitive(row: list) -> list:
@@ -178,7 +190,7 @@ def _rref_zi(rows) -> Tuple[Matrix, Tuple[int, ...]]:
     return tuple(basis), tuple(pivots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of F^n given by its reduced echelon basis (rows)."""
 

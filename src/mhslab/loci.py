@@ -149,7 +149,7 @@ def pencil_member(pencil: Pencil, t: GaussRat) -> MixedHodgeStructure:
     return tr.mhs_of_spoint(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocusResult:
     """Where along the pencil a vector is a weight-zero Hodge class.
 

@@ -8,6 +8,7 @@ jump steps; queries resolve to the nearest lower (W) / higher (F) step.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -44,7 +45,7 @@ def _prune_decreasing(steps: List[Tuple[int, Subspace]]) -> Tuple[Tuple[int, Sub
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightFiltration:
     """Increasing, exhaustive, separated filtration over Q."""
 
@@ -89,7 +90,7 @@ class WeightFiltration:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HodgeFiltration:
     """Decreasing, exhaustive, separated filtration over Q(i)."""
 
@@ -131,7 +132,7 @@ class HodgeFiltration:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedHodgeStructure:
     dim: int
     W: WeightFiltration
@@ -145,7 +146,7 @@ class MixedHodgeStructure:
 MHS = MixedHodgeStructure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bigrading:
     """Deligne bigrading: components (p, q) -> subspace over Q(i)."""
 
@@ -158,7 +159,7 @@ class Bigrading:
 
 # -- graded coordinates -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedPiece:
     weight: int
     dim: int
@@ -167,8 +168,14 @@ class GradedPiece:
     offset: int      # block offset in graded coordinates
 
 
+@functools.lru_cache(maxsize=16)
 def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
-    """Canonical coordinates on each Gr^W_n, with a canonical rational section."""
+    """Canonical coordinates on each Gr^W_n, with a canonical rational section.
+
+    Cached by the value of w, which fixes the result: the many structures
+    built from one triple (its members, their weight cuts and Hom spaces)
+    share a few weight filtrations, held as distinct but equal objects.
+    """
     pieces = []
     offset = 0
     prev = Subspace.zero(Q, w.ambient_dim)

@@ -23,7 +23,7 @@ from .linalg import Matrix, Subspace
 from .mhs import HodgeFiltration, MixedHodgeStructure, WeightFiltration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """(dim, W, graded): a weight filtration plus pure structures on Gr^W."""
 
@@ -38,7 +38,7 @@ class Triple:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TPoint:
     """Sections alpha_n : Gr^W_n -> W_n (x) Q(i), one per graded piece."""
 
@@ -51,7 +51,7 @@ class TPoint:
         raise KeyError(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SPoint:
     """A point of the parametrizing space, represented by its filtration."""
 
@@ -59,7 +59,7 @@ class SPoint:
     F: HodgeFiltration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LieData:
     w_minus1_end: Subspace      # over Q, inside End of the graded space
     f0_w_minus1_end: Subspace   # over QI
@@ -221,7 +221,7 @@ def _random_fraction(rng: random.Random, height: int, nonzero: bool) -> Fraction
 
 def _sample(mu: Triple, rng: random.Random, height: int,
             imaginary: bool) -> TPoint:
-    check_triple(mu)
+    """A point of mu, which the caller has passed through check_triple."""
     secs = []
     prev = Subspace.zero(Q, mu.dim)
     for piece in mh.graded_pieces(mu.W):
@@ -243,14 +243,16 @@ def sample_point(mu: Triple, seed, height: int) -> TPoint:
     """Deterministic sample with nonzero imaginary off-diagonal entries."""
     if height < 1:
         raise MhsError("height must be at least 1")
-    return _sample(mu, random.Random(str(seed)), height, imaginary=True)
+    return _sample(check_triple(mu), random.Random(str(seed)), height,
+                   imaginary=True)
 
 
 def sample_rational_point(mu: Triple, seed, height: int) -> TPoint:
     """Deterministic sample with all-rational off-diagonal entries."""
     if height < 1:
         raise MhsError("height must be at least 1")
-    return _sample(mu, random.Random(str(seed)), height, imaginary=False)
+    return _sample(check_triple(mu), random.Random(str(seed)), height,
+                   imaginary=False)
 
 
 # -- truncation ---------------------------------------------------------------
@@ -348,7 +350,7 @@ def fiber_dim(mu: Triple, p: int, x: SPoint, y: SPoint) -> int:
 
 # -- pencils ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pencil:
     """psi(t) = psi0 + t * dpsi inside a fiber of truncation at p."""
 

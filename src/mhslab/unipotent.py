@@ -30,7 +30,7 @@ GUARD_ENV = mh.GUARD_ENV  # the guard lives in mhs.tensor; kept importable here
 
 # -- the weight cut -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightCut:
     """M at one weight cut p: W_pM, the structure on M/W_pM, the maps
     between them and h = Hom(M/W_pM, W_pM), built once per (M, p)."""
@@ -59,7 +59,7 @@ def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
 
 # -- extension classes --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtClassRep:
     """e = (rational section) - (Hodge section), in h coordinates over Q(i)."""
 
@@ -136,7 +136,7 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
 
 # -- the graded-Tate regime ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpResult:
     subspace: Subspace  # over Q, inside Hom(M/W_pM, W_pM)
     regime: str         # "TATE_EXACT"
@@ -275,11 +275,14 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
     """
     tr.check_triple(mu)
     _check_graded_tate(mh.graded_mhs(mu.graded))
+    if height < 1:
+        raise MhsError("height must be at least 1")
     cuts = mu.W.jumps[:-1]
     n_large_per_p = {p: 0 for p in cuts}
     all_large = 0
     for i in range(n_samples):
-        alpha = tr.sample_point(mu, f"{seed}:{i}", height)
+        alpha = tr._sample(mu, random.Random(f"{seed}:{i}"), height,
+                           imaginary=True)
         m = tr.build_mhs(mu, alpha)
         detail = _detail(m)
         for p, res in detail:
@@ -289,7 +292,8 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
             all_large += 1
     degenerate = []
     for j in range(3):
-        alpha = tr.sample_rational_point(mu, f"{seed}:deg:{j}", height)
+        alpha = tr._sample(mu, random.Random(f"{seed}:deg:{j}"), height,
+                           imaginary=False)
         m = tr.build_mhs(mu, alpha)
         detail = _detail(m)
         degenerate.append({

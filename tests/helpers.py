@@ -8,6 +8,7 @@ from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
+from mhslab.errors import DimensionMismatchError
 from mhslab.field import Q, QI, GaussRat
 from mhslab.linalg import Subspace
 
@@ -15,6 +16,25 @@ from mhslab.linalg import Subspace
 def kron_vec(u, v):
     """u (x) v with every product formed: the oracle for la.kron_vec."""
     return tuple(x * y for x in u for y in v)
+
+
+def mat_mul(a, b):
+    """a . b with every product formed: the oracle for la.mat_mul."""
+    if a and b and len(a[0]) != len(b):
+        raise DimensionMismatchError(
+            f"cannot multiply {len(a[0])}-col by {len(b)}-row")
+    bt = la.transpose(b)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), 0 * row[0])
+                       for col in bt)
+                 for row in a)
+
+
+def mat_vec(a, v):
+    """a . v with every product formed: the oracle for la.mat_vec."""
+    if a and len(a[0]) != len(v):
+        raise DimensionMismatchError("matrix/vector size mismatch")
+    return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v else 0
+                 for row in a)
 
 
 def random_invertible(rng: random.Random, n: int):

@@ -1,6 +1,8 @@
 """Lifting graded subobjects, construction terms, loci along pencils."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,17 @@ def kummer_pencil(shift=GaussRat(0)):
     psi0 = la.mat(QI, [[shift], [1]])
     dpsi = la.mat(QI, [[1], [0]])
     return lo.Pencil(mu, -2, x, y, psi0, dpsi)
+
+
+def test_slotted_dataclasses_pickle_and_deep_copy():
+    pen = kummer_pencil()
+    for obj in (pen.triple.W.steps[0][1], corpus.kummer_mhs(I), pen.triple,
+                pen.x, pen, lo.locus_on_pencil(pen, PROJ_VEC, END)):
+        # Subspace, MixedHodgeStructure, Triple, SPoint, Pencil, LocusResult
+        assert not hasattr(obj, "__dict__")
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(back) is type(obj)
+            assert back == obj and hash(back) == hash(obj)
 
 
 def test_pencil_members():

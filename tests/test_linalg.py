@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import kron_vec
 from mhslab import corpus
 from mhslab import linalg as la
@@ -69,6 +70,70 @@ def test_kron_vec_matches_the_multiplying_oracle(field, data):
     out = la.kron_vec(u, v)
     assert out == kron_vec(u, v)
     assert [type(x) for x in out] == [type(x) for x in kron_vec(u, v)]
+
+
+def _elem(field):
+    return fractions if field == Q else gauss(fractions, fractions)
+
+
+def _types(out):
+    return [[type(x) for x in row] for row in out]
+
+
+def _check_products(a, b, v):
+    out = la.mat_mul(a, b)
+    assert out == helpers.mat_mul(a, b)
+    assert _types(out) == _types(helpers.mat_mul(a, b))
+    out = la.mat_vec(a, v)
+    assert out == helpers.mat_vec(a, v)
+    assert [type(x) for x in out] == [type(x) for x in helpers.mat_vec(a, v)]
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.sampled_from([(Q, Q), (Q, QI), (QI, Q), (QI, QI)]),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_mat_mul_and_mat_vec_match_the_multiplying_oracles(fields, m, k, n,
+                                                           data):
+    """Sparse matrices of every shape up to 3 x 3, empty ones included."""
+    fa, fb = fields
+    sparse = [st.lists(st.one_of(st.just(0), _elem(f)), min_size=size,
+                       max_size=size) for f, size in ((fa, k), (fb, n), (fb, k))]
+    a = la.mat(fa, [data.draw(sparse[0]) for _ in range(m)])
+    b = la.mat(fb, [data.draw(sparse[1]) for _ in range(k)])
+    _check_products(a, b, la.mat(fb, [data.draw(sparse[2])])[0])
+
+
+@pytest.mark.parametrize("fa, fb", [(Q, Q), (Q, QI), (QI, QI)])
+def test_products_with_zero_rows_and_columns_keep_the_field(fa, fb):
+    """A product whose every term is skipped still has the field of the
+    product: a rational matrix times a zero Q(i) vector gives GaussRats."""
+    a = la.mat(fa, [[0, 0, 0], [1, 0, 2], [0, 0, 0]])
+    b = la.mat(fb, [[0, 3], [0, 0], [0, -1]])
+    for v in (la.mat(fb, [[0, 0, 0]])[0], la.mat(fb, [[0, 5, 0]])[0]):
+        _check_products(a, b, v)
+        _check_products(la.zeros(fa, 2, 3), b, v)
+    assert all(type(x) is type(b[0][0]) for row in la.mat_mul(a, b) for x in row)
+    for a, b, v in [((), b, ()), (((), ()), (), ()), (a, ((), (), ()), v)]:
+        _check_products(a, b, v)
+
+
+gauss_operands = st.one_of(gauss(fractions, fractions),
+                           gauss(fractions, st.just(0)),
+                           gauss(st.integers(-9, 9), st.integers(-9, 9)),
+                           fractions, st.integers(-9, 9))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(gauss_operands.filter(lambda x: isinstance(x, GaussRat)),
+       gauss_operands)
+def test_gauss_rat_mul_matches_the_four_product_formula(x, y):
+    """Real and non-real factors, both orders, int and Fraction operands."""
+    c = y if isinstance(y, GaussRat) else GaussRat(y)
+    re, im = x.re * c.re - x.im * c.im, x.re * c.im + x.im * c.re
+    for out in (x, c, x * y, y * x):
+        assert type(out) is GaussRat
+        assert type(out.re) is Fraction and type(out.im) is Fraction
+    assert x * y == y * x == GaussRat(re, im)
 
 
 @settings(max_examples=60)

@@ -98,6 +98,16 @@ def test_validate_and_gr_w_match_the_window_oracle():
     assert invalid >= 100
 
 
+def test_graded_pieces_cache_matches_the_uncached_function_and_is_bounded():
+    build = mh.graded_pieces.__wrapped__
+    ws = {m.W for m in oracle_structures()}
+    for m in oracle_structures():
+        assert mh.graded_pieces(m.W) == build(m.W)
+    info = mh.graded_pieces.cache_info()
+    assert info.maxsize is not None and len(ws) > info.maxsize
+    assert info.currsize <= info.maxsize
+
+
 # -- functors -----------------------------------------------------------------
 
 def test_tate_normalization():

@@ -16,8 +16,8 @@ from mhslab import loci as lo
 from mhslab import mhs as mh
 from mhslab import triples as tr
 from mhslab import unipotent as un
-from mhslab.errors import (DegenerateRangeError, NotASubobjectError,
-                           RegimeError, ResourceGuardError)
+from mhslab.errors import (DegenerateRangeError, MhsError,
+                           NotASubobjectError, RegimeError, ResourceGuardError)
 from mhslab.field import Q, QI, GaussRat, I, as_scalar
 from mhslab.linalg import Matrix, Subspace
 
@@ -569,3 +569,17 @@ def test_experiment_shape_and_determinism():
     for control in rep1["degenerate"]:
         assert control["failing_p"]  # rational points are degenerate
     assert 0 <= rep1["all_large_count"] <= 3
+
+
+def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
+        monkeypatch):
+    calls = []
+    problems = tr.triple_problems
+    monkeypatch.setattr(tr, "triple_problems",
+                        lambda mu: calls.append(mu) or problems(mu))
+    mh.graded_pieces.cache_clear()
+    un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
+    assert len(calls) == 1
+    assert mh.graded_pieces.cache_info().misses <= 8
+    with pytest.raises(MhsError, match="height"):
+        un.genericity_experiment(corpus.tate3_triple(), 1, "cnt", 0)
