@@ -124,7 +124,7 @@ def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
         d, ys = derive(term[2], m, xs)
         wp = d.W.at(term[1])
         sel, incl = la.coords_map(wp), la.inclusion_map(wp)
-        return mh.sub_mhs(d, wp), [la.mat_mul(sel, la.mat_mul(y, incl))
+        return mh._restrict(d, wp), [la.mat_mul(sel, la.mat_mul(y, incl))
                                    for y in ys]
     if head == "QUOT":
         d, ys = derive(term[2], m, xs)

@@ -165,7 +165,6 @@ class GradedPiece:
     dim: int
     pi_qi: Matrix   # over Q(i) with rational entries, dim x ambient; valid on W_n
     section: Matrix  # over Q, ambient x dim; pi . section = id, image in W_n
-    offset: int      # block offset in graded coordinates
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,7 +176,6 @@ def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
     share a few weight filtrations, held as distinct but equal objects.
     """
     pieces = []
-    offset = 0
     prev = Subspace.zero(Q, w.ambient_dim)
     for n, wn in w.steps:
         g = wn.dim - prev.dim
@@ -192,38 +190,35 @@ def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
         pw = la.mat_mul(pi, incl)  # g x dim(wn), surjective
         c = la.solve_matrix(Q, pw, la.identity(Q, g))
         section = la.mat_mul(incl, c)
-        pieces.append(GradedPiece(n, g, la.to_qi_mat(pi), section, offset))
-        offset += g
+        pieces.append(GradedPiece(n, g, la.to_qi_mat(pi), section))
         prev = wn
     return tuple(pieces)
 
 
 # -- validation -------------------------------------------------------------
 
-def _purity_window(n: int, fjumps: Iterable[int]) -> range:
-    fjumps = list(fjumps)
-    if not fjumps:
-        return range(0)
-    lo = min(min(fjumps), n - max(fjumps)) - 1
-    hi = max(max(fjumps), n - min(fjumps)) + 1
-    return range(lo, hi + 1)
-
-
 def validate_mhs(m: MixedHodgeStructure) -> List[str]:
     """Empty list iff m is a mixed Hodge structure; otherwise the failures.
 
     Gr^W_n is pure of weight n when G^p (+) conj G^{n+1-p} is all of it
-    for each p, G being the filtration gr_w induces there."""
+    for each p, G being the filtration gr_w induces there.  That can fail
+    only for p in [lo, hi], and G^p and G^{n+1-p} stay put between the
+    starts where p passes a jump j of F (p = j + 1) or n + 1 - p meets one
+    (p = n + 1 - j): one test per run, naming every p of a failing run."""
     problems = m.W.problems() + m.F.problems()
     if problems:
         return problems
+    fj = m.F.jumps
     for n, pure in gr_w(m):
-        for p in _purity_window(n, m.F.jumps):
-            fp, opp = pure.F.at(p), pure.F.at(n - p + 1).conj()
+        lo, hi = min(min(fj), n - max(fj)) - 1, max(max(fj), n - min(fj)) + 1
+        starts = sorted({lo} | {c for j in fj for c in (j + 1, n + 1 - j)
+                                if lo < c <= hi})
+        for first, end in zip(starts, starts[1:] + [hi + 1]):
+            fp, opp = pure.F.at(first), pure.F.at(n - first + 1).conj()
             if fp.dim + opp.dim != pure.dim or la.add(fp, opp).dim != pure.dim:
-                problems.append(
-                    f"Gr_{n} is not pure of weight {n}: "
-                    f"F^{p} (+) conj(F^{n - p + 1}) fails")
+                problems += [f"Gr_{n} is not pure of weight {n}: "
+                             f"F^{p} (+) conj(F^{n - p + 1}) fails"
+                             for p in range(first, end)]
     return problems
 
 
@@ -347,16 +342,14 @@ def tensor(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructur
 
 
 def dual(m: MixedHodgeStructure) -> MixedHodgeStructure:
-    dim = m.dim
-    w: Dict[int, Subspace] = {}
-    if m.W.jumps:
-        for k in range(-max(m.W.jumps) - 1, -min(m.W.jumps) + 1):
-            w[k] = la.annihilator(m.W.at(-k - 1))
-    f: Dict[int, Subspace] = {}
-    if m.F.jumps:
-        for p in range(-max(m.F.jumps), -min(m.F.jumps) + 2):
-            f[p] = la.annihilator(m.F.at(-p + 1))
-    return make_mhs(dim, w, f)
+    """W_k is the annihilator of W_{-k-1} and F^p that of F^{1-p}.  They
+    change only where -k-1 or 1-p meets a jump, so only those k and p are
+    formed, with the first k and the last p of the range they bound."""
+    w = {k: la.annihilator(m.W.at(-k - 1))
+         for k in [-n for n in m.W.jumps] + [-n - 1 for n in m.W.jumps[-1:]]}
+    f = {p: la.annihilator(m.F.at(1 - p))
+         for p in [-q for q in m.F.jumps] + [1 - q for q in m.F.jumps[:1]]}
+    return make_mhs(m.dim, w, f)
 
 
 def hom(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -375,10 +368,8 @@ def hom_mat(v, src_dim: int, tgt_dim: int) -> Matrix:
                  for j in range(tgt_dim))
 
 
-def sub_mhs(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
-    """Induced structure on a rational subspace; raises if not a subobject."""
-    if a_q.field != Q or a_q.ambient_dim != m.dim:
-        raise DimensionMismatchError("subspace must be rational, in the ambient space")
+def _restrict(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
+    """sub_mhs unchecked, for a subspace that carries a subobject (W_pM)."""
     sel = la.coords_map(a_q)
     sel_qi = la.to_qi_mat(sel)
     a_qi = a_q.to_qi()
@@ -387,9 +378,15 @@ def sub_mhs(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
          for n, s in m.W.steps}
     f = {p: la.apply_to_subspace(sel_qi, la.intersect(s, a_qi))
          for p, s in m.F.steps}
-    if k > 0 and not w:
-        w = {0: Subspace.full(Q, k)}
-    sub = make_mhs(k, w, f) if k > 0 else zero_mhs()
+    return make_mhs(k, w, f) if k > 0 else zero_mhs()
+
+
+def sub_mhs(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
+    """Induced structure on a rational subspace; raises if not a subobject.
+    A subspace enters the library here, so the result is validated."""
+    if a_q.field != Q or a_q.ambient_dim != m.dim:
+        raise DimensionMismatchError("subspace must be rational, in the ambient space")
+    sub = _restrict(m, a_q)
     problems = validate_mhs(sub)
     if problems:
         raise NotASubobjectError(problems)
@@ -410,7 +407,8 @@ def quotient_mhs(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
 
 
 def _push_forward(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
-    """quotient_mhs for a caller that has already built sub_mhs(m, a_q)."""
+    """quotient_mhs for a subobject a_q (checked by sub_mhs, or W_pM): a
+    quotient of a mixed Hodge structure by a subobject is one, unchecked."""
     p = la.quotient_map(a_q)
     p_qi = la.to_qi_mat(p)
     k = m.dim - a_q.dim
@@ -418,7 +416,7 @@ def _push_forward(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
         return zero_mhs()
     w = {n: la.apply_to_subspace(p, s) for n, s in m.W.steps}
     f = {q: la.apply_to_subspace(p_qi, s) for q, s in m.F.steps}
-    return check_valid(make_mhs(k, w, f))
+    return make_mhs(k, w, f)
 
 
 def gr_w(m: MixedHodgeStructure) -> List[Tuple[int, MixedHodgeStructure]]:
@@ -470,28 +468,27 @@ def power_hodge_classes(m: MixedHodgeStructure, a: int, b: int) -> Subspace:
 # -- Deligne bigrading and splitting ----------------------------------------
 
 def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
-    """I^{p,q} = F^p . W_{p+q} . (conj F^q . W_{p+q} + sum_j conj F^{q-j+1} . W_{p+q-j})."""
-    check_valid(m)
+    """I^{p,q} = F^p . W_n . (conj F^q . W_n + sum_{j>=2} conj F^{q-j+1} . W_{n-j}),
+    n = p + q, on a valid m.  Between two jumps of W a term grows with j,
+    so the term at each jump b = n - j holds the others: the sum runs over
+    the jumps b <= n - 2 of W, with terms conj F^{b-p+1} . W_b."""
     if m.dim == 0:
         return Bigrading(0, ())
     # I^{p,q} lies in F^p and W_{p+q} and meets F^{p+1} and W_{p+q-1} in
     # zero, so it vanishes unless p is a jump of F and p + q one of W.
+    w = [(n, s.to_qi()) for n, s in m.W.steps]
     comps = []
     for p in m.F.jumps:
-        for n in m.W.jumps:
-            q = n - p
-            wn = m.W.at(n).to_qi()
-            corr = la.intersect(m.F.at(q).conj(), wn)
-            j = 2
-            while True:
-                wlow = m.W.at(n - j).to_qi()
-                if wlow.is_zero():
-                    break
-                corr = la.add(corr, la.intersect(m.F.at(q - j + 1).conj(), wlow))
-                j += 1
+        lower, k = Subspace.zero(QI, m.dim), 0  # the sum over b < w[k][0]
+        for n, wn in w:
+            while w[k][0] <= n - 2:
+                b, wb = w[k]
+                lower = la.add(lower, la.intersect(m.F.at(b - p + 1).conj(), wb))
+                k += 1
+            corr = la.add(la.intersect(m.F.at(n - p).conj(), wn), lower)
             comp = la.intersect(la.intersect(m.F.at(p), wn), corr)
             if comp.dim:
-                comps.append(((p, q), comp))
+                comps.append(((p, n - p), comp))
     return Bigrading(m.dim, tuple(comps))
 
 

@@ -128,7 +128,9 @@ def check_tpoint(mu: Triple, alpha: TPoint) -> TPoint:
 # -- building structures from points ------------------------------------------
 
 def build_mhs(mu: Triple, alpha: TPoint) -> MixedHodgeStructure:
-    """Transport each graded Hodge filtration into the ambient space."""
+    """Transport each graded Hodge filtration into the ambient space.
+    mu must have passed check_triple and alpha is checked here, so the
+    result is a mixed Hodge structure by construction, not validated."""
     check_tpoint(mu, alpha)
     fjumps = sorted({p for _, g in mu.graded for p in g.F.jumps})
     f: Dict[int, Subspace] = {}
@@ -137,7 +139,7 @@ def build_mhs(mu: Triple, alpha: TPoint) -> MixedHodgeStructure:
         for (n, g), (_, a) in zip(mu.graded, alpha.sections):
             total = la.add(total, la.apply_to_subspace(a, g.F.at(p)))
         f[p] = total
-    return mh.check_valid(mh.make_mhs(mu.dim, dict(mu.W.steps), f))
+    return mh.make_mhs(mu.dim, dict(mu.W.steps), f)
 
 
 def spoint(mu: Triple, alpha: TPoint) -> SPoint:

@@ -49,8 +49,8 @@ def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
     if wp.is_zero() or wp.is_full():
         raise DegenerateRangeError(
             f"weight cut {p} leaves nothing on one side")
-    sub = mh.sub_mhs(m, wp)
-    quo = mh._push_forward(m, wp)  # sub_mhs has checked the subobject
+    # W_pM is a subobject of a valid M, so neither side is validated.
+    sub, quo = mh._restrict(m, wp), mh._push_forward(m, wp)
     proj = la.quotient_map(wp)
     section = la.solve_matrix(Q, proj, la.identity(Q, quo.dim))
     return WeightCut(m, wp, quo, proj, la.inclusion_map(wp),

@@ -37,6 +37,16 @@ def mat_vec(a, v):
                  for row in a)
 
 
+def graded_offsets(w: mh.WeightFiltration):
+    """(offset, piece) for each graded piece of w: the offset is the
+    running sum of the dimensions before it, where the piece's block
+    starts in graded coordinates."""
+    at = 0
+    for piece in mh.graded_pieces(w):
+        yield at, piece
+        at += piece.dim
+
+
 def random_invertible(rng: random.Random, n: int):
     """A random invertible integer matrix (unit upper x unit lower)."""
     upper = [[1 if i == j else (rng.randint(-3, 3) if j > i else 0)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_mhs, random_triple
+from helpers import graded_offsets, random_mhs, random_triple
 from test_triples import _perturbed_point
 from mhslab import cli, corpus
 from mhslab import linalg as la
@@ -101,13 +101,13 @@ def test_criterion_2_bigrading_axioms(capsys):
             for p in m.F.jumps:
                 assert gm.F.at(p).contains_subspace(
                     la.apply_to_subspace(a, m.F.at(p)))
-            for piece in mh.graded_pieces(m.W):
+            for offset, piece in graded_offsets(m.W):
                 block = la.mat_mul(a, la.to_qi_mat(piece.section))
                 ident = la.identity(QI, piece.dim)
                 for i in range(piece.dim):
-                    row = block[piece.offset + i]
+                    row = block[offset + i]
                     assert row == ident[i]
-                for r in range(piece.offset + piece.dim, m.dim):
+                for r in range(offset + piece.dim, m.dim):
                     assert all(x == GaussRat(0) for x in block[r])
 
 

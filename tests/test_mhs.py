@@ -5,16 +5,33 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import kron_vec, oracle_structures, random_mhs, tate_triple
-from mhslab import corpus
+from helpers import (graded_offsets, kron_vec, oracle_structures, random_mhs,
+                     tate_triple)
+from mhslab import cli, corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
+from mhslab import serialize as se
 from mhslab import triples as tr
 from mhslab.errors import MhsError, NotAnMhsError, NotASubobjectError
 from mhslab.field import Q, QI, GaussRat, I, zero
 from mhslab.linalg import Subspace
 
 SEEDS = range(12)
+
+
+def two_jump_mhs(k, valid=True):
+    """Dimension 2 with W jumping at -2k and 0 and F at -k and 0: Q(0)
+    extended by Q(k), or, with F^0 inside W_{-2k}, not a structure.  The
+    gaps between the jumps grow with k, the number of jumps does not."""
+    f0 = (GaussRat(1), GaussRat(0)) if not valid else (
+        GaussRat(Fraction(1, 3), 2), GaussRat(1))
+    return mh.make_mhs(2, {-2 * k: Subspace.span(Q, 2, [(1, 0)]),
+                           0: Subspace.full(Q, 2)},
+                       {-k: Subspace.full(QI, 2),
+                        0: Subspace.span(QI, 2, [f0])})
+
+
+GAP_CASES = (two_jump_mhs(10), two_jump_mhs(10, valid=False))
 
 
 # -- validation ---------------------------------------------------------------
@@ -52,6 +69,17 @@ def test_random_structures_validate():
         assert mh.is_valid(random_mhs(s))
 
 
+def purity_window(n, fjumps):
+    """Every integer p at which purity in weight n can fail, as
+    validate_mhs walked them before it visited only the runs of steps."""
+    fjumps = list(fjumps)
+    if not fjumps:
+        return range(0)
+    lo = min(min(fjumps), n - max(fjumps)) - 1
+    hi = max(max(fjumps), n - min(fjumps)) + 1
+    return range(lo, hi + 1)
+
+
 def _window_graded_f(m, piece, p):
     """F^p on a graded piece, as the image of F^p M ∩ W_n, at any p."""
     wn = m.W.at(piece.weight).to_qi()
@@ -66,7 +94,7 @@ def window_validate(m):
         return problems
     for piece in mh.graded_pieces(m.W):
         n = piece.weight
-        for p in mh._purity_window(n, m.F.jumps):
+        for p in purity_window(n, m.F.jumps):
             fp = _window_graded_f(m, piece, p)
             opp = _window_graded_f(m, piece, n - p + 1).conj()
             if la.intersect(fp, opp).dim != 0 or la.add(fp, opp).dim != piece.dim:
@@ -81,7 +109,7 @@ def window_gr_w(m):
     out = []
     for piece in mh.graded_pieces(m.W):
         f = {p: _window_graded_f(m, piece, p)
-             for p in mh._purity_window(piece.weight, m.F.jumps)}
+             for p in purity_window(piece.weight, m.F.jumps)}
         out.append((piece.weight, mh.make_mhs(
             piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)))
     return out
@@ -89,7 +117,7 @@ def window_gr_w(m):
 
 def test_validate_and_gr_w_match_the_window_oracle():
     invalid = 0
-    for m in oracle_structures():
+    for m in oracle_structures() + GAP_CASES:
         problems = mh.validate_mhs(m)
         assert problems == window_validate(m)
         invalid += bool(problems)
@@ -182,6 +210,49 @@ def test_tensor_matches_chained_sums():
         for x in factors[1:]:
             fast, slow = mh.tensor(fast, x), _chained_tensor(slow, x)
         assert fast == slow
+
+
+def range_dual(m):
+    """Reference for mh.dual: every integer k and p between the bounds set
+    by the jumps, as dual walked them before it visited only the jumps."""
+    w = {}
+    if m.W.jumps:
+        for k in range(-max(m.W.jumps) - 1, -min(m.W.jumps) + 1):
+            w[k] = la.annihilator(m.W.at(-k - 1))
+    f = {}
+    if m.F.jumps:
+        for p in range(-max(m.F.jumps), -min(m.F.jumps) + 2):
+            f[p] = la.annihilator(m.F.at(-p + 1))
+    return mh.make_mhs(m.dim, w, f)
+
+
+def test_dual_matches_the_range_oracle():
+    for m in oracle_structures() + GAP_CASES + (mh.zero_mhs(),):
+        assert mh.dual(m) == range_dual(m)
+
+
+def test_step_walks_reduce_as_often_at_any_gap(monkeypatch, tmp_path):
+    """validate, split and functors visit steps, not the integers between
+    them, so they make as many reductions at k = 10 as at k = 10^5."""
+    calls = []
+    rref = la._rref
+    monkeypatch.setattr(la, "_rref",
+                        lambda rows, field: calls.append(1) or rref(rows, field))
+    counts = {}
+    for k in (10, 10 ** 5):
+        path = tmp_path / f"gap{k}.json"
+        path.write_text(se.dumps(se.mhs_to_json(two_jump_mhs(k))))
+        invalid = two_jump_mhs(k, valid=False)
+        for verb in ("validate", "split", "functors"):
+            calls.clear()
+            assert cli.main([verb, str(path), "--out",
+                             str(tmp_path / "out.json")]) == 0
+            counts[k, verb] = len(calls)
+        calls.clear()
+        assert len(mh.validate_mhs(invalid)) > 2 * k
+        counts[k, "invalid"] = len(calls)
+    for key in ("validate", "split", "functors", "invalid"):
+        assert counts[10, key] == counts[10 ** 5, key], key
 
 
 def test_double_dual_identity():
@@ -320,6 +391,7 @@ def _bigrading_cases():
     for p in (-14, -6, -2):
         wp = m.W.at(p)
         yield mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
+    yield GAP_CASES[0]
 
 
 def test_bigrading_on_jumps_matches_grid():
@@ -336,13 +408,14 @@ def _splitting_oracle(m):
     if m.dim == 0:
         return ()
     big = mh.deligne_bigrading(m)
-    pieces = {piece.weight: piece for piece in mh.graded_pieces(m.W)}
+    pieces = {piece.weight: (offset, piece)
+              for offset, piece in graded_offsets(m.W)}
     z = (zero(QI),)
     src_cols = []
     tgt_cols = []
     for (p, q), comp in big.items():
-        piece = pieces[p + q]
-        before, after = piece.offset, m.dim - piece.offset - piece.dim
+        offset, piece = pieces[p + q]
+        before, after = offset, m.dim - offset - piece.dim
         for v in comp.basis:
             src_cols.append(v)
             tgt_cols.append(z * before + la.mat_vec(piece.pi_qi, v) + z * after)
@@ -357,9 +430,9 @@ def _inverted_splitting_projectors(m, alpha):
     """The weight projectors as u_p read them off the splitting alpha of
     m: the blocks of its inverse and of itself at each graded offset."""
     inv = la.invert(QI, alpha)
-    return [la.mat_mul(tuple(row[g.offset:g.offset + g.dim] for row in inv),
-                       alpha[g.offset:g.offset + g.dim])
-            for g in mh.graded_pieces(m.W)]
+    return [la.mat_mul(tuple(row[offset:offset + g.dim] for row in inv),
+                       alpha[offset:offset + g.dim])
+            for offset, g in graded_offsets(m.W)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_mhs, random_triple, tate_triple
+from helpers import (graded_offsets, oracle_structures, random_mhs,
+                     random_triple, tate_triple)
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
@@ -79,8 +80,8 @@ def _sections_oracle(m):
     ainv = la.invert(QI, mh.deligne_splitting(m))
     return tr.TPoint(tuple(
         (piece.weight,
-         tuple(row[piece.offset:piece.offset + piece.dim] for row in ainv))
-        for piece in mh.graded_pieces(m.W)))
+         tuple(row[offset:offset + piece.dim] for row in ainv))
+        for offset, piece in graded_offsets(m.W)))
 
 
 def test_sections_match_the_inverse_splitting_oracle():
@@ -167,7 +168,15 @@ def test_sampled_points_build_valid_structures():
         for maker in [tr.sample_point, tr.sample_rational_point]:
             alpha = maker(mu, f"v:{s}", 6)
             assert not tr.tpoint_problems(mu, alpha)
-            assert mh.is_valid(tr.build_mhs(mu, alpha))
+            m = tr.build_mhs(mu, alpha)
+            assert mh.is_valid(m) and tr.matches_triple(mu, m)
+    # build_mhs does not validate what it builds; these are its checks.
+    for i, m in enumerate(m for m in oracle_structures() if mh.is_valid(m)):
+        mu = tr.triple_of(m)
+        assert tr.build_mhs(mu, tr.sections_from_mhs(mu, m)) == m
+        for maker in [tr.sample_point, tr.sample_rational_point]:
+            built = tr.build_mhs(mu, maker(mu, f"oracle:{i}", 6))
+            assert mh.is_valid(built) and tr.matches_triple(mu, built)
 
 
 # -- dimension of the space -----------------------------------------------------

@@ -7,8 +7,8 @@ from math import gcd
 from typing import Sequence
 
 import pytest
-from helpers import (oracle_structures, random_mhs, random_pure_piece,
-                     tate_triple)
+from helpers import (graded_offsets, oracle_structures, random_mhs,
+                     random_pure_piece, tate_triple)
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -264,7 +264,7 @@ def _u_p_by_public_search(m, p):
     h = mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
     rep = un.ext_class_rep(m, p)
     unit = la.identity(Q, h.dim)
-    blocks = [unit[g.offset:g.offset + g.dim] for g in mh.graded_pieces(h.W)]
+    blocks = [unit[offset:offset + g.dim] for offset, g in graded_offsets(h.W)]
     for size in range(h.dim + 1):
         for subset in combinations(range(len(blocks)), size):
             rows = [row for idx in subset for row in blocks[idx]]
@@ -349,8 +349,8 @@ def _bounded_height_candidates(h):
     lines = [(a, b) for a in range(3) for b in range(-2, 3)
              if gcd(a, b) == 1 and (a, b) > (0, 0)]
     choices = []
-    for g in mh.graded_pieces(h.W):
-        unit = la.identity(Q, h.dim)[g.offset:g.offset + g.dim]
+    for offset, g in graded_offsets(h.W):
+        unit = la.identity(Q, h.dim)[offset:offset + g.dim]
         options = [[], list(unit)]
         if g.dim == 2:
             options += [[tuple(a * x + b * y for x, y in zip(*unit))]
@@ -527,7 +527,7 @@ def test_degree3_bound_on_a_three_step_member():
         assert g3.to_qi().contains(v)
 
 
-def test_weight_cut_validates_each_side_once(monkeypatch):
+def test_weight_cut_validates_neither_side(monkeypatch):
     m = tate3_mhs("cut-count")
     calls = []
     validate = mh.validate_mhs
@@ -536,7 +536,21 @@ def test_weight_cut_validates_each_side_once(monkeypatch):
     for p in m.W.jumps[:-1]:
         calls.clear()
         un.weight_cut(m, p)
-        assert len(calls) == 2  # the structures on W_pM and M/W_pM
+        assert len(calls) == 0  # W_pM is a subobject of a valid M
+
+
+def test_weight_cut_sides_are_the_checked_sub_and_quotient():
+    members = [m for m in oracle_structures() if mh.is_valid(m)]
+    members += [tate3_mhs(f"sides:{s}", rational) for s in range(2)
+                for rational in (False, True)]
+    for m in members:
+        for p in m.W.jumps[:-1]:
+            cut = un.weight_cut(m, p)
+            sub = mh.sub_mhs(m, cut.wp)  # raises unless valid
+            assert mh._restrict(m, cut.wp) == sub
+            assert mh.is_valid(cut.quo)
+            assert cut.quo == mh.quotient_mhs(m, cut.wp)
+            assert cut.h == mh.hom(cut.quo, sub)
 
 
 def test_resource_guard(monkeypatch):
@@ -573,13 +587,19 @@ def test_experiment_shape_and_determinism():
 
 def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
         monkeypatch):
-    calls = []
+    calls, validated = [], []
     problems = tr.triple_problems
     monkeypatch.setattr(tr, "triple_problems",
                         lambda mu: calls.append(mu) or problems(mu))
+    validate = mh.validate_mhs
+    monkeypatch.setattr(mh, "validate_mhs",
+                        lambda m: validated.append(m) or validate(m))
     mh.graded_pieces.cache_clear()
     un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
     assert len(calls) == 1
     assert mh.graded_pieces.cache_info().misses <= 8
+    # The 3 graded pieces of the triple, and each u_p checked as a
+    # subobject at 2 cuts of 5 members; no member or cut is re-validated.
+    assert len(validated) <= 13
     with pytest.raises(MhsError, match="height"):
         un.genericity_experiment(corpus.tate3_triple(), 1, "cnt", 0)
