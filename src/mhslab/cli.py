@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -159,11 +158,11 @@ def _cmd_lift(args, digests):
 def _cmd_locus(args, digests):
     pencil = se.pencil_from_json(_read_json(args.file, digests))
     try:
-        vector = [Fraction(x) for x in json.loads(args.vector)]
+        vector = json.loads(args.vector)
         construction = json.loads(args.construction)
-    except (json.JSONDecodeError, ValueError, TypeError,
-            ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad --vector/--construction: {exc}") from exc
+    (vector,) = se.matrix_from_json(Q, [vector], "vector")
     res = lo.locus_on_pencil(pencil, vector, construction)
     doc = {"run": _run_record("locus", digests),
            "kind": res.kind,

@@ -285,38 +285,25 @@ def add(u: Subspace, v: Subspace) -> Subspace:
 
 
 def kernel(field: str, a: Matrix, ncols: Optional[int] = None) -> Subspace:
-    """Kernel of the matrix a acting on column vectors."""
+    """Kernel of the matrix a acting on column vectors: the annihilator of
+    the row space of a."""
     if ncols is None:
         if not a:
             raise DimensionMismatchError("cannot infer kernel ambient from empty matrix")
         ncols = len(a[0])
     if not a:
         return Subspace.full(field, ncols)
-    red, pivots = _rref([[as_scalar(field, x) for x in row] for row in a], field)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    vecs = []
-    for c in free:
-        v = [zero(field)] * ncols
-        v[c] = one(field)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][c]
-        vecs.append(v)
-    return Subspace.span(field, ncols, vecs)
-
-
-def equations(u: Subspace) -> Matrix:
-    """Rows r with u = {x : r . x = 0 for all r} (dot product, no conjugation)."""
-    return kernel(u.field, u.basis, u.ambient_dim).basis
+    return annihilator(Subspace.span(field, ncols, a))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """The common kernel of the equations of u and of v."""
     _check_compatible(u, v)
     if u.is_full():
         return v
     if v.is_full():
         return u
-    return kernel(u.field, equations(u) + equations(v), u.ambient_dim)
+    return kernel(u.field, quotient_map(u) + quotient_map(v), u.ambient_dim)
 
 
 def image(field: str, a: Matrix, nrows: Optional[int] = None) -> Subspace:
@@ -336,21 +323,10 @@ def apply_to_subspace(a: Matrix, u: Subspace, field: Optional[str] = None) -> Su
     return Subspace.span(field, nrows, vecs)
 
 
-def preimage(a: Matrix, u: Subspace) -> Subspace:
-    """{x : a x in u}."""
-    if not a:
-        raise DimensionMismatchError("empty matrix in preimage")
-    if len(a) != u.ambient_dim:
-        raise DimensionMismatchError("matrix target does not match subspace ambient")
-    eqs = equations(u)
-    if not eqs:
-        return Subspace.full(u.field, len(a[0]))
-    return kernel(u.field, mat_mul(eqs, a), len(a[0]))
-
-
 def annihilator(u: Subspace) -> Subspace:
-    """Functionals vanishing on u, in dual coordinates."""
-    return kernel(u.field, u.basis, u.ambient_dim)
+    """Functionals vanishing on u, in dual coordinates: the span of the
+    rows of quotient_map(u), which are the equations of u."""
+    return Subspace.span(u.field, u.ambient_dim, quotient_map(u))
 
 
 def quotient_map(u: Subspace) -> Matrix:
@@ -384,30 +360,31 @@ def inclusion_map(u: Subspace) -> Matrix:
 
 
 def solve(field: str, a: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of a x = b, or None."""
-    if not a:
-        return () if not any(b) else None
-    n = len(a[0])
-    aug = [[as_scalar(field, x) for x in row] + [as_scalar(field, y)]
-           for row, y in zip(a, b)]
-    red, pivots = _rref(aug, field)
-    x = [zero(field)] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return tuple(x)
+    """One solution of a x = b, or None: the one-column solve_matrix."""
+    x = solve_matrix(field, a, tuple((y,) for y in b))
+    return None if x is None else tuple(row[0] for row in x)
 
 
 def solve_matrix(field: str, a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """X with a X = b, solved column by column."""
-    cols = []
-    for col in transpose(b):
-        x = solve(field, a, col)
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(tuple(cols))
+    """X with a X = b from one reduction of [a | b], or None if a pivot
+    falls in the b columns.  X has the reduced rows of the b columns at
+    the pivots of a and zeros on the free variables, the one solution
+    that vanishes there.  A b with no columns gives ()."""
+    k = len(b[0]) if b else 0
+    if not k:
+        return ()
+    if not a:
+        return None if any(map(any, b)) else ()
+    n = len(a[0])
+    red, pivots = _rref([[as_scalar(field, x) for x in ra] +
+                         [as_scalar(field, y) for y in rb]
+                         for ra, rb in zip(a, b)], field)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [(zero(field),) * k] * n
+    for row, p in zip(red, pivots):
+        x[p] = row[n:]
+    return tuple(x)
 
 
 def invert(field: str, a: Matrix) -> Matrix:

@@ -235,7 +235,7 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     while any(w):
         coeffs.append(w)
         w = tuple(c * Fraction(-1, len(coeffs)) for c in la.mat_vec(y, w))
-    eqs = la.equations(d.F.at(0))
+    eqs = la.quotient_map(d.F.at(0))
     g: List[GaussRat] = []
     for poly in la.transpose(tuple(la.mat_vec(eqs, c) for c in coeffs)):
         g = _poly_gcd(g, poly)

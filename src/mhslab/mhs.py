@@ -143,8 +143,6 @@ class MixedHodgeStructure:
             raise DimensionMismatchError("filtrations do not match ambient dimension")
 
 
-MHS = MixedHodgeStructure
-
 
 @dataclass(frozen=True, slots=True)
 class Bigrading:
@@ -312,18 +310,18 @@ def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, Vector]],
 
 def direct_sum(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
     dim = m.dim + n.dim
-    def pad_m(s: Subspace, field):
+    def pad_m(s: Subspace):
         z = [0] * n.dim
         return [list(row) + z for row in s.basis]
-    def pad_n(s: Subspace, field):
+    def pad_n(s: Subspace):
         z = [0] * m.dim
         return [z + list(row) for row in s.basis]
     w = {}
     for k in sorted(set(m.W.jumps) | set(n.W.jumps)):
-        w[k] = Subspace.span(Q, dim, pad_m(m.W.at(k), Q) + pad_n(n.W.at(k), Q))
+        w[k] = Subspace.span(Q, dim, pad_m(m.W.at(k)) + pad_n(n.W.at(k)))
     f = {}
     for p in sorted(set(m.F.jumps) | set(n.F.jumps)):
-        f[p] = Subspace.span(QI, dim, pad_m(m.F.at(p), QI) + pad_n(n.F.at(p), QI))
+        f[p] = Subspace.span(QI, dim, pad_m(m.F.at(p)) + pad_n(n.F.at(p)))
     return make_mhs(dim, w, f)
 
 

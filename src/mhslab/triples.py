@@ -296,9 +296,9 @@ def truncate(mu: Triple, p: int) -> Tuple[Triple, Triple]:
 def truncate_point(mu: Triple, p: int, alpha: TPoint) -> Tuple[TPoint, TPoint]:
     """Restrict and project a section tuple to the truncated triples; in
     the graded coordinates they share with mu (see truncate), each section
-    is just its image in W_p or M/W_p."""
+    is just its image in W_p or M/W_p.  mu must have passed check_triple;
+    alpha is checked here."""
     check_tpoint(mu, alpha)
-    check_triple(mu)
     wp = mu.W.at(p)
     if wp.is_zero():
         return TPoint(()), alpha
@@ -341,8 +341,8 @@ def fiber_point(mu: Triple, p: int, x: SPoint, y: SPoint,
 
 
 def fiber_dim(mu: Triple, p: int, x: SPoint, y: SPoint) -> int:
-    """Dimension of the space of points lying over a truncated pair."""
-    check_triple(mu)
+    """Dimension of the space of points lying over a truncated pair.
+    mu must have passed check_triple."""
     wp = mu.W.at(p)
     if wp.is_zero() or wp.is_full():
         return 0

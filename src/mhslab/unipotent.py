@@ -25,8 +25,6 @@ from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Triple
 
-GUARD_ENV = mh.GUARD_ENV  # the guard lives in mhs.tensor; kept importable here
-
 
 # -- the weight cut -----------------------------------------------------------
 

@@ -9,7 +9,7 @@ from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
 from mhslab.errors import DimensionMismatchError
-from mhslab.field import Q, QI, GaussRat
+from mhslab.field import Q, QI, GaussRat, as_scalar, one, zero
 from mhslab.linalg import Subspace
 
 
@@ -35,6 +35,78 @@ def mat_vec(a, v):
         raise DimensionMismatchError("matrix/vector size mismatch")
     return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v else 0
                  for row in a)
+
+
+# -- the free-column kernel and column-by-column solves: oracles -------------
+
+def kernel(field, a, ncols=None):
+    """The kernel of a built from its own free-column loop: the oracle for
+    la.kernel, which spans the rows of quotient_map instead."""
+    if ncols is None:
+        if not a:
+            raise DimensionMismatchError("cannot infer kernel ambient from empty matrix")
+        ncols = len(a[0])
+    if not a:
+        return Subspace.full(field, ncols)
+    red, pivots = la._rref([[as_scalar(field, x) for x in row] for row in a], field)
+    vecs = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [zero(field)] * ncols
+        v[c] = one(field)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][c]
+        vecs.append(v)
+    return Subspace.span(field, ncols, vecs)
+
+
+def equations(u: Subspace):
+    """Rows r with u = {x : r . x = 0}: the reduced basis of the kernel of
+    u's basis."""
+    return kernel(u.field, u.basis, u.ambient_dim).basis
+
+
+def annihilator(u: Subspace) -> Subspace:
+    """Functionals vanishing on u, as the kernel of u's basis."""
+    return kernel(u.field, u.basis, u.ambient_dim)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u and v cut out by the reduced equations of each."""
+    if u.is_full():
+        return v
+    if v.is_full():
+        return u
+    return kernel(u.field, equations(u) + equations(v), u.ambient_dim)
+
+
+def solve(field, a, b):
+    """One solution of a x = b, zero on the free variables, or None, from
+    one reduction of [a | b] per right-hand side."""
+    if not a:
+        return () if not any(b) else None
+    n = len(a[0])
+    aug = [[as_scalar(field, x) for x in row] + [as_scalar(field, y)]
+           for row, y in zip(a, b)]
+    red, pivots = la._rref(aug, field)
+    x = [zero(field)] * n
+    for row, p in zip(red, pivots):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return tuple(x)
+
+
+def solve_matrix(field, a, b):
+    """X with a X = b, solved column by column."""
+    cols = []
+    for col in la.transpose(b):
+        x = solve(field, a, col)
+        if x is None:
+            return None
+        cols.append(x)
+    return la.transpose(tuple(cols))
 
 
 def graded_offsets(w: mh.WeightFiltration):

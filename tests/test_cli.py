@@ -218,6 +218,27 @@ def test_fiber_verb(capsys, pencil_file):
     assert tr.mhs_of_spoint(s) == corpus.kummer_mhs(I)
 
 
+def test_fiber_and_truncate_point_check_the_triple_where_it_enters(
+        capsys, tmp_path, pencil_file, monkeypatch):
+    """fiber_dim and truncate_point take a checked triple: the triple is
+    checked on reading, by truncate and by fiber_point's truncate."""
+    calls = []
+    problems = tr.triple_problems
+    monkeypatch.setattr(tr, "triple_problems",
+                        lambda mu: calls.append(mu) or problems(mu))
+    assert cli.main(["fiber", pencil_file, "--t", "i"]) == 0
+    assert len(calls) == 3
+    mu = corpus.tate3_triple()
+    mu_file = write(tmp_path, "mu.json", se.triple_to_json(mu))
+    point_file = write(tmp_path, "pt.json",
+                       se.tpoint_to_json(tr.sample_point(mu, "pt", 5)))
+    calls.clear()
+    assert cli.main(["truncate", "--triple", mu_file, "--p", "-2",
+                     "--point", point_file]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("dpsi, problem", [
     ([["1"], ["0"], ["2"]], "cannot multiply 2-col by 3-row"),
     ([["1", "5"], ["0", "7"]], "direction does not take values in the "
@@ -263,6 +284,16 @@ def test_locus_verb(capsys, pencil_file):
     assert cli.main(["locus", pencil_file, "--vector", '["1/0", "0"]',
                      "--construction", '"SELF"']) == 2
     capsys.readouterr()
+    # Only a JSON array of rational strings is a vector: a string is not
+    # read character by character, and no bool, float or exponent passes.
+    for vector, message in [('"1001"', "expected rows"),
+                            ("[true,false,false,true]", "expected a scalar string"),
+                            ("[0.5,0,0,1]", "expected a scalar string"),
+                            ('["1/2","0","0","1e3"]', "malformed scalar"),
+                            ('["1","0","0",1]', "expected a scalar string")]:
+        assert cli.main(["locus", pencil_file, "--vector", vector,
+                         "--construction", '["HOM","SELF","SELF"]']) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_up_and_u_large_verbs(capsys, kummer_file, tmp_path):

@@ -157,8 +157,6 @@ def test_lattice_examples():
     diag = Subspace.span(Q, 2, [(1, 1)])
     assert la.intersect(diag, e1).dim == 0
     assert la.add(e1, e2).is_full()
-    proj = la.mat(Q, [[1, 0], [0, 0]])
-    assert la.preimage(proj, e1).is_full()
 
 
 # -- rational structure -------------------------------------------------------
@@ -404,6 +402,118 @@ def test_degree3_bound_on_a_cm_member_keeps_entries_bounded(capped_rows):
     capped_rows.undo()
     assert g3.dim == 5
     assert g3 == by_division(un.mt_lie_upper_bound, m, 3)
+
+
+# -- kernels from quotient_map rows, solves from one reduction ---------------
+
+def _same_entries(got, want):
+    """Equal entry for entry and type for type; None and () compare as is."""
+    assert got == want
+    if got:
+        assert _types(got) == _types(want)
+
+
+def _check_against_oracles(field, a, n, bs):
+    """The kernel, annihilator, equations and every solve of a against the
+    free-column and column-by-column oracles in helpers."""
+    _same_entries(la.kernel(field, a, n).basis, helpers.kernel(field, a, n).basis)
+    u = Subspace.span(field, n, a)
+    assert la.annihilator(u) == helpers.annihilator(u)
+    assert la.annihilator(u).basis == helpers.equations(u)
+    assert la.kernel(field, la.quotient_map(u), n) == u
+    for b in bs:
+        x = la.solve_matrix(field, a, b)
+        _same_entries(x, helpers.solve_matrix(field, a, b))
+        if x:
+            assert la.mat_mul(a, x) == tuple(b)
+        for col in la.transpose(b):
+            y = la.solve(field, a, col)
+            assert y == helpers.solve(field, a, col)
+            if y:
+                assert [type(v) for v in y] == [type(v) for v in
+                                                helpers.solve(field, a, col)]
+    if a and len(a) == n:
+        want = helpers.solve_matrix(field, a, la.identity(field, n))
+        if want is None:
+            with pytest.raises(DimensionMismatchError):
+                la.invert(field, a)
+        else:
+            _same_entries(la.invert(field, a), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields_and_matrices, st.integers(0, 3), st.data())
+def test_kernel_and_solves_match_the_oracles(case, k, data):
+    """Rank-deficient and full-rank matrices, with a consistent, a drawn
+    (mostly inconsistent), a zero and a zero-column right-hand side."""
+    field, rows = case
+    a = la.mat(field, rows)
+    m, n = len(a), len(a[0])
+    x = la.mat(field, [data.draw(st.lists(scalars(field), min_size=k, max_size=k))
+                       for _ in range(n)])
+    drawn = la.mat(field, [data.draw(st.lists(scalars(field), min_size=k,
+                                              max_size=k)) for _ in range(m)])
+    bs = [la.mat_mul(a, x) if k else ((),) * m, drawn, la.zeros(field, m, k),
+          ((),) * m]
+    _check_against_oracles(field, a, n, bs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Q, QI]).flatmap(
+    lambda f: st.tuples(st.just(f), rows_strategy(f, 4), rows_strategy(f, 4))))
+def test_intersect_matches_the_equations_oracle(case):
+    field, rows_u, rows_v = case
+    u, v = (la.rref(field, rows, ambient_dim=4) for rows in (rows_u, rows_v))
+    for x, y in [(u, v), (u, Subspace.full(field, 4)), (Subspace.zero(field, 4), v)]:
+        got = la.intersect(x, y)
+        assert got == helpers.intersect(x, y)
+        assert all(type(e) is ENTRY_TYPE[field] for row in got.basis for e in row)
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_empty_zero_and_full_rank_systems_match_the_oracles(field):
+    rank2 = la.mat(field, [[1, 2, 3], [2, 4, 7], [1, 2, 4]])
+    cases = [(la.zeros(field, 2, 3), 3), (la.identity(field, 3), 3),
+             (la.mat(field, [[2, 1], [1, 1]]), 2), (rank2, 3)]
+    for a, n in cases:
+        m = len(a)
+        _check_against_oracles(field, a, n, [
+            la.zeros(field, m, 2), la.identity(field, m), ((),) * m, (),
+            la.mat(field, [[1, 0]] + [[0, 0]] * (m - 1))])
+    # The empty system: a and b with no rows.
+    for b in [(), ((), ())]:
+        assert la.solve_matrix(field, (), b) == helpers.solve_matrix(field, (), b) == ()
+    assert la.solve(field, (), ()) == helpers.solve(field, (), ()) == ()
+    assert la.kernel(field, (), 3) == helpers.kernel(field, (), 3) == Subspace.full(field, 3)
+    for kernel in (la.kernel, helpers.kernel):
+        with pytest.raises(DimensionMismatchError):
+            kernel(field, ())
+    assert la.invert(field, ()) == ()
+
+
+def _count_rref(monkeypatch):
+    calls = []
+    rref = la._rref
+    monkeypatch.setattr(la, "_rref",
+                        lambda rows, field: calls.append(1) or rref(rows, field))
+    return calls
+
+
+def test_intersect_invert_and_solve_matrix_reduce_once_or_twice(monkeypatch):
+    """intersect of two proper subspaces reduces their stacked equations
+    and then those of the result; invert and solve_matrix reduce [a | b]
+    once."""
+    u = Subspace.span(QI, 4, [(1, 2, 0, 1), (0, 1, 1, 0)])
+    v = Subspace.span(QI, 4, [(1, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)])
+    a = la.mat(Q, [[1, 2, 0], [3, 5, 1], [0, 1, 4]])
+    calls = _count_rref(monkeypatch)
+    la.intersect(u, v)
+    assert len(calls) == 2
+    for run in (lambda: la.invert(Q, a),
+                lambda: la.solve_matrix(Q, a, la.mat(Q, [[1, 0], [0, 1], [2, 2]]))):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 # -- scalar serialization -----------------------------------------------------

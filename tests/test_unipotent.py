@@ -555,7 +555,7 @@ def test_weight_cut_sides_are_the_checked_sub_and_quotient():
 
 def test_resource_guard(monkeypatch):
     m = corpus.kummer_mhs(I)
-    monkeypatch.setenv(un.GUARD_ENV, "10")
+    monkeypatch.setenv(mh.GUARD_ENV, "10")
     products = []
     build = mh._products
     monkeypatch.setattr(mh, "_products",
@@ -563,10 +563,10 @@ def test_resource_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 4)  # 2^4 = 16 > 10
     assert not products  # refused before any power was formed
-    monkeypatch.setenv(un.GUARD_ENV, "sixteen")
+    monkeypatch.setenv(mh.GUARD_ENV, "sixteen")
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 2)
-    monkeypatch.delenv(un.GUARD_ENV)
+    monkeypatch.delenv(mh.GUARD_ENV)
     assert un.mt_lie_upper_bound(m, 2).dim >= 1
 
 
@@ -594,9 +594,17 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     validate = mh.validate_mhs
     monkeypatch.setattr(mh, "validate_mhs",
                         lambda m: validated.append(m) or validate(m))
+    reductions = []
+    rref = la._rref
+    monkeypatch.setattr(la, "_rref", lambda rows, field:
+                        reductions.append(1) or rref(rows, field))
     mh.graded_pieces.cache_clear()
     un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
     assert len(calls) == 1
+    # Equations are quotient_map rows and each solve is one reduction
+    # (1,163 reductions when equations were reduced twice more and
+    # solve_matrix went column by column).
+    assert len(reductions) <= 772
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple, and each u_p checked as a
     # subobject at 2 cuts of 5 members; no member or cut is re-validated.
