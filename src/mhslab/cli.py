@@ -10,6 +10,7 @@ violations, 5 resource-guard trips.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -201,10 +202,11 @@ def _cmd_mt_bound(args, digests):
 
 
 def _cmd_experiment(args, digests):
+    # triple_from_json checks a triple file, and the corpus triple is
+    # checked by the tests, so the experiment does not check it again.
     mu = (se.triple_from_json(_read_json(args.triple, digests))
           if args.triple else corpus.tate3_triple())
-    report = un.genericity_experiment(mu, args.samples, args.seed,
-                                      args.height)
+    report = un._experiment(mu, args.samples, args.seed, args.height)
     report["run"] = _run_record("experiment", digests, seed=str(args.seed),
                                 samples=args.samples, height=args.height)
     return report, EXIT_OK
@@ -297,9 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     digests: Dict[str, str] = {}
     try:
         doc, code = args.fn(args, digests)

@@ -280,7 +280,13 @@ def rref(field: str, rows: Iterable[Iterable], ambient_dim: Optional[int] = None
 
 
 def add(u: Subspace, v: Subspace) -> Subspace:
+    """u + v.  A zero or full operand gives the other one or itself with
+    no reduction: every Subspace holds its reduced echelon basis."""
     _check_compatible(u, v)
+    if u.is_zero() or v.is_full():
+        return v
+    if v.is_zero() or u.is_full():
+        return u
     return Subspace.span(u.field, u.ambient_dim, u.basis + v.basis)
 
 
@@ -299,10 +305,10 @@ def kernel(field: str, a: Matrix, ncols: Optional[int] = None) -> Subspace:
 def intersect(u: Subspace, v: Subspace) -> Subspace:
     """The common kernel of the equations of u and of v."""
     _check_compatible(u, v)
-    if u.is_full():
-        return v
-    if v.is_full():
+    if u.is_zero() or v.is_full():
         return u
+    if v.is_zero() or u.is_full():
+        return v
     return kernel(u.field, quotient_map(u) + quotient_map(v), u.ambient_dim)
 
 
@@ -369,12 +375,14 @@ def solve_matrix(field: str, a: Matrix, b: Matrix) -> Optional[Matrix]:
     """X with a X = b from one reduction of [a | b], or None if a pivot
     falls in the b columns.  X has the reduced rows of the b columns at
     the pivots of a and zeros on the free variables, the one solution
-    that vanishes there.  A b with no columns gives ()."""
+    that vanishes there.  A b with no columns gives (); one with columns
+    must have a row per equation."""
     k = len(b[0]) if b else 0
     if not k:
         return ()
-    if not a:
-        return None if any(map(any, b)) else ()
+    if len(b) != len(a):
+        raise DimensionMismatchError(
+            f"right-hand side has {len(b)} rows for {len(a)} equations")
     n = len(a[0])
     red, pivots = _rref([[as_scalar(field, x) for x in ra] +
                          [as_scalar(field, y) for y in rb]

@@ -8,6 +8,7 @@ jump steps; queries resolve to the nearest lower (W) / higher (F) step.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 from dataclasses import dataclass
@@ -293,9 +294,10 @@ def _products(factors: List[List[Tuple[int, Vector]]]
     return out
 
 
-def _span_products(field: str, dim: int, rows: List[Vector]) -> Subspace:
-    """The span of some products of adapted bases.  The products are
-    independent, so as many of them as the dimension span everything."""
+def _span_independent(field: str, dim: int, rows: List[Vector]) -> Subspace:
+    """The span of independent rows, such as products of adapted bases or
+    images of bigrading vectors: as many of them as the dimension span
+    everything."""
     return (Subspace.full(field, dim) if len(rows) == dim
             else Subspace.span(field, dim, rows))
 
@@ -304,7 +306,7 @@ def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, Vector]],
                   keep) -> Dict[int, Subspace]:
     """For each candidate jump k, the span of the products u (x) v of the
     adapted bases with keep(tag(u) + tag(v), k)."""
-    return {k: _span_products(field, dim, [v for t, v in prods if keep(t, k)])
+    return {k: _span_independent(field, dim, [v for t, v in prods if keep(t, k)])
             for k in {t for t, _ in prods}}
 
 
@@ -458,8 +460,8 @@ def power_hodge_classes(m: MixedHodgeStructure, a: int, b: int) -> Subspace:
                   + [_adapted_basis(md.W.steps)] * b)
     f = _products([_adapted_basis(reversed(m.F.steps))] * a
                   + [_adapted_basis(reversed(md.F.steps))] * b)
-    w0 = _span_products(Q, dim, [v for t, v in w if t <= 0])
-    f0 = _span_products(QI, dim, [v for t, v in f if t >= 0])
+    w0 = _span_independent(Q, dim, [v for t, v in w if t <= 0])
+    f0 = _span_independent(QI, dim, [v for t, v in f if t >= 0])
     return la.rational_part(la.intersect(w0.to_qi(), f0))
 
 
@@ -469,36 +471,62 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     """I^{p,q} = F^p . W_n . (conj F^q . W_n + sum_{j>=2} conj F^{q-j+1} . W_{n-j}),
     n = p + q, on a valid m.  Between two jumps of W a term grows with j,
     so the term at each jump b = n - j holds the others: the sum runs over
-    the jumps b <= n - 2 of W, with terms conj F^{b-p+1} . W_b."""
+    the jumps b <= n - 2 of W, with terms conj F^{b-p+1} . W_b.
+
+    Every term is read off one table of F^p . W_n at the jumps, which also
+    gives the Hodge numbers h^{p,q} of Gr^W_n.  I^{p,q} lies in F^p . W_n
+    and has dimension h^{p,q}, so it is that intersection wherever the
+    dimensions agree (everywhere on a graded-Tate m); the correction sum
+    is formed only at the other (p, n)."""
     if m.dim == 0:
         return Bigrading(0, ())
     # I^{p,q} lies in F^p and W_{p+q} and meets F^{p+1} and W_{p+q-1} in
     # zero, so it vanishes unless p is a jump of F and p + q one of W.
+    fj = m.F.jumps
     w = [(n, s.to_qi()) for n, s in m.W.steps]
+    zero = Subspace.zero(QI, m.dim)
+    # table[i][k] = F^{fj[i]} . W_{w[k]}, with a zero row for F above its
+    # last jump and a zero column, at k = -1, for W below its first.
+    table = [[la.intersect(f, wn) for _, wn in w] + [zero]
+             for _, f in m.F.steps]
+    table.append([zero] * (len(w) + 1))
+
+    def conj_fw(q: int, k: int) -> Subspace:
+        """conj F^q . W_{w[k]}, W being rational."""
+        return table[bisect.bisect_left(fj, q)][k].conj()
+
     comps = []
-    for p in m.F.jumps:
-        lower, k = Subspace.zero(QI, m.dim), 0  # the sum over b < w[k][0]
-        for n, wn in w:
-            while w[k][0] <= n - 2:
-                b, wb = w[k]
-                lower = la.add(lower, la.intersect(m.F.at(b - p + 1).conj(), wb))
-                k += 1
-            corr = la.add(la.intersect(m.F.at(n - p).conj(), wn), lower)
-            comp = la.intersect(la.intersect(m.F.at(p), wn), corr)
-            if comp.dim:
-                comps.append(((p, n - p), comp))
+    for i, p in enumerate(fj):
+        for k, (n, _) in enumerate(w):
+            comp = table[i][k]
+            # h^{p,n-p} = dim F^p Gr^W_n - dim F^{p+1} Gr^W_n.
+            h = (comp.dim - table[i][k - 1].dim
+                 - table[i + 1][k].dim + table[i + 1][k - 1].dim)
+            if not h:
+                continue
+            if comp.dim != h:
+                rows = list(conj_fw(n - p, k).basis)
+                for j, (b, _) in enumerate(w):
+                    if b <= n - 2:
+                        rows += conj_fw(b - p + 1, j).basis
+                comp = la.intersect(comp, Subspace.span(QI, m.dim, rows))
+            comps.append(((p, n - p), comp))
     return Bigrading(m.dim, tuple(comps))
 
 
-def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
+def deligne_projectors(m: MixedHodgeStructure,
+                       big: Optional[Bigrading] = None) -> Dict[int, Matrix]:
     """For each weight n, the projector P_n of M_C onto the sum of the
-    I^{p,q} with p + q = n along the other components.
+    I^{p,q} with p + q = n along the other components, from the bigrading
+    big of m (formed here when not given).
 
     With S the matrix whose columns are bases of the components, P_n is
     S[:, cols_n] . S^-1[cols_n, :], from one inversion of S.
     """
+    if big is None:
+        big = deligne_bigrading(m)
     cols: Dict[int, List[Vector]] = {n: [] for n in m.W.jumps}
-    for (p, q), comp in deligne_bigrading(m).items():
+    for (p, q), comp in big.items():
         cols[p + q].extend(comp.basis)
     s_inv = la.invert(QI, la.transpose(tuple(v for c in cols.values()
                                              for v in c)))

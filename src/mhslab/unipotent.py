@@ -10,10 +10,11 @@ as the subobject generated by the imaginary part of the class.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg as la
 from . import mhs as mh
@@ -30,29 +31,66 @@ from .triples import Triple
 
 @dataclass(frozen=True, slots=True)
 class WeightCut:
-    """M at one weight cut p: W_pM, the structure on M/W_pM, the maps
-    between them and h = Hom(M/W_pM, W_pM), built once per (M, p)."""
+    """M at one weight cut p: W_pM and M/W_pM with their structures, the
+    maps between them, h = Hom(M/W_pM, W_pM), and the Deligne weight
+    projectors of M they are read from, built once per (M, p)."""
 
     m: MixedHodgeStructure
+    p: int
     wp: Subspace                  # W_pM
+    sub: MixedHodgeStructure      # on W_pM, in its echelon coordinates
     quo: MixedHodgeStructure      # on M/W_pM
     proj: Matrix                  # over Q, M -> M/W_pM
     incl: Matrix                  # over Q, W_pM -> M
     section: Matrix               # over Q, a right inverse of proj
     h: MixedHodgeStructure
+    projectors: Dict[int, Matrix]  # mh.deligne_projectors(m)
 
 
-def weight_cut(m: MixedHodgeStructure, p: int) -> WeightCut:
+def weight_cut(m: MixedHodgeStructure, p: int,
+               big: Optional[mh.Bigrading] = None,
+               projectors: Optional[Dict[int, Matrix]] = None) -> WeightCut:
+    """The cut at p, read off the Deligne bigrading big of M and its weight
+    projectors (formed here when not given; a caller with several cuts of
+    one M passes them to each).
+
+    W_pM is the sum of the I^{r,s} with r + s <= p, so with v running over
+    the bigrading vectors of type (r, s), F^q of W_pM is spanned by the
+    coordinates of the v with r + s <= p and r >= q, and F^q of M/W_pM by
+    the images of the v with r + s > p and r >= q.  Either set is
+    independent, and W is nested, so W_n . W_pM = W_min(n,p)M.  Neither
+    side is validated: W_pM is a subobject of a valid M.
+    """
     wp = m.W.at(p)
     if wp.is_zero() or wp.is_full():
         raise DegenerateRangeError(
             f"weight cut {p} leaves nothing on one side")
-    # W_pM is a subobject of a valid M, so neither side is validated.
-    sub, quo = mh._restrict(m, wp), mh._push_forward(m, wp)
-    proj = la.quotient_map(wp)
-    section = la.solve_matrix(Q, proj, la.identity(Q, quo.dim))
-    return WeightCut(m, wp, quo, proj, la.inclusion_map(wp),
-                     section, mh.hom(quo, sub))
+    if big is None:
+        big = mh.deligne_bigrading(m)
+    if projectors is None:
+        projectors = mh.deligne_projectors(m, big)
+    sel, proj = la.coords_map(wp), la.quotient_map(wp)
+    w, k = wp.dim, m.dim - wp.dim
+    low, high = [], []
+    for (r, s), comp in big.items():
+        for v in comp.basis:
+            if r + s <= p:
+                low.append((r, tuple(v[c] for c in wp.pivots)))
+            else:
+                high.append((r, la.mat_vec(proj, v)))
+    sub = mh.make_mhs(
+        w, {n: Subspace.full(Q, w) if n > p else la.apply_to_subspace(sel, s)
+            for n, s in m.W.steps},
+        {q: mh._span_independent(QI, w, [v for r, v in low if r >= q])
+         for q in m.F.jumps})
+    quo = mh.make_mhs(
+        k, {n: la.apply_to_subspace(proj, s) if n > p else Subspace.zero(Q, k)
+            for n, s in m.W.steps},
+        {q: mh._span_independent(QI, k, [v for r, v in high if r >= q])
+         for q in m.F.jumps})
+    section = la.solve_matrix(Q, proj, la.identity(Q, k))
+    return WeightCut(m, p, wp, sub, quo, proj, la.inclusion_map(wp),
+                     section, mh.hom(quo, sub), projectors)
 
 
 # -- extension classes --------------------------------------------------------
@@ -64,27 +102,18 @@ class ExtClassRep:
     e: Tuple[GaussRat, ...]
 
 
-def _hodge_section(cut: WeightCut) -> Matrix:
-    """A section M/W_pM -> M over Q(i) of the projection that maps each
-    F^q(M/W_pM) into F^qM: each vector of an adapted basis of F on
-    M/W_pM, tagged q, lifted into F^qM; then the basis matrix inverted."""
-    proj = la.to_qi_mat(cut.proj)
-    basis, lifts = [], []
-    for q, v in mh._adapted_basis(reversed(cut.quo.F.steps)):
-        gens = la.transpose(cut.m.F.at(q).basis)
-        basis.append(v)
-        lifts.append(la.mat_vec(gens, la.solve(QI, la.mat_mul(proj, gens), v)))
-    return la.mat_mul(la.transpose(tuple(lifts)),
-                      la.invert(QI, la.transpose(tuple(basis))))
-
-
 def _ext_class(cut: WeightCut,
                rng: Optional[random.Random] = None) -> ExtClassRep:
+    """P_{>p} . section, with P_{>p} the sum of the projectors P_n of M with
+    n > p, is a Hodge section: it maps F^q(M/W_pM) into F^qM, since a
+    lift of a vector of F^q(M/W_pM) into F^qM differs from the rational
+    one by a vector of W_pM, which P_{>p} kills.  The rational section
+    differs from it by P_{<=p} . section, a map into W_pM."""
     k, w = cut.quo.dim, cut.wp.dim
-    # The two sections differ by a map into W_pM; read it in h coordinates.
-    diff = tuple(tuple(x - y for x, y in zip(r, s))
-                 for r, s in zip(cut.section, _hodge_section(cut)))
-    e = mh.hom_vec(la.solve_matrix(QI, la.to_qi_mat(cut.incl), diff), k, w)
+    low = functools.reduce(la.mat_add, [pn for n, pn in cut.projectors.items()
+                                        if n <= cut.p])
+    diff = la.mat_mul(tuple(low[c] for c in cut.wp.pivots), cut.section)
+    e = mh.hom_vec(diff, k, w)
     if rng is not None:
         # Shift the rational section by a rational map M/W_pM -> W_pM and
         # the Hodge section by a vector of F^0 h.
@@ -150,6 +179,29 @@ def _check_graded_tate(m: MixedHodgeStructure) -> None:
                               f"(the structure must be graded-Tate)")
 
 
+def _h_projectors(cut: WeightCut) -> Dict[int, Matrix]:
+    """The Deligne weight projectors of h, by functoriality from those of
+    M: P_n preserves W_pM, so it restricts to P_b(W_pM) = coords . P_b .
+    incl (nonzero for b <= p) and descends to P_a(M/W_pM) = proj . P_a .
+    section (nonzero for a > p).  The weight-k part of a map phi is the
+    sum over b - a = k of P_b(W_pM) . phi . P_a(M/W_pM); in hom
+    coordinates (dual slot first) that is kron(P_a(M/W_pM)^T, P_b(W_pM))."""
+    sub, quo = [], []
+    for n, pn in cut.projectors.items():
+        if n <= cut.p:
+            sub.append((n, la.mat_mul(tuple(pn[c] for c in cut.wp.pivots),
+                                      cut.incl)))
+        else:
+            quo.append((n, la.transpose(la.mat_mul(
+                la.mat_mul(cut.proj, pn), cut.section))))
+    out: Dict[int, Matrix] = {}
+    for a, qa in quo:
+        for b, sb in sub:
+            block = la.kron_mat(qa, sb)
+            out[b - a] = la.mat_add(out[b - a], block) if b - a in out else block
+    return dict(sorted(out.items()))
+
+
 def _u_p(cut: WeightCut) -> UpResult:
     """u_p of a graded-Tate M: H = Hom(M/W_pM, W_pM) has only negative
     weights, so F^0 H = 0 and the class e splits modulo a subobject B
@@ -157,7 +209,7 @@ def _u_p(cut: WeightCut) -> UpResult:
     Im(e): the rational closure of its span under the projectors onto
     the Deligne components of H."""
     h = cut.h
-    projectors = mh.deligne_projectors(h).values()
+    projectors = _h_projectors(cut).values()
     s = Subspace.span(Q, h.dim, [tuple(x.im for x in _ext_class(cut).e)])
     while True:
         rows = list(s.basis)
@@ -183,7 +235,11 @@ def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
 
 
 def _detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
-    return [(p, _u_p(weight_cut(m, p))) for p in m.W.jumps[:-1]]
+    """u_p at every cut, from one Deligne bigrading of m."""
+    big = mh.deligne_bigrading(m)
+    projectors = mh.deligne_projectors(m, big)
+    return [(p, _u_p(weight_cut(m, p, big, projectors)))
+            for p in m.W.jumps[:-1]]
 
 
 def u_large_detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
@@ -271,7 +327,11 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
     degenerate; the report is a plain JSON-ready dictionary and is a
     pure function of (mu, n_samples, seed, height).
     """
-    tr.check_triple(mu)
+    return _experiment(tr.check_triple(mu), n_samples, seed, height)
+
+
+def _experiment(mu: Triple, n_samples: int, seed, height: int) -> dict:
+    """genericity_experiment on a triple already checked."""
     _check_graded_tate(mh.graded_mhs(mu.graded))
     if height < 1:
         raise MhsError("height must be at least 1")

@@ -233,3 +233,46 @@ def oracle_structures():
     rng = random.Random("perturb")
     return tuple(valid + [_perturbed(rng, rng.choice(valid))
                           for _ in range(175)])
+
+
+# -- the class from an adapted-basis Hodge section: oracle -------------------
+
+def hodge_section_class(cut):
+    """The extension class at a weight cut, as unipotent read it before the
+    Deligne projectors of M: a Hodge section lifts each vector of an
+    adapted basis of F on M/W_pM, tagged q, into F^qM, and inverts the
+    basis matrix; e is the rational section minus it, in h coordinates."""
+    proj = la.to_qi_mat(cut.proj)
+    basis, lifts = [], []
+    for q, v in mh._adapted_basis(reversed(cut.quo.F.steps)):
+        gens = la.transpose(cut.m.F.at(q).basis)
+        basis.append(v)
+        lifts.append(la.mat_vec(gens, la.solve(QI, la.mat_mul(proj, gens), v)))
+    hodge = la.mat_mul(la.transpose(tuple(lifts)),
+                       la.invert(QI, la.transpose(tuple(basis))))
+    diff = tuple(tuple(x - y for x, y in zip(r, s))
+                 for r, s in zip(cut.section, hodge))
+    return mh.hom_vec(la.solve_matrix(QI, la.to_qi_mat(cut.incl), diff),
+                      cut.quo.dim, cut.wp.dim)
+
+
+def walked_bigrading(m):
+    """The Deligne bigrading by the correction sum at every jump of F and
+    of W, as deligne_bigrading formed it before it read the components of
+    dimension h^{p,q} off its table of F^p . W_n: the oracle for that."""
+    if m.dim == 0:
+        return mh.Bigrading(0, ())
+    w = [(n, s.to_qi()) for n, s in m.W.steps]
+    comps = []
+    for p in m.F.jumps:
+        lower, k = Subspace.zero(QI, m.dim), 0  # the sum over b < w[k][0]
+        for n, wn in w:
+            while w[k][0] <= n - 2:
+                b, wb = w[k]
+                lower = la.add(lower, la.intersect(m.F.at(b - p + 1).conj(), wb))
+                k += 1
+            corr = la.add(la.intersect(m.F.at(n - p).conj(), wn), lower)
+            comp = la.intersect(la.intersect(m.F.at(p), wn), corr)
+            if comp.dim:
+                comps.append(((p, n - p), comp))
+    return mh.Bigrading(m.dim, tuple(comps))

@@ -23,7 +23,8 @@ from mhslab import loci as lo
 from mhslab import mhs as mh
 from mhslab import serialize as se
 from mhslab import triples as tr
-from mhslab.errors import ParseError
+from mhslab import unipotent as un
+from mhslab.errors import NotAnMhsError, ParseError
 from mhslab.field import Q, QI, GaussRat, I, parse_qi
 from mhslab.linalg import Subspace
 
@@ -387,6 +388,56 @@ def test_experiment_defaults_to_tate3_and_rejects_negative_samples(capsys):
         cli.main(["experiment", "--samples", "-5"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_experiment_verb_checks_its_triple_once(capsys, tmp_path, monkeypatch):
+    mu = corpus.tate3_triple()
+    assert tr.triple_problems(mu) == []  # the verb's default triple
+    mu_file = write(tmp_path, "mu.json", se.triple_to_json(mu))
+    validated = []
+    validate = mh.validate_mhs
+    monkeypatch.setattr(mh, "validate_mhs",
+                        lambda m: validated.append(m) or validate(m))
+    assert cli.main(["experiment", "--triple", mu_file, "--samples", "2",
+                     "--seed", "1"]) == 0
+    capsys.readouterr()
+    # The 3 graded pieces of the triple, checked where the file is read,
+    # and u_p checked as a subobject at 2 cuts of 5 members.
+    assert len(validated) == 3 + 2 * 5
+    # A Python caller's triple is still checked.
+    bad = tr.Triple(mu.dim, mu.W, ((-6, mh.tate_twist(1)),) + mu.graded[1:])
+    with pytest.raises(NotAnMhsError):
+        un.genericity_experiment(bad, 1, "x", 10)
+
+
+def test_main_reuses_one_parser_with_the_output_of_a_fresh_one(
+        capsys, monkeypatch, kummer_file, pencil_file):
+    argvs = [["validate", kummer_file], ["up", kummer_file, "--p", "-2"],
+             ["up", kummer_file], ["up", kummer_file, "--p", "5"], ["nope"],
+             [], ["u-large", kummer_file],
+             ["mt-bound", kummer_file, "--degree", "0"],
+             ["experiment", "--samples", "x"], ["split", "--help"],
+             ["fiber", pencil_file, "--t", "i"], ["up", "--p", "-2"],
+             ["locus", pencil_file, "--vector", "[1,", "--construction", "[]"],
+             ["experiment", "--samples", "1", "--seed", "s"],
+             ["validate", kummer_file, "--out"]]
+
+    def outcomes():
+        out = []
+        for argv in argvs:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    assert cli._parser() is cli._parser()
+    reused = outcomes()
+    assert {code for code, _, _ in reused} >= {0, 3, ("exit", 0), ("exit", 2)}
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outcomes() == reused
 
 
 def test_cli_import_does_not_load_sympy():

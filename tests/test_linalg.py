@@ -210,6 +210,20 @@ def test_solve_and_invert():
         la.invert(Q, la.mat(Q, [[1, 0]]))
 
 
+def test_solves_reject_a_right_hand_side_with_other_rows():
+    for field in (Q, QI):
+        a = la.identity(field, 2)
+        assert la.solve(field, a, (5, 0)) == (5, 0)
+        for b in [(5,), (5, 0, 1)]:
+            with pytest.raises(DimensionMismatchError):
+                la.solve(field, a, b)
+        for b in [la.identity(field, 3), ((1,),)]:
+            with pytest.raises(DimensionMismatchError):
+                la.solve_matrix(field, a, b)
+        with pytest.raises(DimensionMismatchError):
+            la.solve_matrix(field, (), ((1,),))
+
+
 def test_quotient_map_kernel():
     u = Subspace.span(Q, 3, [(1, 0, 2)])
     p = la.quotient_map(u)
@@ -489,6 +503,23 @@ def test_empty_zero_and_full_rank_systems_match_the_oracles(field):
         with pytest.raises(DimensionMismatchError):
             kernel(field, ())
     assert la.invert(field, ()) == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Q, QI]).flatmap(
+    lambda f: st.tuples(st.just(f), rows_strategy(f, 4))))
+def test_add_and_intersect_skip_the_reduction_for_a_zero_or_full_operand(case):
+    """With a zero or full operand, add and intersect return an operand
+    with no reduction, equal to what the skipped reduction gives."""
+    field, rows = case
+    u = la.rref(field, rows, ambient_dim=4)
+    for t in (Subspace.zero(field, 4), Subspace.full(field, 4)):
+        for x, y in [(u, t), (t, u)]:
+            with mock.patch.object(la, "_rref", side_effect=AssertionError):
+                got = la.add(x, y), la.intersect(x, y)
+            assert got == (
+                Subspace.span(field, 4, x.basis + y.basis),
+                la.kernel(field, la.quotient_map(x) + la.quotient_map(y), 4))
 
 
 def _count_rref(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (graded_offsets, kron_vec, oracle_structures, random_mhs,
-                     tate_triple)
+                     tate_triple, walked_bigrading)
 from mhslab import cli, corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
@@ -449,6 +449,34 @@ def _projector_cases():
                 wp = m.W.at(p)
                 out.append(mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp)))
     return tuple(out)
+
+
+def test_bigrading_matches_the_walk_on_the_projector_cases(monkeypatch):
+    """Also on Hom spaces of weight cuts.  A component is F^p . W_n, read
+    off the table of those intersections, wherever that has dimension
+    h^{p,q}: at every (p, n) of a graded-Tate structure.  Elsewhere the
+    correction sum adds intersections."""
+    tate = [m for m in _projector_cases() if _is_graded_tate(m)]
+    assert len(tate) >= 8
+    calls = []
+    intersect = la.intersect
+    monkeypatch.setattr(la, "intersect",
+                        lambda u, v: calls.append(1) or intersect(u, v))
+    corrected = 0
+    for m in _projector_cases():
+        calls.clear()
+        big = mh.deligne_bigrading(m)
+        table = len(m.F.jumps) * len(m.W.jumps)
+        corrected += len(calls) > table
+        if m in tate:
+            assert len(calls) == table
+        assert big == walked_bigrading(m)
+    assert corrected > 0
+
+
+def _is_graded_tate(m):
+    return all(n % 2 == 0 and pure.F.at(n // 2).is_full()
+               for n, pure in mh.gr_w(m))
 
 
 _bigrading_once = functools.lru_cache(maxsize=None)(mh.deligne_bigrading)

@@ -7,8 +7,8 @@ from math import gcd
 from typing import Sequence
 
 import pytest
-from helpers import (graded_offsets, oracle_structures, random_mhs,
-                     random_pure_piece, tate_triple)
+from helpers import (graded_offsets, hodge_section_class, oracle_structures,
+                     random_mhs, random_pure_piece, tate_triple)
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -222,6 +222,56 @@ def test_ext_class_equals_the_solved_one_modulo_f0_and_rationals():
             assert _in_mixed_span([x - y for x, y in zip(new, old)],
                                   f0, rational)
     assert max(f0_dims) > 0  # some cut has a choice of Hodge section
+
+
+def _tate_members():
+    """Graded-Tate members: Kummer members, partly rational ones, and
+    samples of triples with three to five steps, each with a rational
+    control.  With equal gaps, two blocks of h can have one weight."""
+    out = [corpus.kummer_mhs(z) for z in Z_VALUES] + PARTLY_RATIONAL
+    for weights in ((-6, -2, 0), (-4, -2, 0), (-6, -4, -2, 0),
+                    (-14, -6, -2, 0), (-22, -14, -6, -2, 0)):
+        mu = tate_triple(weights)
+        out += [tr.build_mhs(mu, tr.sample_point(mu, f"tent:{s}", 5))
+                for s in range(2)]
+        out.append(tr.build_mhs(mu, tr.sample_rational_point(mu, "tent", 5)))
+    return out
+
+
+def _other_members():
+    """Valid oracle structures and members of the CM and two-weight
+    triples: F^0 h is nonzero at some of their cuts."""
+    out = [m for m in oracle_structures() if mh.is_valid(m)]
+    for mu in (corpus.tate_cm_triple(), corpus.two_weight_triple()):
+        out += [tr.build_mhs(mu, tr.sample_point(mu, f"other:{s}", 5))
+                for s in range(2)]
+    return out
+
+
+def test_ext_class_matches_the_adapted_basis_hodge_section():
+    """The class read off M's projectors equals the one from the
+    adapted-basis Hodge section where F^0 h = 0, and differs from it by a
+    vector of F^0 h elsewhere."""
+    f0_dims = []
+    for cut in _cuts(_tate_members()):
+        assert cut.h.F.at(0).is_zero()
+        assert un._ext_class(cut).e == hodge_section_class(cut)
+    for cut in _cuts(_other_members()):
+        f0 = cut.h.F.at(0)
+        f0_dims.append(f0.dim)
+        diff = [x - y for x, y in zip(un._ext_class(cut).e,
+                                      hodge_section_class(cut))]
+        assert f0.contains(diff)
+    assert max(f0_dims) > 0
+
+
+def test_h_projectors_match_the_per_cut_bigrading():
+    """The projectors of h by functoriality equal, entry for entry, those
+    read off a Deligne bigrading of h itself."""
+    for cut in _cuts(_tate_members() + _other_members()):
+        got = un._h_projectors(cut)
+        want = mh.deligne_projectors(cut.h)
+        assert list(got) == list(want) and got == want
 
 
 # -- unipotent radical in the graded-Tate regime -------------------------------
@@ -543,14 +593,31 @@ def test_weight_cut_sides_are_the_checked_sub_and_quotient():
     members = [m for m in oracle_structures() if mh.is_valid(m)]
     members += [tate3_mhs(f"sides:{s}", rational) for s in range(2)
                 for rational in (False, True)]
+    members += _other_members()[-4:]
     for m in members:
+        big = mh.deligne_bigrading(m)
+        projectors = mh.deligne_projectors(m, big)
         for p in m.W.jumps[:-1]:
-            cut = un.weight_cut(m, p)
-            sub = mh.sub_mhs(m, cut.wp)  # raises unless valid
-            assert mh._restrict(m, cut.wp) == sub
+            cut = un.weight_cut(m, p, big, projectors)
+            assert cut == un.weight_cut(m, p)
+            assert cut.sub == mh.sub_mhs(m, cut.wp)  # raises unless valid
+            assert mh._restrict(m, cut.wp) == cut.sub
             assert mh.is_valid(cut.quo)
             assert cut.quo == mh.quotient_mhs(m, cut.wp)
-            assert cut.h == mh.hom(cut.quo, sub)
+            assert cut.h == mh.hom(cut.quo, cut.sub)
+
+
+def test_detail_bigrades_each_member_once(monkeypatch):
+    calls = []
+    bigrading = mh.deligne_bigrading
+    monkeypatch.setattr(mh, "deligne_bigrading",
+                        lambda m: calls.append(m) or bigrading(m))
+    for weights in ((-6, -2, 0), (-22, -14, -6, -2, 0)):
+        mu = tate_triple(weights)
+        m = tr.build_mhs(mu, tr.sample_point(mu, "once", 5))
+        calls.clear()
+        un.u_large_detail(m)
+        assert calls == [m]
 
 
 def test_resource_guard(monkeypatch):
@@ -587,13 +654,16 @@ def test_experiment_shape_and_determinism():
 
 def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
         monkeypatch):
-    calls, validated = [], []
+    calls, validated, bigraded = [], [], []
     problems = tr.triple_problems
     monkeypatch.setattr(tr, "triple_problems",
                         lambda mu: calls.append(mu) or problems(mu))
     validate = mh.validate_mhs
     monkeypatch.setattr(mh, "validate_mhs",
                         lambda m: validated.append(m) or validate(m))
+    bigrading = mh.deligne_bigrading
+    monkeypatch.setattr(mh, "deligne_bigrading",
+                        lambda m: bigraded.append(m) or bigrading(m))
     reductions = []
     rref = la._rref
     monkeypatch.setattr(la, "_rref", lambda rows, field:
@@ -601,10 +671,13 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     mh.graded_pieces.cache_clear()
     un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
     assert len(calls) == 1
-    # Equations are quotient_map rows and each solve is one reduction
-    # (1,163 reductions when equations were reduced twice more and
-    # solve_matrix went column by column).
-    assert len(reductions) <= 772
+    # One bigrading per member (2 samples and 3 controls) gives the sides,
+    # class and h-projectors of both cuts.  There were 772 reductions
+    # with a bigrading of each h and intersections for each side, and
+    # 1,163 when equations were reduced twice more and solve_matrix went
+    # column by column.
+    assert len(bigraded) == 5
+    assert len(reductions) <= 450
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple, and each u_p checked as a
     # subobject at 2 cuts of 5 members; no member or cut is re-validated.
