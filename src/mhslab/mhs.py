@@ -251,13 +251,18 @@ def zero_mhs() -> MixedHodgeStructure:
 
 # -- functors ---------------------------------------------------------------
 
-def check_guard(dim: int) -> None:
-    """Refuse a tensor space of dimension above the ceiling in GUARD_ENV."""
+def guard_limit() -> int:
+    """The ceiling in GUARD_ENV on the size of the tensor spaces formed."""
     raw = os.environ.get(GUARD_ENV)
     try:
-        limit = DEFAULT_GUARD if raw is None else int(raw)
+        return DEFAULT_GUARD if raw is None else int(raw)
     except ValueError:
         raise ResourceGuardError(f"{GUARD_ENV} must be an integer, got {raw!r}")
+
+
+def check_guard(dim: int) -> None:
+    """Refuse a tensor space of dimension above the ceiling."""
+    limit = guard_limit()
     if dim > limit:
         raise ResourceGuardError(
             f"tensor space of dimension {dim} exceeds the "
@@ -514,19 +519,15 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     return Bigrading(m.dim, tuple(comps))
 
 
-def deligne_projectors(m: MixedHodgeStructure,
-                       big: Optional[Bigrading] = None) -> Dict[int, Matrix]:
+def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
     """For each weight n, the projector P_n of M_C onto the sum of the
-    I^{p,q} with p + q = n along the other components, from the bigrading
-    big of m (formed here when not given).
+    I^{p,q} with p + q = n along the other components.
 
     With S the matrix whose columns are bases of the components, P_n is
     S[:, cols_n] . S^-1[cols_n, :], from one inversion of S.
     """
-    if big is None:
-        big = deligne_bigrading(m)
     cols: Dict[int, List[Vector]] = {n: [] for n in m.W.jumps}
-    for (p, q), comp in big.items():
+    for (p, q), comp in deligne_bigrading(m).items():
         cols[p + q].extend(comp.basis)
     s_inv = la.invert(QI, la.transpose(tuple(v for c in cols.values()
                                              for v in c)))

@@ -20,8 +20,9 @@ from . import linalg as la
 from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
-from .errors import DegenerateRangeError, MhsError, RegimeError
-from .field import Q, QI, GaussRat
+from .errors import (DegenerateRangeError, MhsError, RegimeError,
+                     ResourceGuardError)
+from .field import Q, GaussRat
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Triple
@@ -31,122 +32,97 @@ from .triples import Triple
 
 @dataclass(frozen=True, slots=True)
 class WeightCut:
-    """M at one weight cut p: W_pM and M/W_pM with their structures, the
-    maps between them, h = Hom(M/W_pM, W_pM), and the Deligne weight
-    projectors of M they are read from, built once per (M, p)."""
+    """M at one weight cut p: W_pM, the maps between M, W_pM and M/W_pM,
+    and the Deligne weight projectors of M, built once per (M, p).  The
+    structures of the two sides and of Hom(M/W_pM, W_pM) are not formed:
+    the class and the projectors of Hom are read off those of M."""
 
     m: MixedHodgeStructure
     p: int
     wp: Subspace                  # W_pM
-    sub: MixedHodgeStructure      # on W_pM, in its echelon coordinates
-    quo: MixedHodgeStructure      # on M/W_pM
     proj: Matrix                  # over Q, M -> M/W_pM
     incl: Matrix                  # over Q, W_pM -> M
     section: Matrix               # over Q, a right inverse of proj
-    h: MixedHodgeStructure
     projectors: Dict[int, Matrix]  # mh.deligne_projectors(m)
 
 
 def weight_cut(m: MixedHodgeStructure, p: int,
-               big: Optional[mh.Bigrading] = None,
                projectors: Optional[Dict[int, Matrix]] = None) -> WeightCut:
-    """The cut at p, read off the Deligne bigrading big of M and its weight
-    projectors (formed here when not given; a caller with several cuts of
-    one M passes them to each).
-
-    W_pM is the sum of the I^{r,s} with r + s <= p, so with v running over
-    the bigrading vectors of type (r, s), F^q of W_pM is spanned by the
-    coordinates of the v with r + s <= p and r >= q, and F^q of M/W_pM by
-    the images of the v with r + s > p and r >= q.  Either set is
-    independent, and W is nested, so W_n . W_pM = W_min(n,p)M.  Neither
-    side is validated: W_pM is a subobject of a valid M.
-    """
+    """The cut at p, with the weight projectors of M (formed here when not
+    given; a caller with several cuts of one M passes them to each).
+    Every reader of a cut forms vectors or maps of Hom(M/W_pM, W_pM), so
+    its dimension is held to the tensor guard."""
     wp = m.W.at(p)
     if wp.is_zero() or wp.is_full():
         raise DegenerateRangeError(
             f"weight cut {p} leaves nothing on one side")
-    if big is None:
-        big = mh.deligne_bigrading(m)
+    mh.check_guard(wp.dim * (m.dim - wp.dim))
     if projectors is None:
-        projectors = mh.deligne_projectors(m, big)
-    sel, proj = la.coords_map(wp), la.quotient_map(wp)
-    w, k = wp.dim, m.dim - wp.dim
-    low, high = [], []
-    for (r, s), comp in big.items():
-        for v in comp.basis:
-            if r + s <= p:
-                low.append((r, tuple(v[c] for c in wp.pivots)))
-            else:
-                high.append((r, la.mat_vec(proj, v)))
-    sub = mh.make_mhs(
-        w, {n: Subspace.full(Q, w) if n > p else la.apply_to_subspace(sel, s)
-            for n, s in m.W.steps},
-        {q: mh._span_independent(QI, w, [v for r, v in low if r >= q])
-         for q in m.F.jumps})
-    quo = mh.make_mhs(
-        k, {n: la.apply_to_subspace(proj, s) if n > p else Subspace.zero(Q, k)
-            for n, s in m.W.steps},
-        {q: mh._span_independent(QI, k, [v for r, v in high if r >= q])
-         for q in m.F.jumps})
-    section = la.solve_matrix(Q, proj, la.identity(Q, k))
-    return WeightCut(m, p, wp, sub, quo, proj, la.inclusion_map(wp),
-                     section, mh.hom(quo, sub), projectors)
+        projectors = mh.deligne_projectors(m)
+    proj = la.quotient_map(wp)
+    section = la.solve_matrix(Q, proj, la.identity(Q, m.dim - wp.dim))
+    return WeightCut(m, p, wp, proj, la.inclusion_map(wp), section,
+                     projectors)
+
+
+def _hom(cut: WeightCut) -> MixedHodgeStructure:
+    """H = Hom(M/W_pM, W_pM), for the callers that read F^0 H.  W_pM is a
+    subobject of a valid M, so neither side is validated."""
+    return mh.hom(mh._push_forward(cut.m, cut.wp), mh._restrict(cut.m, cut.wp))
 
 
 # -- extension classes --------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class ExtClassRep:
-    """e = (rational section) - (Hodge section), in h coordinates over Q(i)."""
+    """e = (rational section) - (Hodge section), in H coordinates over Q(i)."""
 
     e: Tuple[GaussRat, ...]
 
 
-def _ext_class(cut: WeightCut,
-               rng: Optional[random.Random] = None) -> ExtClassRep:
+def _ext_class(cut: WeightCut) -> ExtClassRep:
     """P_{>p} . section, with P_{>p} the sum of the projectors P_n of M with
     n > p, is a Hodge section: it maps F^q(M/W_pM) into F^qM, since a
     lift of a vector of F^q(M/W_pM) into F^qM differs from the rational
     one by a vector of W_pM, which P_{>p} kills.  The rational section
     differs from it by P_{<=p} . section, a map into W_pM."""
-    k, w = cut.quo.dim, cut.wp.dim
     low = functools.reduce(la.mat_add, [pn for n, pn in cut.projectors.items()
                                         if n <= cut.p])
     diff = la.mat_mul(tuple(low[c] for c in cut.wp.pivots), cut.section)
-    e = mh.hom_vec(diff, k, w)
-    if rng is not None:
-        # Shift the rational section by a rational map M/W_pM -> W_pM and
-        # the Hodge section by a vector of F^0 h.
-        noise = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for _ in range(k)] for _ in range(w)]
-        e = [x + y for x, y in zip(e, mh.hom_vec(noise, k, w))]
-        for v in cut.h.F.at(0).basis:
-            c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            e = [x - c * y for x, y in zip(e, v)]
-    return ExtClassRep(tuple(e))
+    return ExtClassRep(mh.hom_vec(diff, cut.m.dim - cut.wp.dim, cut.wp.dim))
 
 
 def ext_class_rep(m: MixedHodgeStructure, p: int,
                   rng: Optional[random.Random] = None) -> ExtClassRep:
     """A representative of the extension class at the weight cut p.
 
-    With an rng, both sections are shifted by random admissible vectors;
-    the class modulo F^0 + rational is unchanged.
+    With an rng, the rational section is shifted by a random rational map
+    M/W_pM -> W_pM and the Hodge section by a random vector of F^0 H; the
+    class modulo F^0 + rational is unchanged.
     """
-    return _ext_class(weight_cut(m, p), rng)
+    cut = weight_cut(m, p)
+    e = _ext_class(cut).e
+    if rng is not None:
+        k, w = m.dim - cut.wp.dim, cut.wp.dim
+        noise = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(k)] for _ in range(w)]
+        e = [x + y for x, y in zip(e, mh.hom_vec(noise, k, w))]
+        for v in _hom(cut).F.at(0).basis:
+            c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            e = [x - c * y for x, y in zip(e, v)]
+    return ExtClassRep(tuple(e))
 
 
-def _splits(cut: WeightCut, a_q: Subspace, rep: ExtClassRep) -> bool:
+def _splits(h: MixedHodgeStructure, a_q: Subspace, rep: ExtClassRep) -> bool:
     """Membership of the class in V + rational vectors, V = a_q (x) Q(i)
     + F^0 h.  As a Q-space V is spanned by b and i*b over a basis b of V,
     so e = v + r with r rational exactly when Im e lies in the Q-span of
     Im b and Re b."""
-    v = la.add(a_q.to_qi(), cut.h.F.at(0))
+    v = la.add(a_q.to_qi(), h.F.at(0))
     rows = [tuple(x.im for x in b) for b in v.basis]
     rows += [tuple(x.re for x in b) for b in v.basis]
-    return Subspace.span(Q, cut.h.dim, rows).contains(
-        tuple(x.im for x in rep.e))
+    return Subspace.span(Q, h.dim, rows).contains(tuple(x.im for x in rep.e))
 
 
 def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
@@ -157,8 +133,9 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
     membership of the class in a_q (x) Q(i) + F^0 + rational vectors.
     """
     cut = weight_cut(m, p)
-    mh.sub_mhs(cut.h, a_q)  # raises NotASubobjectError when not a subobject
-    return _splits(cut, a_q, rep if rep is not None else _ext_class(cut))
+    h = _hom(cut)
+    mh.sub_mhs(h, a_q)  # raises NotASubobjectError when not a subobject
+    return _splits(h, a_q, rep if rep is not None else _ext_class(cut))
 
 
 # -- the graded-Tate regime ---------------------------------------------------
@@ -180,7 +157,7 @@ def _check_graded_tate(m: MixedHodgeStructure) -> None:
 
 
 def _h_projectors(cut: WeightCut) -> Dict[int, Matrix]:
-    """The Deligne weight projectors of h, by functoriality from those of
+    """The Deligne weight projectors of H, by functoriality from those of
     M: P_n preserves W_pM, so it restricts to P_b(W_pM) = coords . P_b .
     incl (nonzero for b <= p) and descends to P_a(M/W_pM) = proj . P_a .
     section (nonzero for a > p).  The weight-k part of a map phi is the
@@ -207,21 +184,21 @@ def _u_p(cut: WeightCut) -> UpResult:
     weights, so F^0 H = 0 and the class e splits modulo a subobject B
     exactly when Im(e) lies in B.  u_p is the smallest subobject holding
     Im(e): the rational closure of its span under the projectors onto
-    the Deligne components of H."""
-    h = cut.h
+    the Deligne components of H, which is a subobject since it is
+    rational and each projector preserves it."""
+    dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
     projectors = _h_projectors(cut).values()
-    s = Subspace.span(Q, h.dim, [tuple(x.im for x in _ext_class(cut).e)])
+    s = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
     while True:
         rows = list(s.basis)
         for pi in projectors:
             for v in s.basis:
                 w = la.mat_vec(pi, v)
                 rows += [tuple(x.re for x in w), tuple(x.im for x in w)]
-        grown = Subspace.span(Q, h.dim, rows)
+        grown = Subspace.span(Q, dim, rows)
         if grown.dim == s.dim:
             break
         s = grown
-    mh.sub_mhs(h, s)  # a closed rational subspace is a subobject
     return UpResult(s, "TATE_EXACT", s.is_full())
 
 
@@ -235,10 +212,9 @@ def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
 
 
 def _detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
-    """u_p at every cut, from one Deligne bigrading of m."""
-    big = mh.deligne_bigrading(m)
-    projectors = mh.deligne_projectors(m, big)
-    return [(p, _u_p(weight_cut(m, p, big, projectors)))
+    """u_p at every cut, from one set of Deligne projectors of m."""
+    projectors = mh.deligne_projectors(m)
+    return [(p, _u_p(weight_cut(m, p, projectors)))
             for p in m.W.jumps[:-1]]
 
 
@@ -290,10 +266,20 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     """
     if d < 1:
         raise MhsError("tensor degree must be at least 1")
-    n = m.dim
-    mh.check_guard(n ** d)
+    n, limit = m.dim, mh.guard_limit()
     if n == 0:
         return Subspace.zero(Q, 0)
+    # Each degree contributes deg + 1 powers of dimension n^deg.  Their
+    # running total is checked degree by degree, so that a refusal comes
+    # before any large power is formed, even as an integer.
+    total = 0
+    for deg in range(1, d + 1):
+        total += (deg + 1) * n ** deg
+        if total > limit:
+            raise ResourceGuardError(
+                f"tensor powers of degree at most {deg} have total dimension "
+                f"{total}, above the ceiling {limit} (set {mh.GUARD_ENV} "
+                f"to raise it)")
     constraint_rows: List[Tuple] = []
     for deg in range(1, d + 1):
         for a in range(deg + 1):
@@ -333,6 +319,8 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
 def _experiment(mu: Triple, n_samples: int, seed, height: int) -> dict:
     """genericity_experiment on a triple already checked."""
     _check_graded_tate(mh.graded_mhs(mu.graded))
+    if n_samples < 0:
+        raise MhsError("the number of samples must be at least 0")
     if height < 1:
         raise MhsError("height must be at least 1")
     cuts = mu.W.jumps[:-1]

@@ -237,14 +237,21 @@ def oracle_structures():
 
 # -- the class from an adapted-basis Hodge section: oracle -------------------
 
+def checked_hom(cut):
+    """H = Hom(M/W_pM, W_pM) at a weight cut, from the checked functors:
+    both sides are validated before the Hom is formed."""
+    return mh.hom(mh.quotient_mhs(cut.m, cut.wp), mh.sub_mhs(cut.m, cut.wp))
+
+
 def hodge_section_class(cut):
     """The extension class at a weight cut, as unipotent read it before the
     Deligne projectors of M: a Hodge section lifts each vector of an
     adapted basis of F on M/W_pM, tagged q, into F^qM, and inverts the
     basis matrix; e is the rational section minus it, in h coordinates."""
     proj = la.to_qi_mat(cut.proj)
+    quo = mh.quotient_mhs(cut.m, cut.wp)
     basis, lifts = [], []
-    for q, v in mh._adapted_basis(reversed(cut.quo.F.steps)):
+    for q, v in mh._adapted_basis(reversed(quo.F.steps)):
         gens = la.transpose(cut.m.F.at(q).basis)
         basis.append(v)
         lifts.append(la.mat_vec(gens, la.solve(QI, la.mat_mul(proj, gens), v)))
@@ -253,7 +260,7 @@ def hodge_section_class(cut):
     diff = tuple(tuple(x - y for x, y in zip(r, s))
                  for r, s in zip(cut.section, hodge))
     return mh.hom_vec(la.solve_matrix(QI, la.to_qi_mat(cut.incl), diff),
-                      cut.quo.dim, cut.wp.dim)
+                      quo.dim, cut.wp.dim)
 
 
 def walked_bigrading(m):

@@ -322,6 +322,43 @@ def test_mt_bound_verb_and_guard(capsys, kummer_file, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("make, degree", [
+    (lambda: corpus.kummer_mhs(I), "15000"),
+    (lambda: mh.tate_twist(1), "1000")], ids=["kummer", "tate"])
+def test_mt_bound_guard_refuses_any_degree_at_once(capsys, tmp_path,
+                                                   monkeypatch, make, degree):
+    # n^d has thousands of digits on Kummer, and is 1 on Q(1); both are
+    # refused from the total of the powers before any power is formed.
+    path = write(tmp_path, "m.json", se.mhs_to_json(make()))
+    products = []
+    build = mh._products
+    monkeypatch.setattr(mh, "_products",
+                        lambda fs: products.append(fs) or build(fs))
+    assert cli.main(["mt-bound", path, "--degree", degree]) == 5
+    out, err = capsys.readouterr()
+    assert not products and out == ""
+    assert err.startswith("error: tensor powers of degree at most ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_up_guards_the_hom_of_its_cut(capsys, tmp_path, monkeypatch):
+    # u_p forms no Hom structure, but its vectors and projectors live in
+    # Hom(M/W_pM, W_pM), whose dimension is held to the ceiling.
+    mu = corpus.tate3_triple()
+    m = tr.build_mhs(mu, tr.sample_point(mu, "guard", 5))
+    path = write(tmp_path, "m.json", se.mhs_to_json(m))
+    for p in m.W.jumps[:-1]:
+        wp = m.W.at(p)
+        h_dim = wp.dim * (m.dim - wp.dim)
+        monkeypatch.setenv("MHSLAB_TENSOR_GUARD", str(h_dim - 1))
+        assert cli.main(["up", path, "--p", str(p)]) == 5
+        assert capsys.readouterr().err.startswith(
+            f"error: tensor space of dimension {h_dim} exceeds")
+        monkeypatch.setenv("MHSLAB_TENSOR_GUARD", str(h_dim))
+        assert cli.main(["up", path, "--p", str(p)]) == 0
+        capsys.readouterr()
+
+
 def test_functors_and_locus_guard(capsys, kummer_file, pencil_file,
                                   monkeypatch):
     # The tensor square and End of Kummer have dimension 4.
@@ -401,9 +438,9 @@ def test_experiment_verb_checks_its_triple_once(capsys, tmp_path, monkeypatch):
     assert cli.main(["experiment", "--triple", mu_file, "--samples", "2",
                      "--seed", "1"]) == 0
     capsys.readouterr()
-    # The 3 graded pieces of the triple, checked where the file is read,
-    # and u_p checked as a subobject at 2 cuts of 5 members.
-    assert len(validated) == 3 + 2 * 5
+    # The 3 graded pieces of the triple, checked where the file is read;
+    # no member, side of a cut or u_p is validated.
+    assert len(validated) == 3
     # A Python caller's triple is still checked.
     bad = tr.Triple(mu.dim, mu.W, ((-6, mh.tate_twist(1)),) + mu.graded[1:])
     with pytest.raises(NotAnMhsError):

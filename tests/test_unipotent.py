@@ -7,8 +7,9 @@ from math import gcd
 from typing import Sequence
 
 import pytest
-from helpers import (graded_offsets, hodge_section_class, oracle_structures,
-                     random_mhs, random_pure_piece, tate_triple)
+from helpers import (checked_hom, graded_offsets, hodge_section_class,
+                     oracle_structures, random_mhs, random_pure_piece,
+                     tate_triple)
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -123,8 +124,7 @@ def _in_mixed_span(e: Sequence, qi_gens: Sequence, q_gens: Sequence) -> bool:
     return la.solve(Q, la.transpose(la.mat(Q, cols)), target) is not None
 
 
-def mixed_span_splits(cut, a_q, rep):
-    h = cut.h
+def mixed_span_splits(h, a_q, rep):
     qi_gens = [tuple(GaussRat(x) for x in row) for row in a_q.basis]
     qi_gens += list(h.F.at(0).basis)
     return _in_mixed_span(rep.e, qi_gens, list(la.identity(Q, h.dim)))
@@ -150,13 +150,15 @@ def test_splits_matches_the_mixed_span_oracle():
     outcomes, f0_dims = set(), []
     for i, cut in enumerate(_cuts(structures)):
         rng = random.Random(f"splits:{i}")
-        f0_dims.append(cut.h.F.at(0).dim)
-        reps = [un._ext_class(cut)] + [un._ext_class(cut, random.Random(
-            f"redraw:{i}:{k}")) for k in range(2)]
-        for a_q in _rational_candidates(cut.h.dim, rng):
+        h = checked_hom(cut)
+        f0_dims.append(h.F.at(0).dim)
+        reps = [un._ext_class(cut)] + [
+            un.ext_class_rep(cut.m, cut.p, random.Random(f"redraw:{i}:{k}"))
+            for k in range(2)]
+        for a_q in _rational_candidates(h.dim, rng):
             for rep in reps:
-                got = un._splits(cut, a_q, rep)
-                assert got == mixed_span_splits(cut, a_q, rep)
+                got = un._splits(h, a_q, rep)
+                assert got == mixed_span_splits(h, a_q, rep)
                 outcomes.add(got)
     assert outcomes == {True, False} and max(f0_dims) > 0
 
@@ -165,14 +167,15 @@ def solved_ext_class(cut, rng=None):
     """Reference for the class: the Hodge section solved as a vector of
     F^0 Hom(M/W_pM, M) whose projection is the identity, shifted with an
     rng by the kernel of that system (which is F^0 h)."""
-    k, w, n = cut.quo.dim, cut.wp.dim, cut.m.dim
+    w, n = cut.wp.dim, cut.m.dim
+    k = n - w
     f0 = cut.section
     if rng is not None:
         noise = la.mat(Q, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                             for _ in range(k)] for _ in range(w)])
         f0 = la.mat_add(f0, la.mat_mul(cut.incl, noise))
     f_rational = tuple(GaussRat(x) for x in mh.hom_vec(f0, k, n))
-    f0_hom = mh.hom(cut.quo, cut.m).F.at(0)
+    f0_hom = mh.hom(mh.quotient_mhs(cut.m, cut.wp), cut.m).F.at(0)
     gens = la.transpose(f0_hom.basis)
     system = la.mat_mul(la.kron_mat(la.identity(QI, k),
                                     la.to_qi_mat(cut.proj)), gens)
@@ -204,7 +207,7 @@ def test_ext_class_is_the_solved_one_on_graded_tate_members():
                   tr.build_mhs(four, tr.sample_point(four, "o", 4))])
     for i, cut in enumerate(_cuts(members)):
         assert un._ext_class(cut).e == solved_ext_class(cut)
-        assert (un._ext_class(cut, random.Random(i)).e
+        assert (un.ext_class_rep(cut.m, cut.p, random.Random(i)).e
                 == solved_ext_class(cut, random.Random(i)))
 
 
@@ -212,11 +215,12 @@ def test_ext_class_equals_the_solved_one_modulo_f0_and_rationals():
     structures = [corpus.two_weight_mhs()] + [random_mhs(s) for s in range(12)]
     f0_dims = []
     for i, cut in enumerate(_cuts(structures)):
-        f0 = cut.h.F.at(0).basis
-        rational = la.identity(Q, cut.h.dim)
+        h = checked_hom(cut)
+        f0 = h.F.at(0).basis
+        rational = la.identity(Q, h.dim)
         f0_dims.append(len(f0))
         for rng in (None, random.Random(i)):
-            new = un._ext_class(cut, rng).e
+            new = un.ext_class_rep(cut.m, cut.p, rng).e
             old = solved_ext_class(cut, None if rng is None
                                    else random.Random(f"old:{i}"))
             assert _in_mixed_span([x - y for x, y in zip(new, old)],
@@ -254,10 +258,10 @@ def test_ext_class_matches_the_adapted_basis_hodge_section():
     vector of F^0 h elsewhere."""
     f0_dims = []
     for cut in _cuts(_tate_members()):
-        assert cut.h.F.at(0).is_zero()
+        assert checked_hom(cut).F.at(0).is_zero()
         assert un._ext_class(cut).e == hodge_section_class(cut)
     for cut in _cuts(_other_members()):
-        f0 = cut.h.F.at(0)
+        f0 = checked_hom(cut).F.at(0)
         f0_dims.append(f0.dim)
         diff = [x - y for x, y in zip(un._ext_class(cut).e,
                                       hodge_section_class(cut))]
@@ -266,11 +270,11 @@ def test_ext_class_matches_the_adapted_basis_hodge_section():
 
 
 def test_h_projectors_match_the_per_cut_bigrading():
-    """The projectors of h by functoriality equal, entry for entry, those
-    read off a Deligne bigrading of h itself."""
+    """The projectors of H by functoriality equal, entry for entry, those
+    read off a Deligne bigrading of H itself."""
     for cut in _cuts(_tate_members() + _other_members()):
         got = un._h_projectors(cut)
-        want = mh.deligne_projectors(cut.h)
+        want = mh.deligne_projectors(checked_hom(cut))
         assert list(got) == list(want) and got == want
 
 
@@ -303,6 +307,27 @@ def test_u_p_is_a_subobject_modulo_which_the_class_splits():
             if res.subspace.dim > 0:
                 assert not un.splits_mod(
                     m, p, Subspace.zero(Q, res.subspace.ambient_dim))
+
+
+def test_every_u_p_is_a_subobject_of_the_checked_hom():
+    """_u_p does not check its answer: the rational closure under the
+    projectors of H is a subobject by construction.  This is the oracle."""
+    for m in _tate_members():
+        for p, res in un.u_large_detail(m):
+            wp = m.W.at(p)
+            h = mh.hom(mh.quotient_mhs(m, wp), mh.sub_mhs(m, wp))
+            mh.sub_mhs(h, res.subspace)  # raises unless a subobject
+
+
+def test_detail_builds_no_structure(monkeypatch):
+    members = _tate_members()
+    expected = [un._detail(m) for m in members]
+
+    def forbidden(*args):
+        raise AssertionError("_detail built a structure")
+    monkeypatch.setattr(mh, "hom", forbidden)
+    monkeypatch.setattr(mh, "make_mhs", forbidden)
+    assert [un._detail(m) for m in members] == expected
 
 
 def _u_p_by_public_search(m, p):
@@ -590,21 +615,24 @@ def test_weight_cut_validates_neither_side(monkeypatch):
 
 
 def test_weight_cut_sides_are_the_checked_sub_and_quotient():
+    """The unchecked H that splits_mod and ext_class_rep read F^0 of is
+    the Hom of the checked sides, and its dimension is the one u_p uses."""
     members = [m for m in oracle_structures() if mh.is_valid(m)]
     members += [tate3_mhs(f"sides:{s}", rational) for s in range(2)
                 for rational in (False, True)]
     members += _other_members()[-4:]
     for m in members:
-        big = mh.deligne_bigrading(m)
-        projectors = mh.deligne_projectors(m, big)
+        projectors = mh.deligne_projectors(m)
         for p in m.W.jumps[:-1]:
-            cut = un.weight_cut(m, p, big, projectors)
+            cut = un.weight_cut(m, p, projectors)
             assert cut == un.weight_cut(m, p)
-            assert cut.sub == mh.sub_mhs(m, cut.wp)  # raises unless valid
-            assert mh._restrict(m, cut.wp) == cut.sub
-            assert mh.is_valid(cut.quo)
-            assert cut.quo == mh.quotient_mhs(m, cut.wp)
-            assert cut.h == mh.hom(cut.quo, cut.sub)
+            sub = mh.sub_mhs(m, cut.wp)  # raises unless valid
+            assert mh._restrict(m, cut.wp) == sub
+            quo = mh.quotient_mhs(m, cut.wp)
+            assert mh.is_valid(quo) and mh._push_forward(m, cut.wp) == quo
+            h = un._hom(cut)
+            assert h == mh.hom(quo, sub)
+            assert h.dim == cut.wp.dim * (m.dim - cut.wp.dim)
 
 
 def test_detail_bigrades_each_member_once(monkeypatch):
@@ -628,13 +656,30 @@ def test_resource_guard(monkeypatch):
     monkeypatch.setattr(mh, "_products",
                         lambda fs: products.append(fs) or build(fs))
     with pytest.raises(ResourceGuardError):
-        un.mt_lie_upper_bound(m, 4)  # 2^4 = 16 > 10
+        un.mt_lie_upper_bound(m, 4)  # 2*2 + 3*4 = 16 > 10 by degree 2
     assert not products  # refused before any power was formed
     monkeypatch.setenv(mh.GUARD_ENV, "sixteen")
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 2)
     monkeypatch.delenv(mh.GUARD_ENV)
     assert un.mt_lie_upper_bound(m, 2).dim >= 1
+
+
+def test_resource_guard_counts_every_power(monkeypatch):
+    # On Q(1) every power has dimension 1; the degree-d bound reads
+    # deg + 1 of them at each degree, 2 + 3 + ... + (d + 1) in all.
+    m = mh.tate_twist(1)
+    monkeypatch.setenv(mh.GUARD_ENV, "20")
+    assert un.mt_lie_upper_bound(m, 5) == un.mt_lie_upper_bound(m, 1)
+    with pytest.raises(ResourceGuardError, match="degree at most 6 have "
+                       "total dimension 27, above the ceiling 20"):
+        un.mt_lie_upper_bound(m, 6)
+    # The refusal names the first degree over the ceiling, not n^d.
+    monkeypatch.delenv(mh.GUARD_ENV)
+    with pytest.raises(ResourceGuardError, match="degree at most 10 "):
+        un.mt_lie_upper_bound(corpus.kummer_mhs(I), 10 ** 7)
+    # The three-step member at degree 3 reads 2*3 + 3*9 + 4*27 = 141.
+    assert 141 <= mh.DEFAULT_GUARD
 
 
 # -- the experiment --------------------------------------------------------------------
@@ -671,16 +716,24 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     mh.graded_pieces.cache_clear()
     un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
     assert len(calls) == 1
-    # One bigrading per member (2 samples and 3 controls) gives the sides,
-    # class and h-projectors of both cuts.  There were 772 reductions
-    # with a bigrading of each h and intersections for each side, and
-    # 1,163 when equations were reduced twice more and solve_matrix went
-    # column by column.
+    # One bigrading per member (2 samples and 3 controls) gives the class
+    # and H-projectors of both cuts, with no structure on either side or
+    # on H.  There were 395 reductions when each cut read its sides off
+    # the bigrading and built H, 772 with a bigrading of each H and
+    # intersections for each side, and 1,163 when equations were reduced
+    # twice more and solve_matrix went column by column.
     assert len(bigraded) == 5
-    assert len(reductions) <= 450
+    assert len(reductions) <= 198
     assert mh.graded_pieces.cache_info().misses <= 8
-    # The 3 graded pieces of the triple, and each u_p checked as a
-    # subobject at 2 cuts of 5 members; no member or cut is re-validated.
-    assert len(validated) <= 13
+    # The 3 graded pieces of the triple; no member, cut or u_p is
+    # validated (the subobject property of u_p is checked by the tests).
+    assert len(validated) == 3
     with pytest.raises(MhsError, match="height"):
         un.genericity_experiment(corpus.tate3_triple(), 1, "cnt", 0)
+
+
+def test_experiment_rejects_a_negative_sample_count():
+    with pytest.raises(MhsError, match="number of samples"):
+        un.genericity_experiment(corpus.tate3_triple(), -2, "s", 10)
+    assert un.genericity_experiment(corpus.tate3_triple(), 0, "s", 10)[
+        "n_samples"] == 0
