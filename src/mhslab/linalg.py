@@ -321,12 +321,9 @@ def image(field: str, a: Matrix, nrows: Optional[int] = None) -> Subspace:
     return Subspace.span(field, len(a), transpose(a))
 
 
-def apply_to_subspace(a: Matrix, u: Subspace, field: Optional[str] = None) -> Subspace:
+def apply_to_subspace(a: Matrix, u: Subspace) -> Subspace:
     """Image a(u) inside the target space."""
-    field = field or u.field
-    nrows = len(a)
-    vecs = [mat_vec(a, tuple(as_scalar(field, x) for x in b)) for b in u.basis]
-    return Subspace.span(field, nrows, vecs)
+    return Subspace.span(u.field, len(a), [mat_vec(a, b) for b in u.basis])
 
 
 def annihilator(u: Subspace) -> Subspace:
@@ -408,27 +405,29 @@ def invert(field: str, a: Matrix) -> Matrix:
 # -- rational structure -----------------------------------------------------
 
 def rational_part(u: Subspace) -> Subspace:
-    """Largest Q-subspace B with B tensor Q(i) inside u (u over Q(i))."""
+    """Largest Q-subspace B with B tensor Q(i) inside u (u over Q(i)).
+
+    The coordinates of v in u's echelon basis b_j are its entries at the
+    pivots p_j, so v is rational exactly when they are rationals c with
+    sum c_j Im(b_j) = 0.  Over the echelon basis of those c, the vectors
+    sum c_j Re(b_j) are the echelon basis of B, with pivots p_q at the
+    kernel's pivots q.  A u defined over Q is its own real part."""
     if u.field == Q:
         return u
-    n, k = u.ambient_dim, u.dim
-    if k == 0:
-        return Subspace.zero(Q, n)
-    # v = sum (a_j + i d_j) b_j is rational iff sum a_j Im(b_j) + d_j Re(b_j) = 0.
-    rows = []
-    for c in range(n):
-        row = [u.basis[j][c].im for j in range(k)] + \
-              [u.basis[j][c].re for j in range(k)]
-        rows.append(tuple(row))
-    sols = kernel(Q, tuple(rows), 2 * k)
-    vecs = []
-    for s in sols.basis:
-        a, d = s[:k], s[k:]
-        v = [sum((a[j] * u.basis[j][c].re - d[j] * u.basis[j][c].im
-                  for j in range(k)), Fraction(0)) for c in range(n)]
-        vecs.append(v)
-    return Subspace.span(Q, n, vecs)
+    n = u.ambient_dim
+    if is_defined_over_q(u):
+        return Subspace(Q, n, tuple(tuple(x.re for x in b) for b in u.basis),
+                        u.pivots)
+    sols = kernel(Q, tuple(tuple(b[c].im for b in u.basis) for c in range(n)),
+                  u.dim)
+    basis = tuple(tuple(sum((x * b[c].re for x, b in zip(s, u.basis) if x),
+                            _ZERO_Q)
+                        for c in range(n))
+                  for s in sols.basis)
+    return Subspace(Q, n, basis, tuple(u.pivots[q] for q in sols.pivots))
 
 
 def is_defined_over_q(u: Subspace) -> bool:
-    return rational_part(u).dim == u.dim
+    """Whether u = B tensor Q(i) for a rational B: the reduced echelon
+    basis of B tensor Q(i) is that of B, so exactly when u's is real."""
+    return u.field == Q or not any(x.im for b in u.basis for x in b)

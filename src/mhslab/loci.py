@@ -18,7 +18,7 @@ from . import linalg as la
 from . import mhs as mh
 from . import triples as tr
 from .errors import LocusError, ParseError
-from .field import Q, QI, GaussRat, parse_q
+from .field import Q, GaussRat, parse_q
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Pencil
@@ -30,25 +30,13 @@ def can_lift(m: MixedHodgeStructure, a_tilde_q: Subspace) -> Optional[Subspace]:
     """Lift a rational subobject of the associated graded into m, if possible.
 
     a_tilde_q lives in graded block coordinates.  The lift exists exactly
-    when the inverse Deligne splitting carries each weight piece of the
-    subobject to a subspace defined over Q; it is then unique, and its
-    rational points are returned.
-    """
-    gm = mh.graded_mhs(mh.gr_w(m))
-    alpha = la.invert(QI, mh.deligne_splitting(m))
-    mh.sub_mhs(gm, a_tilde_q)  # raises if not a subobject of the graded
-    if a_tilde_q.is_zero():
-        return a_tilde_q
-    a_c = a_tilde_q.to_qi()
-    for n in gm.W.jumps:
-        piece = la.intersect(a_c, gm.W.at(n).to_qi())
-        if not la.is_defined_over_q(la.apply_to_subspace(alpha, piece)):
-            return None
-    lift = la.rational_part(la.apply_to_subspace(alpha, a_c))
-    if lift.dim != a_tilde_q.dim:
-        return None
-    mh.sub_mhs(m, lift)  # the lemma guarantees this validates
-    return lift
+    when the Deligne sections of m (the inverse splitting, which maps W_n
+    of the graded onto W_n M) carry it to a subspace defined over Q; it
+    is then unique, and its rational points are returned."""
+    mh.sub_mhs(mh.graded_mhs(mh.gr_w(m)), a_tilde_q)  # raises if not a subobject
+    alpha = tr.total_section_matrix(tr.TPoint(mh.deligne_sections(m)))
+    image = la.apply_to_subspace(alpha, a_tilde_q.to_qi())
+    return la.rational_part(image) if la.is_defined_over_q(image) else None
 
 
 # -- construction term language ----------------------------------------------

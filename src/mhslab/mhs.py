@@ -551,6 +551,15 @@ def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
                  for row in la.mat_mul(piece.pi_qi, proj[piece.weight]))
 
 
+def deligne_sections(m: MixedHodgeStructure) -> Tuple[Tuple[int, Matrix], ...]:
+    """The inverse of deligne_splitting, block by block: on Gr^W_n it is
+    P_n . section_n, for the Deligne projector P_n and any section of
+    W_n -> Gr^W_n, so it is read off the projectors with no inversion."""
+    proj = deligne_projectors(m)
+    return tuple((piece.weight, la.mat_mul(proj[piece.weight], piece.section))
+                 for piece in graded_pieces(m.W))
+
+
 def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]
                ) -> MixedHodgeStructure:
     """The split structure on graded coordinates, from (weight, pure piece)

@@ -158,15 +158,10 @@ def matches_triple(mu: Triple, m: MixedHodgeStructure) -> bool:
 
 
 def sections_from_mhs(mu: Triple, m: MixedHodgeStructure) -> TPoint:
-    """The canonical point: the inverse of the splitting, block by block.
-    On Gr^W_n that inverse is P_n . section_n, for the Deligne projector
-    P_n and any section of W_n -> Gr^W_n."""
+    """The canonical point: the Deligne sections of m."""
     if not matches_triple(mu, m):
         raise NotAnMhsError(["structure is not associated to the triple"])
-    proj = mh.deligne_projectors(m)
-    return TPoint(tuple(
-        (piece.weight, la.mat_mul(proj[piece.weight], piece.section))
-        for piece in mh.graded_pieces(m.W)))
+    return TPoint(mh.deligne_sections(m))
 
 
 def total_section_matrix(alpha: TPoint) -> Matrix:

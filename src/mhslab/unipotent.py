@@ -14,7 +14,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import linalg as la
 from . import mhs as mh
@@ -49,14 +49,8 @@ class WeightCut:
 def weight_cut(m: MixedHodgeStructure, p: int,
                projectors: Optional[Dict[int, Matrix]] = None) -> WeightCut:
     """The cut at p, with the weight projectors of M (formed here when not
-    given; a caller with several cuts of one M passes them to each).
-    Every reader of a cut forms vectors or maps of Hom(M/W_pM, W_pM), so
-    its dimension is held to the tensor guard."""
-    wp = m.W.at(p)
-    if wp.is_zero() or wp.is_full():
-        raise DegenerateRangeError(
-            f"weight cut {p} leaves nothing on one side")
-    mh.check_guard(wp.dim * (m.dim - wp.dim))
+    given; a caller with several cuts of one M passes them to each)."""
+    wp = _cut_step(m, p)
     if projectors is None:
         projectors = mh.deligne_projectors(m)
     proj = la.quotient_map(wp)
@@ -65,10 +59,22 @@ def weight_cut(m: MixedHodgeStructure, p: int,
                      projectors)
 
 
-def _hom(cut: WeightCut) -> MixedHodgeStructure:
+def _cut_step(m: MixedHodgeStructure, p: int) -> Subspace:
+    """W_pM, when it leaves something on both sides.  Every reader of a
+    cut forms vectors or maps of Hom(M/W_pM, W_pM), so its dimension is
+    held to the tensor guard."""
+    wp = m.W.at(p)
+    if wp.is_zero() or wp.is_full():
+        raise DegenerateRangeError(
+            f"weight cut {p} leaves nothing on one side")
+    mh.check_guard(wp.dim * (m.dim - wp.dim))
+    return wp
+
+
+def _hom(m: MixedHodgeStructure, wp: Subspace) -> MixedHodgeStructure:
     """H = Hom(M/W_pM, W_pM), for the callers that read F^0 H.  W_pM is a
     subobject of a valid M, so neither side is validated."""
-    return mh.hom(mh._push_forward(cut.m, cut.wp), mh._restrict(cut.m, cut.wp))
+    return mh.hom(mh._push_forward(m, wp), mh._restrict(m, wp))
 
 
 # -- extension classes --------------------------------------------------------
@@ -107,7 +113,7 @@ def ext_class_rep(m: MixedHodgeStructure, p: int,
         noise = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in range(k)] for _ in range(w)]
         e = [x + y for x, y in zip(e, mh.hom_vec(noise, k, w))]
-        for v in _hom(cut).F.at(0).basis:
+        for v in _hom(m, cut.wp).F.at(0).basis:
             c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             e = [x - c * y for x, y in zip(e, v)]
@@ -131,11 +137,11 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
 
     a_q must underlie a subobject of Hom(M/W_pM, W_pM); the test decides
     membership of the class in a_q (x) Q(i) + F^0 + rational vectors.
+    M's projectors are formed only to find the class when no rep is given.
     """
-    cut = weight_cut(m, p)
-    h = _hom(cut)
+    h = _hom(m, _cut_step(m, p))
     mh.sub_mhs(h, a_q)  # raises NotASubobjectError when not a subobject
-    return _splits(h, a_q, rep if rep is not None else _ext_class(cut))
+    return _splits(h, a_q, rep or _ext_class(weight_cut(m, p)))
 
 
 # -- the graded-Tate regime ---------------------------------------------------
@@ -147,10 +153,11 @@ class UpResult:
     large: bool
 
 
-def _check_graded_tate(m: MixedHodgeStructure) -> None:
-    """Raise unless every Gr^W_n M is Tate: n is even and F^{n/2} covers
-    Gr^W_n, so that by Hodge symmetry F^{n/2+1} is zero there."""
-    for n, pure in mh.gr_w(m):
+def _check_graded_tate(graded: Iterable) -> None:
+    """Raise unless every (weight n, pure piece) pair, as in gr_w(m), is
+    Tate: n is even and F^{n/2} covers the piece, so that by Hodge
+    symmetry F^{n/2+1} is zero there."""
+    for n, pure in graded:
         if n % 2 or not pure.F.at(n // 2).is_full():
             raise RegimeError(f"the graded piece of weight {n} is not Tate "
                               f"(the structure must be graded-Tate)")
@@ -207,7 +214,7 @@ def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
     graded-Tate M: the smallest subobject of Hom(M/W_pM, W_pM) modulo
     which the extension class splits, found as the subobject generated
     by the imaginary part of the class."""
-    _check_graded_tate(m)
+    _check_graded_tate(mh.gr_w(m))
     return _u_p(weight_cut(m, p))
 
 
@@ -220,7 +227,7 @@ def _detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
 
 def u_large_detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
     """u_p at every weight cut, lowest weight first."""
-    _check_graded_tate(m)
+    _check_graded_tate(mh.gr_w(m))
     return _detail(m)
 
 
@@ -318,7 +325,7 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
 
 def _experiment(mu: Triple, n_samples: int, seed, height: int) -> dict:
     """genericity_experiment on a triple already checked."""
-    _check_graded_tate(mh.graded_mhs(mu.graded))
+    _check_graded_tate(mu.graded)
     if n_samples < 0:
         raise MhsError("the number of samples must be at least 0")
     if height < 1:

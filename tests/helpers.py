@@ -109,6 +109,53 @@ def solve_matrix(field, a, b):
     return la.transpose(tuple(cols))
 
 
+# -- rationality and lifting by solving: oracles -----------------------------
+
+def rational_part(u: Subspace) -> Subspace:
+    """The rational part of u solved in 2k unknowns: v = sum (a_j + i d_j) b_j
+    over u's basis is rational iff sum a_j Im(b_j) + d_j Re(b_j) = 0.  The
+    oracle for la.rational_part, which solves for the k coordinates only."""
+    if u.field == Q:
+        return u
+    n, k = u.ambient_dim, u.dim
+    if k == 0:
+        return Subspace.zero(Q, n)
+    rows = [[u.basis[j][c].im for j in range(k)] +
+            [u.basis[j][c].re for j in range(k)] for c in range(n)]
+    vecs = []
+    for s in la.kernel(Q, la.mat(Q, rows), 2 * k).basis:
+        a, d = s[:k], s[k:]
+        vecs.append([sum((a[j] * u.basis[j][c].re - d[j] * u.basis[j][c].im
+                          for j in range(k)), Fraction(0)) for c in range(n)])
+    return Subspace.span(Q, n, vecs)
+
+
+def is_defined_over_q(u: Subspace) -> bool:
+    """Whether the rational part of u has u's dimension."""
+    return rational_part(u).dim == u.dim
+
+
+def can_lift(m, a_tilde_q):
+    """The lift of a graded subobject by inverting the Deligne splitting,
+    testing each weight piece of its image for rationality, and checking
+    the lift as a subobject of m: the oracle for loci.can_lift."""
+    gm = mh.graded_mhs(mh.gr_w(m))
+    alpha = la.invert(QI, mh.deligne_splitting(m))
+    mh.sub_mhs(gm, a_tilde_q)
+    if a_tilde_q.is_zero():
+        return a_tilde_q
+    a_c = a_tilde_q.to_qi()
+    for n in gm.W.jumps:
+        piece = la.intersect(a_c, gm.W.at(n).to_qi())
+        if not is_defined_over_q(la.apply_to_subspace(alpha, piece)):
+            return None
+    lift = rational_part(la.apply_to_subspace(alpha, a_c))
+    if lift.dim != a_tilde_q.dim:
+        return None
+    mh.sub_mhs(m, lift)
+    return lift
+
+
 def graded_offsets(w: mh.WeightFiltration):
     """(offset, piece) for each graded piece of w: the offset is the
     running sum of the dimensions before it, where the piece's block

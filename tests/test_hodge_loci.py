@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_mhs
+import helpers
+from helpers import graded_offsets, oracle_structures
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import loci as lo
@@ -71,6 +72,67 @@ def test_can_lift_rejects_non_subobjects():
     # A line that is not a subobject of the graded space (wrong weight type).
     with pytest.raises(NotASubobjectError):
         lo.can_lift(m, Subspace.span(Q, 2, [(1, 1)]))
+
+
+def _graded_block_sums(m):
+    """Every sum of graded blocks of m, in graded coordinates: each is a
+    subobject of the associated graded."""
+    unit = la.identity(Q, m.dim)
+    blocks = [unit[offset:offset + g.dim] for offset, g in graded_offsets(m.W)]
+    for size in range(len(blocks) + 1):
+        for subset in itertools.combinations(blocks, size):
+            yield Subspace.span(Q, m.dim, [r for b in subset for r in b])
+
+
+def test_can_lift_matches_the_inverse_splitting_oracle():
+    outcomes = set()
+    for m in oracle_structures():
+        if not mh.is_valid(m):
+            continue
+        for a in _graded_block_sums(m):
+            lift = lo.can_lift(m, a)
+            assert lift == helpers.can_lift(m, a)
+            outcomes.add(lift is not None)
+            if lift is not None:
+                assert lift.dim == a.dim
+                mh.sub_mhs(m, lift)  # raises unless the lift is a subobject
+    assert outcomes == {False, True}
+
+
+def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
+        monkeypatch):
+    mu = corpus.tate3_triple()
+    m = tr.build_mhs(mu, tr.sample_point(mu, "a", 10))
+    validations, inside, reductions = [], [], []
+    validate, projectors = mh.validate_mhs, mh.deligne_projectors
+    invert, rref = la.invert, la._rref
+
+    def counted_validate(s):
+        validations.append(s)
+        return validate(s)
+
+    def marked_projectors(s):
+        inside.append(True)
+        try:
+            return projectors(s)
+        finally:
+            inside.pop()
+
+    def guarded_invert(field, a):
+        assert inside, "can_lift inverted outside deligne_projectors"
+        return invert(field, a)
+
+    def counted_rref(rows, field):
+        reductions.append(field)
+        return rref(rows, field)
+
+    monkeypatch.setattr(mh, "validate_mhs", counted_validate)
+    monkeypatch.setattr(mh, "deligne_projectors", marked_projectors)
+    monkeypatch.setattr(la, "invert", guarded_invert)
+    monkeypatch.setattr(la, "_rref", counted_rref)
+    assert lo.can_lift(m, Subspace.full(Q, 3)) == Subspace.full(Q, 3)
+    assert len(validations) == 1
+    assert len(reductions) <= 60
 
 
 # -- construction terms ----------------------------------------------------------

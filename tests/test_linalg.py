@@ -189,6 +189,52 @@ def test_rational_part_is_largest(rows):
             assert r.contains(tuple(x.re for x in v))
 
 
+@st.composite
+def complex_subspaces(draw):
+    """Q(i) spans of rational rows, complex rows with their conjugates and
+    a lone complex row, so that the rational part is often neither zero
+    nor all of u, and is not always spanned by rows of u's basis.  Zero
+    columns are added and the columns permuted, so that u's pivots are
+    not always its first columns."""
+    n, pad = draw(st.integers(3, 5)), draw(st.integers(0, 2))
+    complex_rows = st.tuples(*[gauss(fractions, fractions)] * n).filter(
+        lambda v: any(x.im for x in v))
+    rows = [[GaussRat(x) for x in v] for v in draw(
+        st.lists(st.tuples(*[fractions] * n), max_size=2))]
+    for v in draw(st.lists(complex_rows, max_size=1)):
+        rows += [list(v), [x.conj() for x in v]]
+    rows.append(list(draw(complex_rows)))
+    perm = draw(st.permutations(range(n + pad)))
+    return Subspace.span(QI, n + pad, [[(row + [GaussRat(0)] * pad)[j]
+                                        for j in perm] for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_subspaces())
+def test_rational_part_matches_the_solving_oracle(u):
+    want, defined = helpers.rational_part(u), helpers.is_defined_over_q(u)
+    inside, kernel, rref = [], la.kernel, la._rref
+
+    def marked_kernel(*args):
+        inside.append(True)
+        try:
+            return kernel(*args)
+        finally:
+            inside.pop()
+
+    def guarded_rref(rows, field):
+        assert inside, "rational_part reduced outside its kernel"
+        return rref(rows, field)
+
+    with mock.patch.object(la, "kernel", marked_kernel), \
+            mock.patch.object(la, "_rref", guarded_rref):
+        got = la.rational_part(u)
+    assert got == want and got.pivots == want.pivots
+    assert all(type(x) is Fraction for row in got.basis for x in row)
+    with mock.patch.object(la, "_rref", None):  # no reduction at all
+        assert la.is_defined_over_q(u) == defined
+
+
 @settings(max_examples=40)
 @given(rows_strategy(Q, 3))
 def test_rational_extension_round_trip(rows):

@@ -98,6 +98,37 @@ def test_splits_mod_monotone_in_the_subobject():
             assert un.splits_mod(m, p, Subspace.full(Q, h_dim))
 
 
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except MhsError as exc:
+        return type(exc), str(exc)
+
+
+def test_splits_mod_with_a_rep_forms_no_projectors(monkeypatch):
+    m = tate3_mhs("rep")
+    cases = [(p, a_q, un.ext_class_rep(m, p))
+             for p in (-6, -2)
+             for a_q in (Subspace.zero(Q, 2), Subspace.full(Q, 2),
+                         Subspace.span(Q, 2, [(1, 1)]))]
+    cases += [(p, Subspace.zero(Q, 1), cases[0][2]) for p in (-8, 0)]
+    expected = [_outcome(un.splits_mod, m, p, a_q) for p, a_q, _ in cases]
+    monkeypatch.setenv(mh.GUARD_ENV, "1")
+    expected += [_outcome(un.splits_mod, m, -2, a_q) for _, a_q, _ in cases[:3]]
+    monkeypatch.delenv(mh.GUARD_ENV)
+    kinds = {x if isinstance(x, bool) else x[0] for x in expected}
+    assert kinds == {True, False, NotASubobjectError, DegenerateRangeError,
+                     ResourceGuardError}
+    bigradings = []
+    monkeypatch.setattr(mh, "deligne_bigrading", bigradings.append)
+    got = [_outcome(un.splits_mod, m, p, a_q, rep) for p, a_q, rep in cases]
+    monkeypatch.setenv(mh.GUARD_ENV, "1")
+    got += [_outcome(un.splits_mod, m, -2, a_q, rep) for _, a_q, rep in cases[:3]]
+    assert got == expected
+    assert not bigradings
+
+
 # The splitting test by restriction of scalars on every generator, kept
 # as the oracle for un._splits, which reads imaginary parts only.
 
@@ -412,7 +443,8 @@ def test_graded_tate_check_matches_the_intersection_oracle():
     for m in oracle_structures():
         if m.W.problems() or m.F.problems():
             continue
-        messages.append(_regime_message(un._check_graded_tate, m))
+        messages.append(_regime_message(
+            lambda m: un._check_graded_tate(mh.gr_w(m)), m))
         assert messages[-1] == _regime_message(intersection_graded_tate, m)
     assert None in messages and len(set(messages)) > 2
 
@@ -450,10 +482,11 @@ def test_u_p_with_a_rank_two_piece_against_bounded_height_candidates(
     assert un.splits_mod(m, -4, u)
     assert u.dim == (0 if rational else 4)
     rep = un.ext_class_rep(m, -4)
-    # can_lift splits h afresh on every call; compute that once.
-    splitting, split = mh.deligne_splitting(h), mh.deligne_splitting
-    monkeypatch.setattr(mh, "deligne_splitting",
-                        lambda s: splitting if s is h else split(s))
+    # can_lift reads the Deligne sections of h afresh on every call;
+    # compute them once.
+    sections, read = mh.deligne_sections(h), mh.deligne_sections
+    monkeypatch.setattr(mh, "deligne_sections",
+                        lambda s: sections if s is h else read(s))
     for cand in _bounded_height_candidates(h):
         if cand.dim < u.dim:
             a_q = lo.can_lift(h, cand)
@@ -630,7 +663,7 @@ def test_weight_cut_sides_are_the_checked_sub_and_quotient():
             assert mh._restrict(m, cut.wp) == sub
             quo = mh.quotient_mhs(m, cut.wp)
             assert mh.is_valid(quo) and mh._push_forward(m, cut.wp) == quo
-            h = un._hom(cut)
+            h = un._hom(m, cut.wp)
             assert h == mh.hom(quo, sub)
             assert h.dim == cut.wp.dim * (m.dim - cut.wp.dim)
 
@@ -718,12 +751,13 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     assert len(calls) == 1
     # One bigrading per member (2 samples and 3 controls) gives the class
     # and H-projectors of both cuts, with no structure on either side or
-    # on H.  There were 395 reductions when each cut read its sides off
-    # the bigrading and built H, 772 with a bigrading of each H and
-    # intersections for each side, and 1,163 when equations were reduced
-    # twice more and solve_matrix went column by column.
+    # on H.  There were 198 reductions when the graded-Tate check formed
+    # the direct sum of the graded pieces, 395 when each cut read its
+    # sides off the bigrading and built H, 772 with a bigrading of each H
+    # and intersections for each side, and 1,163 when equations were
+    # reduced twice more and solve_matrix went column by column.
     assert len(bigraded) == 5
-    assert len(reductions) <= 198
+    assert len(reductions) <= 171
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
