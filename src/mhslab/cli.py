@@ -314,6 +314,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RecursionError:
+        # Only JSON input and construction terms nest without bound.
+        print("error: input is nested too deeply", file=sys.stderr)
+        return EXIT_IO
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -24,26 +25,15 @@ GUARD_ENV = "MHSLAB_TENSOR_GUARD"
 DEFAULT_GUARD = 10 ** 4
 
 
-def _prune_increasing(steps: List[Tuple[int, Subspace]]) -> Tuple[Tuple[int, Subspace], ...]:
+def _prune(steps: List[Tuple[int, Subspace]], decreasing: bool
+           ) -> Tuple[Tuple[int, Subspace], ...]:
+    """The jumps among sorted steps, read from the end where the filtration
+    is zero: leading zero steps and repeats of the step before are dropped."""
     out = []
-    for n, s in steps:
-        if s.is_zero() and not out:
-            continue  # the default below all steps is already zero
-        if out and out[-1][1] == s:
-            continue
-        out.append((n, s))
-    return tuple(out)
-
-
-def _prune_decreasing(steps: List[Tuple[int, Subspace]]) -> Tuple[Tuple[int, Subspace], ...]:
-    out = []
-    for n, s in reversed(steps):
-        if s.is_zero() and not out:
-            continue  # the default above all steps is already zero
-        if out and out[-1][1] == s:
-            continue
-        out.append((n, s))
-    return tuple(reversed(out))
+    for n, s in (reversed(steps) if decreasing else steps):
+        if not ((s.is_zero() and not out) or (out and out[-1][1] == s)):
+            out.append((n, s))
+    return tuple(reversed(out) if decreasing else out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +51,7 @@ class WeightFiltration:
                 raise FieldMismatchError("weight filtration must be over Q")
             if s.ambient_dim != ambient_dim:
                 raise DimensionMismatchError("weight step in wrong ambient dimension")
-        return cls(ambient_dim, _prune_increasing(items))
+        return cls(ambient_dim, _prune(items, decreasing=False))
 
     def at(self, n: int) -> Subspace:
         best = None
@@ -106,7 +96,7 @@ class HodgeFiltration:
                 raise FieldMismatchError("Hodge filtration must be over Q(i)")
             if s.ambient_dim != ambient_dim:
                 raise DimensionMismatchError("Hodge step in wrong ambient dimension")
-        return cls(ambient_dim, _prune_decreasing(items))
+        return cls(ambient_dim, _prune(items, decreasing=True))
 
     def at(self, p: int) -> Subspace:
         for q, s in self.steps:
@@ -315,21 +305,29 @@ def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, Vector]],
             for k in {t for t, _ in prods}}
 
 
+def _image_steps(field: str, dim: int, parts) -> Dict[int, Subspace]:
+    """For each jump k of the filtrations G in the (matrix a, G) pairs, the
+    span of the images a.v over the basis vectors v of every G.at(k), in
+    one reduction.  The images must be independent, as block inclusions,
+    the sections of a point and incl(W_p) + psi are."""
+    return {k: _span_independent(field, dim, [la.mat_vec(a, v) for a, g in parts
+                                              for v in g.at(k).basis])
+            for k in {k for _, g in parts for k in g.jumps}}
+
+
+def _block_sum(ms: List[MixedHodgeStructure]) -> MixedHodgeStructure:
+    """The direct sum, in one pass over the inclusions of the blocks:
+    column slices of the identity."""
+    dim = sum(m.dim for m in ms)
+    ident = la.identity(Q, dim)
+    incls = [la.transpose(ident[e - m.dim:e])
+             for m, e in zip(ms, itertools.accumulate(m.dim for m in ms))]
+    return make_mhs(dim, _image_steps(Q, dim, list(zip(incls, (m.W for m in ms)))),
+                    _image_steps(QI, dim, list(zip(incls, (m.F for m in ms)))))
+
+
 def direct_sum(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
-    dim = m.dim + n.dim
-    def pad_m(s: Subspace):
-        z = [0] * n.dim
-        return [list(row) + z for row in s.basis]
-    def pad_n(s: Subspace):
-        z = [0] * m.dim
-        return [z + list(row) for row in s.basis]
-    w = {}
-    for k in sorted(set(m.W.jumps) | set(n.W.jumps)):
-        w[k] = Subspace.span(Q, dim, pad_m(m.W.at(k)) + pad_n(n.W.at(k)))
-    f = {}
-    for p in sorted(set(m.F.jumps) | set(n.F.jumps)):
-        f[p] = Subspace.span(QI, dim, pad_m(m.F.at(p)) + pad_n(n.F.at(p)))
-    return make_mhs(dim, w, f)
+    return _block_sum([m, n])
 
 
 def tensor(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -565,7 +563,4 @@ def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]
     """The split structure on graded coordinates, from (weight, pure piece)
     pairs such as gr_w(m) or the pieces of a triple: the target of
     deligne_splitting."""
-    out = zero_mhs()
-    for _, pure in pieces:
-        out = direct_sum(out, pure) if out.dim else pure
-    return out
+    return _block_sum([pure for _, pure in pieces])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg as la
 from . import mhs as mh
@@ -132,13 +132,8 @@ def build_mhs(mu: Triple, alpha: TPoint) -> MixedHodgeStructure:
     mu must have passed check_triple and alpha is checked here, so the
     result is a mixed Hodge structure by construction, not validated."""
     check_tpoint(mu, alpha)
-    fjumps = sorted({p for _, g in mu.graded for p in g.F.jumps})
-    f: Dict[int, Subspace] = {}
-    for p in fjumps:
-        total = Subspace.zero(QI, mu.dim)
-        for (n, g), (_, a) in zip(mu.graded, alpha.sections):
-            total = la.add(total, la.apply_to_subspace(a, g.F.at(p)))
-        f[p] = total
+    f = mh._image_steps(QI, mu.dim, [(a, g.F) for (_, g), (_, a)
+                                     in zip(mu.graded, alpha.sections)])
     return mh.make_mhs(mu.dim, dict(mu.W.steps), f)
 
 
@@ -270,8 +265,9 @@ def truncate(mu: Triple, p: int) -> Tuple[Triple, Triple]:
     - For v in W_n, n > p, the graded coordinates of proj(v) and of v are
       both its coefficients on the rows of W_n whose pivots are new at n,
       taken modulo W_{n-1}, which contains W_p.
+
+    mu must have passed check_triple.
     """
-    check_triple(mu)
     wp = mu.W.at(p)
     if wp.is_zero():
         return zero_triple(), mu
@@ -327,10 +323,7 @@ def fiber_point(mu: Triple, p: int, x: SPoint, y: SPoint,
     if la.mat_mul(proj_qi, psi) != la.identity(QI, mu.dim - wp.dim):
         raise NotAnMhsError(["gluing map is not a section of the projection"])
     incl_qi = la.to_qi_mat(la.inclusion_map(wp))
-    jumps = sorted(set(x.F.jumps) | set(y.F.jumps))
-    f = {q: la.add(la.apply_to_subspace(incl_qi, x.F.at(q)),
-                   la.apply_to_subspace(psi, y.F.at(q)))
-         for q in jumps}
+    f = mh._image_steps(QI, mu.dim, [(incl_qi, x.F), (psi, y.F)])
     m = mh.check_valid(mh.make_mhs(mu.dim, dict(mu.W.steps), f))
     return SPoint(mu, m.F)
 
@@ -359,10 +352,17 @@ class Pencil:
     dpsi: Matrix
 
     def problems(self) -> List[str]:
-        out = []
+        """The triple first; a point of a checked triple is an F that
+        induces its graded pieces, which are pure."""
+        out = triple_problems(self.triple)
         wp = self.triple.W.at(self.p)
-        if wp.is_zero() or wp.is_full():
-            return ["truncation index must split the weights"]
+        if out or wp.is_zero() or wp.is_full():
+            return out or ["truncation index must split the weights"]
+        for name, s, side in zip("xy", (self.x, self.y),
+                                 truncate(self.triple, self.p)):
+            if (s.triple != side or s.F.problems()
+                    or not matches_triple(side, mhs_of_spoint(s))):
+                out.append(f"{name} is not a point of its truncated triple")
         proj = la.to_qi_mat(la.quotient_map(wp))
         k = self.triple.dim - wp.dim
         if la.mat_mul(proj, self.psi0) != la.identity(QI, k):

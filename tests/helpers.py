@@ -330,3 +330,55 @@ def walked_bigrading(m):
             if comp.dim:
                 comps.append(((p, n - p), comp))
     return mh.Bigrading(m.dim, tuple(comps))
+
+
+# -- sums of images by padding, folding and add chains: oracles ---------------
+
+def padded_direct_sum(m, n):
+    """m (+) n with each step the span of m's rows padded by zeros on the
+    right and n's on the left: the oracle for mh.direct_sum."""
+    dim = m.dim + n.dim
+
+    def pad_m(s):
+        return [list(row) + [0] * n.dim for row in s.basis]
+
+    def pad_n(s):
+        return [[0] * m.dim + list(row) for row in s.basis]
+
+    w = {k: Subspace.span(Q, dim, pad_m(m.W.at(k)) + pad_n(n.W.at(k)))
+         for k in sorted(set(m.W.jumps) | set(n.W.jumps))}
+    f = {p: Subspace.span(QI, dim, pad_m(m.F.at(p)) + pad_n(n.F.at(p)))
+         for p in sorted(set(m.F.jumps) | set(n.F.jumps))}
+    return mh.make_mhs(dim, w, f)
+
+
+def folded_graded_mhs(pieces):
+    """The direct sum of the pieces, folded pairwise from the left: the
+    oracle for mh.graded_mhs."""
+    out = mh.zero_mhs()
+    for _, pure in pieces:
+        out = padded_direct_sum(out, pure) if out.dim else pure
+    return out
+
+
+def added_build_mhs(mu, alpha):
+    """The structure of a point with F^p the sum alpha_n(F^p Gr_n), added
+    piece by piece: the oracle for tr.build_mhs."""
+    tr.check_tpoint(mu, alpha)
+    f = {}
+    for p in sorted({p for _, g in mu.graded for p in g.F.jumps}):
+        total = Subspace.zero(QI, mu.dim)
+        for (_, g), (_, a) in zip(mu.graded, alpha.sections):
+            total = la.add(total, la.apply_to_subspace(a, g.F.at(p)))
+        f[p] = total
+    return mh.make_mhs(mu.dim, dict(mu.W.steps), f)
+
+
+def added_fiber_filtration(mu, p, x, y, psi):
+    """F of the glued point, incl(x.F^q) + psi(y.F^q) added at each jump:
+    the oracle for the filtration of tr.fiber_point."""
+    incl = la.to_qi_mat(la.inclusion_map(mu.W.at(p)))
+    f = {q: la.add(la.apply_to_subspace(incl, x.F.at(q)),
+                   la.apply_to_subspace(psi, y.F.at(q)))
+         for q in sorted(set(x.F.jumps) | set(y.F.jumps))}
+    return mh.HodgeFiltration.of(mu.dim, f)

@@ -221,14 +221,14 @@ def test_fiber_verb(capsys, pencil_file):
 
 def test_fiber_and_truncate_point_check_the_triple_where_it_enters(
         capsys, tmp_path, pencil_file, monkeypatch):
-    """fiber_dim and truncate_point take a checked triple: the triple is
-    checked on reading, by truncate and by fiber_point's truncate."""
+    """fiber_dim, truncate and truncate_point take a checked triple: the
+    triple is checked on reading and, in a pencil, by Pencil.check."""
     calls = []
     problems = tr.triple_problems
     monkeypatch.setattr(tr, "triple_problems",
                         lambda mu: calls.append(mu) or problems(mu))
     assert cli.main(["fiber", pencil_file, "--t", "i"]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
     mu = corpus.tate3_triple()
     mu_file = write(tmp_path, "mu.json", se.triple_to_json(mu))
     point_file = write(tmp_path, "pt.json",
@@ -236,8 +236,67 @@ def test_fiber_and_truncate_point_check_the_triple_where_it_enters(
     calls.clear()
     assert cli.main(["truncate", "--triple", mu_file, "--p", "-2",
                      "--point", point_file]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     capsys.readouterr()
+
+
+@pytest.fixture
+def off_triple_pencil_file(tmp_path):
+    """A pencil on two_weight_triple cut at -1 whose x has F^0 spanned by
+    (1, 2i), where the triple's weight -1 piece has (1, i): x is a mixed
+    Hodge structure, but not a point of the truncated triple."""
+    mu = corpus.two_weight_triple()
+    low, high = tr.truncate(mu, -1)
+    x = tr.SPoint(low, mh.HodgeFiltration.of(2, {
+        -1: Subspace.full(QI, 2),
+        0: Subspace.span(QI, 2, [(GaussRat(1), GaussRat(0, 2))])}))
+    alpha = tr.sample_point(mu, "s", 5)
+    _, a_high = tr.truncate_point(mu, -1, alpha)
+    pencil = lo.Pencil(mu, -1, x, tr.spoint(high, a_high), alpha.section(0),
+                       la.mat(QI, [[1, 0], [0, 0], [0, 0], [0, 0]]))
+    return write(tmp_path, "off.json", se.pencil_to_json(pencil))
+
+
+def test_fiber_and_locus_reject_a_pencil_off_its_truncated_triple(
+        capsys, off_triple_pencil_file):
+    assert cli.main(["fiber", off_triple_pencil_file, "--t", "i"]) == 3
+    assert "x is not a point of its truncated triple" in capsys.readouterr().err
+    identity = json.dumps([str(int(i % 5 == 0)) for i in range(16)])
+    assert cli.main(["locus", off_triple_pencil_file, "--vector", identity,
+                     "--construction", '["HOM","SELF","SELF"]']) == 3
+    assert "x is not a point of its truncated triple" in capsys.readouterr().err
+
+
+NESTED = "error: input is nested too deeply\n"
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, pencil_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert cli.main(["validate", str(deep)]) == 2
+    assert capsys.readouterr().err == NESTED
+    assert cli.main(["locus", pencil_file, "--vector", '["1","0"]',
+                     "--construction", "[" * 100_000]) == 2
+    assert capsys.readouterr().err == NESTED
+
+
+def test_a_construction_too_deep_to_derive_is_an_input_error(pencil_file):
+    """990 nested duals decode and pass the term check, then overflow the
+    recursion of derive; 950 run.  The depths are those of a fresh
+    interpreter, so the verb runs in one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mhslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def locus(depth):
+        term = '["DUAL",' * depth + '"SELF"' + "]" * depth
+        return subprocess.run(
+            [sys.executable, "-m", "mhslab.cli", "locus", pencil_file,
+             "--vector", '["1","0"]', "--construction", term],
+            env=env, capture_output=True, text=True, timeout=300)
+
+    deep = locus(990)
+    assert (deep.returncode, deep.stderr) == (2, NESTED)
+    assert locus(950).returncode == 0
 
 
 @pytest.mark.parametrize("dpsi, problem", [

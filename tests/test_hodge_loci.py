@@ -201,6 +201,26 @@ def test_bad_pencils_rejected():
         lo.locus_on_pencil(zero_dir, [1, 0, 0, 1], ["HOM", lo.SELF, lo.SELF])
 
 
+def test_pencils_check_their_triple_and_points():
+    good = kummer_pencil()
+    bad = tr.Triple(good.triple.dim, good.triple.W,
+                    ((-2, mh.tate_twist(1)), (0, mh.tate_twist(1))))
+    assert lo.Pencil(bad, good.p, good.x, good.y, good.psi0,
+                     good.dpsi).problems() == tr.triple_problems(bad)
+    # x of the wrong triple, x with the Hodge filtration of Q(0) on Q(1),
+    # and y with an F that has no steps.
+    shifted = tr.SPoint(good.x.triple,
+                        mh.HodgeFiltration.of(1, {0: Subspace.full(QI, 1)}))
+    empty = tr.SPoint(good.y.triple, mh.HodgeFiltration(1, ()))
+    for x, y, name in ((good.y, good.y, "x"), (shifted, good.y, "x"),
+                       (good.x, empty, "y")):
+        pencil = lo.Pencil(good.triple, good.p, x, y, good.psi0, good.dpsi)
+        assert pencil.problems() == [
+            f"{name} is not a point of its truncated triple"]
+        with pytest.raises(NotAnMhsError):
+            lo.locus_on_pencil(pencil, ID_VEC, END)
+
+
 END = ["HOM", lo.SELF, lo.SELF]
 ID_VEC = [1, 0, 0, 1]          # identity endomorphism in hom coordinates
 PROJ_VEC = [0, 0, 0, 1]        # idempotent projecting onto the Q(0) line

@@ -4,8 +4,11 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (graded_offsets, kron_vec, oracle_structures, random_mhs,
+from helpers import (folded_graded_mhs, graded_offsets, kron_vec,
+                     oracle_structures, padded_direct_sum, random_mhs,
                      tate_triple, walked_bigrading)
 from mhslab import cli, corpus
 from mhslab import linalg as la
@@ -553,6 +556,54 @@ def test_gr_w_pieces():
     assert pieces[-1].dim == 2 and mh.is_valid(pieces[-1])
     assert pieces[0].dim == 2 and pieces[0] == mh.direct_sum(
         mh.tate_twist(0), mh.tate_twist(0))
+
+
+_ENTRIES = {Q: [0, 1, -1, 2, Fraction(1, 2)],
+            QI: [0, 1, -1, GaussRat(0, 1), GaussRat(1, -2)]}
+
+
+@st.composite
+def filtered_spaces(draw):
+    """A space of dimension 0 to 3 with W and F steps of random rows at
+    random indices: nested or not, exhaustive or not."""
+    dim = draw(st.integers(0, 3))
+
+    def steps(field):
+        rows = st.lists(st.lists(st.sampled_from(_ENTRIES[field]),
+                                 min_size=dim, max_size=dim), max_size=dim)
+        return {k: Subspace.span(field, dim, draw(rows))
+                for k in draw(st.sets(st.integers(-3, 3), max_size=3))}
+
+    return mh.make_mhs(dim, steps(Q), steps(QI))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(filtered_spaces(), filtered_spaces())
+def test_direct_sum_matches_the_padded_oracle(m, n):
+    assert mh.direct_sum(m, n) == padded_direct_sum(m, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_direct_sum_of_oracle_structures_matches_the_padded_oracle(data):
+    """Valid structures and perturbed ones, whose steps need not nest."""
+    m, n = (data.draw(st.sampled_from(oracle_structures())) for _ in "mn")
+    assert mh.direct_sum(m, n) == padded_direct_sum(m, n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(filtered_spaces(), max_size=4))
+def test_graded_mhs_matches_the_folded_oracle(structures):
+    pieces = [(0, m) for m in structures]
+    assert mh.graded_mhs(pieces) == folded_graded_mhs(pieces)
+
+
+def test_graded_mhs_of_gr_w_matches_the_folded_oracle():
+    assert mh.graded_mhs([]) == mh.zero_mhs()
+    for m in oracle_structures():
+        if mh.is_valid(m):
+            pieces = mh.gr_w(m)
+            assert mh.graded_mhs(pieces) == folded_graded_mhs(pieces)
 
 
 def test_graded_mhs_is_direct_sum_of_gr():

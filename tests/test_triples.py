@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (graded_offsets, oracle_structures, random_mhs,
-                     random_triple, tate_triple)
+from helpers import (added_build_mhs, added_fiber_filtration, graded_offsets,
+                     oracle_structures, random_mhs, random_triple,
+                     tate_triple)
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
@@ -350,6 +353,47 @@ def test_fiber_point_reassembles_kummer():
     # A non-section gluing map is rejected.
     with pytest.raises(NotAnMhsError):
         tr.fiber_point(mu, -2, x, y, la.mat(QI, [[z], [2]]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 10 ** 6), st.booleans())
+def test_build_mhs_matches_the_added_oracle(seed, point, rational):
+    mu = random_triple(seed)
+    sample = tr.sample_rational_point if rational else tr.sample_point
+    alpha = sample(mu, point, 6)
+    assert tr.build_mhs(mu, alpha) == added_build_mhs(mu, alpha)
+
+
+def test_build_mhs_of_the_zero_triple_is_zero():
+    zero = tr.TPoint(())
+    assert tr.build_mhs(tr.zero_triple(), zero) == mh.zero_mhs()
+    assert added_build_mhs(tr.zero_triple(), zero) == mh.zero_mhs()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 10 ** 6))
+def test_fiber_point_matches_the_added_oracle(seed, point):
+    """Glue the truncations of a sampled point back along a section of
+    the projection moved by a random map into W_p."""
+    mu = random_triple(seed)
+    alpha = tr.sample_point(mu, point, 6)
+    rng = random.Random(point)
+    for p in mu.W.jumps[:-1]:
+        low, high = tr.truncate(mu, p)
+        a_low, a_high = tr.truncate_point(mu, p, alpha)
+        x, y = tr.spoint(low, a_low), tr.spoint(high, a_high)
+        wp = mu.W.at(p)
+        k = mu.dim - wp.dim
+        psi = la.mat_add(
+            la.solve_matrix(QI, la.to_qi_mat(la.quotient_map(wp)),
+                            la.identity(QI, k)),
+            la.mat_mul(la.to_qi_mat(la.inclusion_map(wp)),
+                       la.mat(QI, [[GaussRat(rng.randint(-3, 3),
+                                             rng.randint(-3, 3))
+                                    for _ in range(k)]
+                                   for _ in range(wp.dim)])))
+        assert (tr.fiber_point(mu, p, x, y, psi).F
+                == added_fiber_filtration(mu, p, x, y, psi))
 
 
 def test_fiber_dim_examples():

@@ -751,13 +751,14 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     assert len(calls) == 1
     # One bigrading per member (2 samples and 3 controls) gives the class
     # and H-projectors of both cuts, with no structure on either side or
-    # on H.  There were 198 reductions when the graded-Tate check formed
+    # on H.  There were 171 reductions when build_mhs added the image of
+    # each piece to a running sum, 198 when the graded-Tate check formed
     # the direct sum of the graded pieces, 395 when each cut read its
     # sides off the bigrading and built H, 772 with a bigrading of each H
     # and intersections for each side, and 1,163 when equations were
     # reduced twice more and solve_matrix went column by column.
     assert len(bigraded) == 5
-    assert len(reductions) <= 171
+    assert len(reductions) <= 121
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
