@@ -13,9 +13,8 @@ from .mhs import (Bigrading, HodgeFiltration, MixedHodgeStructure,
                   direct_sum, dual, gr_w, hodge_classes, hom, quotient_mhs,
                   sub_mhs, tate_twist, tensor, validate_mhs)
 from .triples import (LieData, Pencil, SPoint, TPoint, Triple, build_mhs,
-                      dim_S, equal_in_S, fiber_dim, fiber_point, lie_data,
-                      sample_point, sections_from_mhs, truncate,
-                      truncate_point)
+                      dim_S, equal_in_S, fiber_dim, lie_data, sample_point,
+                      sections_from_mhs, truncate, truncate_point)
 from .loci import (LocusResult, can_lift, derive, eval_construction,
                    locus_on_pencil)
 from .unipotent import (ExtClassRep, UpResult, ext_class_rep,

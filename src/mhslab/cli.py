@@ -102,7 +102,7 @@ def _cmd_split(args, digests):
 
 
 def _cmd_build(args, digests):
-    mu = se.triple_from_json(_read_json(args.triple, digests))
+    mu = tr.check_triple(se.triple_from_json(_read_json(args.triple, digests)))
     alpha = se.tpoint_from_json(_read_json(args.point, digests))
     m = tr.build_mhs(mu, alpha)
     return {"run": _run_record("build", digests),
@@ -110,7 +110,7 @@ def _cmd_build(args, digests):
 
 
 def _cmd_sections(args, digests):
-    mu = se.triple_from_json(_read_json(args.triple, digests))
+    mu = tr.check_triple(se.triple_from_json(_read_json(args.triple, digests)))
     m = mh.check_valid(se.mhs_from_json(_read_json(args.file, digests)))
     alpha = tr.sections_from_mhs(mu, m)
     return {"run": _run_record("sections", digests),
@@ -118,7 +118,7 @@ def _cmd_sections(args, digests):
 
 
 def _cmd_truncate(args, digests):
-    mu = se.triple_from_json(_read_json(args.triple, digests))
+    mu = tr.check_triple(se.triple_from_json(_read_json(args.triple, digests)))
     low, high = tr.truncate(mu, args.p)
     doc = {"run": _run_record("truncate", digests, p=args.p),
            "low": se.triple_to_json(low), "high": se.triple_to_json(high)}
@@ -202,11 +202,10 @@ def _cmd_mt_bound(args, digests):
 
 
 def _cmd_experiment(args, digests):
-    # triple_from_json checks a triple file, and the corpus triple is
-    # checked by the tests, so the experiment does not check it again.
+    # genericity_experiment checks the triple, of a file or the default.
     mu = (se.triple_from_json(_read_json(args.triple, digests))
           if args.triple else corpus.tate3_triple())
-    report = un._experiment(mu, args.samples, args.seed, args.height)
+    report = un.genericity_experiment(mu, args.samples, args.seed, args.height)
     report["run"] = _run_record("experiment", digests, seed=str(args.seed),
                                 samples=args.samples, height=args.height)
     return report, EXIT_OK
@@ -315,7 +314,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except RecursionError:
-        # Only JSON input and construction terms nest without bound.
+        # JSON input nests without bound (loci raises ParseError for a
+        # construction term nested too deeply).
         print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_IO
     except ResourceGuardError as exc:

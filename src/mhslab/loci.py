@@ -18,7 +18,7 @@ from . import linalg as la
 from . import mhs as mh
 from . import triples as tr
 from .errors import LocusError, ParseError
-from .field import Q, GaussRat, parse_q
+from .field import Q, QI, GaussRat, parse_q
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Pencil
@@ -77,8 +77,18 @@ def _quot_subspace(spec_rows, ambient: int) -> Subspace:
 
 def eval_construction(term, m: MixedHodgeStructure) -> MixedHodgeStructure:
     """Evaluate a construction term at a single structure, exactly."""
-    _check_term(term)
-    return derive(term, m, ())[0]
+    return _checked_derive(term, m, ())[0]
+
+
+def _checked_derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
+                    ) -> Tuple[MixedHodgeStructure, List[Matrix]]:
+    """derive on a term that passes _check_term; a term nested past the
+    interpreter's stack is an input error, as deep JSON is."""
+    try:
+        _check_term(term)
+        return derive(term, m, xs)
+    except RecursionError:
+        raise ParseError("input is nested too deeply") from None
 
 
 def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
@@ -132,9 +142,15 @@ def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
 # -- pencils ------------------------------------------------------------------
 
 def pencil_member(pencil: Pencil, t: GaussRat) -> MixedHodgeStructure:
+    """The member at t of a pencil that passed Pencil.check: F glues x.F
+    under incl(W_p) and y.F under psi(t).  It is still validated at each
+    t, although it is a structure by construction (see the README)."""
+    mu = pencil.triple
     psi = la.mat_add(pencil.psi0, la.mat_scale(t, pencil.dpsi))
-    s = tr.fiber_point(pencil.triple, pencil.p, pencil.x, pencil.y, psi)
-    return tr.mhs_of_spoint(s)
+    incl = la.to_qi_mat(la.inclusion_map(mu.W.at(pencil.p)))
+    f = mh._image_steps(QI, mu.dim, [(incl, pencil.x.F), (psi, pencil.y.F)])
+    return mh.check_valid(MixedHodgeStructure(
+        mu.dim, mu.W, mh.HodgeFiltration.of(mu.dim, f)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,10 +224,10 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     evaluation at the solution and at control points.
     """
     pencil.check()
-    _check_term(construction)
     wp = pencil.triple.W.at(pencil.p)
     x = la.mat_mul(pencil.dpsi, la.to_qi_mat(la.quotient_map(wp)))
-    d, (y,) = derive(construction, pencil_member(pencil, GaussRat(0)), [x])
+    d, (y,) = _checked_derive(construction,
+                              pencil_member(pencil, GaussRat(0)), [x])
     vq = tuple(Fraction(c) for c in v)
     if len(vq) != d.dim:
         raise LocusError("vector does not live in the derived space")

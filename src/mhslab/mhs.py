@@ -517,13 +517,11 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     return Bigrading(m.dim, tuple(comps))
 
 
-def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
-    """For each weight n, the projector P_n of M_C onto the sum of the
-    I^{p,q} with p + q = n along the other components.
-
-    With S the matrix whose columns are bases of the components, P_n is
-    S[:, cols_n] . S^-1[cols_n, :], from one inversion of S.
-    """
+def _projector_factors(m: MixedHodgeStructure
+                       ) -> Dict[int, Tuple[Matrix, Matrix]]:
+    """For each weight n, S_n = S[:, cols_n] and T_n = S^-1[cols_n, :], of
+    k_n = dim Gr^W_n columns and rows, S being the matrix whose columns
+    are bases of the I^{p,q}: one inversion of S in all."""
     cols: Dict[int, List[Vector]] = {n: [] for n in m.W.jumps}
     for (p, q), comp in deligne_bigrading(m).items():
         cols[p + q].extend(comp.basis)
@@ -531,9 +529,16 @@ def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
                                              for v in c)))
     out, at = {}, 0
     for n, c in cols.items():
-        out[n] = la.mat_mul(la.transpose(tuple(c)), s_inv[at:at + len(c)])
+        out[n] = (la.transpose(tuple(c)), s_inv[at:at + len(c)])
         at += len(c)
     return out
+
+
+def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
+    """For each weight n, the projector P_n = S_n . T_n of M_C onto the sum
+    of the I^{p,q} with p + q = n along the other components, with S_n
+    and T_n from _projector_factors."""
+    return {n: la.mat_mul(s, t) for n, (s, t) in _projector_factors(m).items()}
 
 
 def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
@@ -542,20 +547,24 @@ def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
     Its rows for Gr^W_n are pi_n . P_n, so it sends each I^{p,q}
     identically onto its image in Gr^W_{p+q}; preserves W and F; induces
     the identity on the associated graded, since P_n v = v mod W_{n-1}
-    for v in W_n and pi_n kills W_{n-1}.
+    for v in W_n and pi_n kills W_{n-1}.  Formed as (pi_n . S_n) . T_n.
     """
-    proj = deligne_projectors(m)
-    return tuple(row for piece in graded_pieces(m.W)
-                 for row in la.mat_mul(piece.pi_qi, proj[piece.weight]))
+    factors, rows = _projector_factors(m), []
+    for piece in graded_pieces(m.W):
+        s, t = factors[piece.weight]
+        rows += la.mat_mul(la.mat_mul(piece.pi_qi, s), t)
+    return tuple(rows)
 
 
 def deligne_sections(m: MixedHodgeStructure) -> Tuple[Tuple[int, Matrix], ...]:
     """The inverse of deligne_splitting, block by block: on Gr^W_n it is
     P_n . section_n, for the Deligne projector P_n and any section of
-    W_n -> Gr^W_n, so it is read off the projectors with no inversion."""
-    proj = deligne_projectors(m)
-    return tuple((piece.weight, la.mat_mul(proj[piece.weight], piece.section))
-                 for piece in graded_pieces(m.W))
+    W_n -> Gr^W_n, formed as S_n . (T_n . section_n) with no inversion."""
+    factors, out = _projector_factors(m), []
+    for piece in graded_pieces(m.W):
+        s, t = factors[piece.weight]
+        out.append((piece.weight, la.mat_mul(s, la.mat_mul(t, piece.section))))
+    return tuple(out)
 
 
 def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]

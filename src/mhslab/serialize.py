@@ -3,7 +3,9 @@
 Scalars serialize as strings ("a/b", "a/b+c/di"); matrices as row-major
 arrays of such strings; filtrations as maps from the index to a basis of
 the step.  Emission is deterministic: keys are sorted and bases are
-canonical, so equal values serialize to identical bytes.
+canonical, so equal values serialize to identical bytes.  Readers only
+parse: what they return is checked where it enters the library
+(mhs.check_valid, triples.check_triple and check_tpoint, Pencil.check).
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ def triple_to_json(mu: Triple) -> dict:
 
 
 def triple_from_json(data) -> Triple:
+    """One graded entry per jump of W; check_triple judges the entries."""
     _require(isinstance(data, dict), "triple: expected an object")
     _require(set(data) == {"dim", "W", "graded"},
              "triple: expected keys dim, W, graded")
@@ -121,23 +124,20 @@ def triple_from_json(data) -> Triple:
     pieces = mh.graded_pieces(w)
     dims = {p.weight: p.dim for p in pieces}
     _require(isinstance(data["graded"], list), "triple: graded must be a list")
-    graded = []
+    graded = {}
     for entry in data["graded"]:
         _require(isinstance(entry, dict) and set(entry) == {"weight", "F"},
                  "triple: graded entries need keys weight, F")
         n = entry["weight"]
         _require(type(n) is int and n in dims,
                  f"triple: weight {n!r} is not a jump of W")
+        _require(n not in graded, f"triple: weight {n} is graded twice")
         g = dims[n]
-        graded.append((n, mh.make_mhs(g, {n: Subspace.full(Q, g)},
-                                      dict(_filtration_from_json(
-                                          QI, g, entry["F"],
-                                          f"graded[{n}].F").steps))))
-    mu = Triple(dim, w, tuple(sorted(graded, key=lambda entry: entry[0])))
-    problems = tr.triple_problems(mu)
-    if problems:
-        raise ParseError("triple: " + "; ".join(problems))
-    return mu
+        graded[n] = mh.make_mhs(g, {n: Subspace.full(Q, g)},
+                                dict(_filtration_from_json(
+                                    QI, g, entry["F"], f"graded[{n}].F").steps))
+    _require(len(graded) == len(dims), "triple: a jump of W is not graded")
+    return Triple(dim, w, tuple(sorted(graded.items())))
 
 
 def tpoint_to_json(alpha: TPoint) -> dict:

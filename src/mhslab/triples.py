@@ -13,11 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import linalg as la
 from . import mhs as mh
-from .errors import DimensionMismatchError, MhsError, NotAnMhsError
+from .errors import MhsError, NotAnMhsError
 from .field import Q, QI, GaussRat
 from .linalg import Matrix, Subspace
 from .mhs import HodgeFiltration, MixedHodgeStructure, WeightFiltration
@@ -30,12 +30,6 @@ class Triple:
     dim: int
     W: WeightFiltration
     graded: Tuple[Tuple[int, MixedHodgeStructure], ...]  # ascending weight
-
-    def piece(self, n: int) -> Optional[MixedHodgeStructure]:
-        for m, g in self.graded:
-            if m == n:
-                return g
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +125,11 @@ def build_mhs(mu: Triple, alpha: TPoint) -> MixedHodgeStructure:
     """Transport each graded Hodge filtration into the ambient space.
     mu must have passed check_triple and alpha is checked here, so the
     result is a mixed Hodge structure by construction, not validated."""
-    check_tpoint(mu, alpha)
+    return _build_mhs(mu, check_tpoint(mu, alpha))
+
+
+def _build_mhs(mu: Triple, alpha: TPoint) -> MixedHodgeStructure:
+    """build_mhs unchecked, for a point of mu by construction (_sample)."""
     f = mh._image_steps(QI, mu.dim, [(a, g.F) for (_, g), (_, a)
                                      in zip(mu.graded, alpha.sections)])
     return mh.make_mhs(mu.dim, dict(mu.W.steps), f)
@@ -213,7 +211,8 @@ def _random_fraction(rng: random.Random, height: int, nonzero: bool) -> Fraction
 
 def _sample(mu: Triple, rng: random.Random, height: int,
             imaginary: bool) -> TPoint:
-    """A point of mu, which the caller has passed through check_triple."""
+    """A point of mu, which the caller has passed through check_triple;
+    a point by construction, so _build_mhs takes it unchecked."""
     secs = []
     prev = Subspace.zero(Q, mu.dim)
     for piece in mh.graded_pieces(mu.W):
@@ -266,7 +265,7 @@ def truncate(mu: Triple, p: int) -> Tuple[Triple, Triple]:
       both its coefficients on the rows of W_n whose pivots are new at n,
       taken modulo W_{n-1}, which contains W_p.
 
-    mu must have passed check_triple.
+    It reads only W, so pencil_from_json may truncate a triple unchecked.
     """
     wp = mu.W.at(p)
     if wp.is_zero():
@@ -305,29 +304,6 @@ def truncate_point(mu: Triple, p: int, alpha: TPoint) -> Tuple[TPoint, TPoint]:
 
 # -- fibers -------------------------------------------------------------------
 
-def fiber_point(mu: Triple, p: int, x: SPoint, y: SPoint,
-                psi: Matrix) -> SPoint:
-    """Assemble a point of mu from truncated points and a gluing section.
-
-    psi maps quotient coordinates back into the ambient space and must
-    split the projection; the resulting filtration is the image of x's
-    filtration plus psi of y's.
-    """
-    low, high = truncate(mu, p)
-    wp = mu.W.at(p)
-    if wp.is_zero() or wp.is_full():
-        raise DimensionMismatchError("truncation index must split the weights")
-    if x.triple != low or y.triple != high:
-        raise NotAnMhsError(["points do not match the truncated triples"])
-    proj_qi = la.to_qi_mat(la.quotient_map(wp))
-    if la.mat_mul(proj_qi, psi) != la.identity(QI, mu.dim - wp.dim):
-        raise NotAnMhsError(["gluing map is not a section of the projection"])
-    incl_qi = la.to_qi_mat(la.inclusion_map(wp))
-    f = mh._image_steps(QI, mu.dim, [(incl_qi, x.F), (psi, y.F)])
-    m = mh.check_valid(mh.make_mhs(mu.dim, dict(mu.W.steps), f))
-    return SPoint(mu, m.F)
-
-
 def fiber_dim(mu: Triple, p: int, x: SPoint, y: SPoint) -> int:
     """Dimension of the space of points lying over a truncated pair.
     mu must have passed check_triple."""
@@ -352,8 +328,9 @@ class Pencil:
     dpsi: Matrix
 
     def problems(self) -> List[str]:
-        """The triple first; a point of a checked triple is an F that
-        induces its graded pieces, which are pure."""
+        """The gate of a pencil, before pencil_member.  The triple first;
+        a point of a checked triple is an F that induces its graded
+        pieces, which are pure."""
         out = triple_problems(self.triple)
         wp = self.triple.W.at(self.p)
         if out or wp.is_zero() or wp.is_full():

@@ -318,14 +318,11 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
 
     Adds three all-rational control points, which are expected to be
     degenerate; the report is a plain JSON-ready dictionary and is a
-    pure function of (mu, n_samples, seed, height).
+    pure function of (mu, n_samples, seed, height).  The triple is
+    checked here; each member is built from the sections _sample draws,
+    which are a point of mu by construction, so no point is checked.
     """
-    return _experiment(tr.check_triple(mu), n_samples, seed, height)
-
-
-def _experiment(mu: Triple, n_samples: int, seed, height: int) -> dict:
-    """genericity_experiment on a triple already checked."""
-    _check_graded_tate(mu.graded)
+    _check_graded_tate(tr.check_triple(mu).graded)
     if n_samples < 0:
         raise MhsError("the number of samples must be at least 0")
     if height < 1:
@@ -336,7 +333,7 @@ def _experiment(mu: Triple, n_samples: int, seed, height: int) -> dict:
     for i in range(n_samples):
         alpha = tr._sample(mu, random.Random(f"{seed}:{i}"), height,
                            imaginary=True)
-        m = tr.build_mhs(mu, alpha)
+        m = tr._build_mhs(mu, alpha)
         detail = _detail(m)
         for p, res in detail:
             if res.large:
@@ -347,7 +344,7 @@ def _experiment(mu: Triple, n_samples: int, seed, height: int) -> dict:
     for j in range(3):
         alpha = tr._sample(mu, random.Random(f"{seed}:deg:{j}"), height,
                            imaginary=False)
-        m = tr.build_mhs(mu, alpha)
+        m = tr._build_mhs(mu, alpha)
         detail = _detail(m)
         degenerate.append({
             "params": se.tpoint_to_json(alpha)["sections"],

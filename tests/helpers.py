@@ -376,7 +376,7 @@ def added_build_mhs(mu, alpha):
 
 def added_fiber_filtration(mu, p, x, y, psi):
     """F of the glued point, incl(x.F^q) + psi(y.F^q) added at each jump:
-    the oracle for the filtration of tr.fiber_point."""
+    the oracle for the filtration of lo.pencil_member."""
     incl = la.to_qi_mat(la.inclusion_map(mu.W.at(p)))
     f = {q: la.add(la.apply_to_subspace(incl, x.F.at(q)),
                    la.apply_to_subspace(psi, y.F.at(q)))

@@ -222,13 +222,14 @@ def test_fiber_verb(capsys, pencil_file):
 def test_fiber_and_truncate_point_check_the_triple_where_it_enters(
         capsys, tmp_path, pencil_file, monkeypatch):
     """fiber_dim, truncate and truncate_point take a checked triple: the
-    triple is checked on reading and, in a pencil, by Pencil.check."""
+    truncate verb checks its triple file and Pencil.check a pencil's, and
+    reading a file does not check it."""
     calls = []
     problems = tr.triple_problems
     monkeypatch.setattr(tr, "triple_problems",
                         lambda mu: calls.append(mu) or problems(mu))
     assert cli.main(["fiber", pencil_file, "--t", "i"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     mu = corpus.tate3_triple()
     mu_file = write(tmp_path, "mu.json", se.triple_to_json(mu))
     point_file = write(tmp_path, "pt.json",
@@ -238,6 +239,44 @@ def test_fiber_and_truncate_point_check_the_triple_where_it_enters(
                      "--point", point_file]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_an_impure_graded_piece_is_a_mathematical_rejection(
+        capsys, tmp_path, pencil_file):
+    """A triple file parses when it has one graded entry per jump of W;
+    whether the entries are pure is judged by the verb, which exits 3."""
+    mu = corpus.tate3_triple()
+    bad = tr.Triple(mu.dim, mu.W, ((-6, mh.tate_twist(1)),) + mu.graded[1:])
+    alpha = tr.sample_point(mu, "pt", 5)
+    bad_file = write(tmp_path, "bad.json", se.triple_to_json(bad))
+    point = write(tmp_path, "pt.json", se.tpoint_to_json(alpha))
+    structure = write(tmp_path, "m.json",
+                      se.mhs_to_json(tr.build_mhs(mu, alpha)))
+    with open(pencil_file) as fh:
+        doc = json.load(fh)
+    doc["triple"]["graded"][0]["F"] = {"0": [["1"]]}  # Q(0) at weight -2
+    bad_pencil = write(tmp_path, "pen.json", doc)
+    for argv, weight in [
+            (["build", "--triple", bad_file, "--point", point], -6),
+            (["sections", "--triple", bad_file, structure], -6),
+            (["truncate", "--triple", bad_file, "--p", "-2"], -6),
+            (["experiment", "--triple", bad_file, "--samples", "1"], -6),
+            (["fiber", bad_pencil, "--t", "i"], -2),
+            (["locus", bad_pencil, "--vector", '["1","0","0","1"]',
+              "--construction", '["HOM","SELF","SELF"]'], -2)]:
+        assert cli.main(argv) == 3, argv
+        assert (f"graded piece at weight {weight} is not a pure structure"
+                in capsys.readouterr().err), argv
+    # A weight graded twice, or not at all, is still a schema error.
+    doc = se.triple_to_json(mu)
+    for graded, problem in [(doc["graded"] + doc["graded"][:1],
+                             "weight -6 is graded twice"),
+                            (doc["graded"][1:], "is not graded")]:
+        path = write(tmp_path, "mu.json", dict(doc, graded=graded))
+        for argv in (["build", "--triple", path, "--point", point],
+                     ["experiment", "--triple", path, "--samples", "1"]):
+            assert cli.main(argv) == 2, argv
+            assert problem in capsys.readouterr().err, argv
 
 
 @pytest.fixture
@@ -497,8 +536,9 @@ def test_experiment_verb_checks_its_triple_once(capsys, tmp_path, monkeypatch):
     assert cli.main(["experiment", "--triple", mu_file, "--samples", "2",
                      "--seed", "1"]) == 0
     capsys.readouterr()
-    # The 3 graded pieces of the triple, checked where the file is read;
-    # no member, side of a cut or u_p is validated.
+    # The 3 graded pieces of the triple, checked once by the experiment
+    # (reading the file only parses it); no member, side of a cut or u_p
+    # is validated.
     assert len(validated) == 3
     # A Python caller's triple is still checked.
     bad = tr.Triple(mu.dim, mu.W, ((-6, mh.tate_twist(1)),) + mu.graded[1:])

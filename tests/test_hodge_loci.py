@@ -3,12 +3,16 @@
 import copy
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from helpers import graded_offsets, oracle_structures
+from helpers import (added_fiber_filtration, graded_offsets,
+                     oracle_structures, random_triple)
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import loci as lo
@@ -104,22 +108,22 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
     mu = corpus.tate3_triple()
     m = tr.build_mhs(mu, tr.sample_point(mu, "a", 10))
     validations, inside, reductions = [], [], []
-    validate, projectors = mh.validate_mhs, mh.deligne_projectors
+    validate, factors = mh.validate_mhs, mh._projector_factors
     invert, rref = la.invert, la._rref
 
     def counted_validate(s):
         validations.append(s)
         return validate(s)
 
-    def marked_projectors(s):
+    def marked_factors(s):
         inside.append(True)
         try:
-            return projectors(s)
+            return factors(s)
         finally:
             inside.pop()
 
     def guarded_invert(field, a):
-        assert inside, "can_lift inverted outside deligne_projectors"
+        assert inside, "can_lift inverted outside the projector factors"
         return invert(field, a)
 
     def counted_rref(rows, field):
@@ -127,7 +131,7 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
         return rref(rows, field)
 
     monkeypatch.setattr(mh, "validate_mhs", counted_validate)
-    monkeypatch.setattr(mh, "deligne_projectors", marked_projectors)
+    monkeypatch.setattr(mh, "_projector_factors", marked_factors)
     monkeypatch.setattr(la, "invert", guarded_invert)
     monkeypatch.setattr(la, "_rref", counted_rref)
     assert lo.can_lift(m, Subspace.full(Q, 3)) == Subspace.full(Q, 3)
@@ -136,6 +140,20 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
 
 
 # -- construction terms ----------------------------------------------------------
+
+def test_a_construction_nested_past_the_stack_is_a_parse_error():
+    """_check_term and derive recurse once per level of a term, so a term
+    nested deeper than the stack allows is an input error, as in the CLI,
+    not a RecursionError."""
+    for depth in (990, 10_000):
+        term = lo.SELF
+        for _ in range(depth):
+            term = ["DUAL", term]
+        with pytest.raises(ParseError, match="^input is nested too deeply$"):
+            lo.eval_construction(term, corpus.kummer_mhs(I))
+        with pytest.raises(ParseError, match="^input is nested too deeply$"):
+            lo.locus_on_pencil(kummer_pencil(), [1, 0], term)
+
 
 def test_eval_construction_terms():
     m = corpus.kummer_mhs(I)
@@ -187,6 +205,58 @@ def test_pencil_members():
     assert not pencil.problems()
     for t in [GaussRat(0), HALF, I]:
         assert lo.pencil_member(pencil, t) == corpus.kummer_mhs(t)
+
+
+def test_pencil_member_reassembles_kummer():
+    """Glue the truncations of the Kummer point at z along psi(t) =
+    (z + t, 1): the member at t is the Kummer structure at z + t."""
+    mu = corpus.kummer_triple()
+    z = GaussRat(Fraction(1, 3), Fraction(2, 5))
+    low, high = tr.truncate(mu, -2)
+    a_low, a_high = tr.truncate_point(mu, -2, corpus.kummer_tpoint(z))
+    pencil = lo.Pencil(mu, -2, tr.spoint(low, a_low), tr.spoint(high, a_high),
+                       la.mat(QI, [[z], [1]]), la.mat(QI, [[1], [0]])).check()
+    for t in (GaussRat(0), GaussRat(1), I):
+        assert lo.pencil_member(pencil, t) == corpus.kummer_mhs(z + t)
+    # A gluing map that is not a section of the projection is rejected
+    # where the pencil enters, by Pencil.check.
+    bad = lo.Pencil(mu, -2, pencil.x, pencil.y, la.mat(QI, [[z], [2]]),
+                    pencil.dpsi)
+    assert bad.problems() == ["base is not a section of the projection"]
+    with pytest.raises(NotAnMhsError, match="base is not a section"):
+        bad.check()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 10 ** 6))
+def test_pencil_member_matches_the_added_oracle(seed, point):
+    """Glue the truncations of a sampled point back along psi(t) = psi0 +
+    t.dpsi, psi0 a section of the projection moved by a random map into
+    W_p and dpsi another, nonzero, at t = 0, 1 and i."""
+    mu = random_triple(seed)
+    alpha = tr.sample_point(mu, point, 6)
+    rng = random.Random(point)
+    for p in mu.W.jumps[:-1]:
+        low, high = tr.truncate(mu, p)
+        a_low, a_high = tr.truncate_point(mu, p, alpha)
+        x, y = tr.spoint(low, a_low), tr.spoint(high, a_high)
+        wp = mu.W.at(p)
+        k = mu.dim - wp.dim
+        maps = [[[GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(k)] for _ in range(wp.dim)]
+                for _ in range(2)]
+        if not any(map(any, maps[1])):
+            maps[1][0][0] = GaussRat(1)  # the direction must be nonzero
+        incl = la.to_qi_mat(la.inclusion_map(wp))
+        shift, dpsi = (la.mat_mul(incl, la.mat(QI, r)) for r in maps)
+        psi0 = la.mat_add(la.solve_matrix(
+            QI, la.to_qi_mat(la.quotient_map(wp)), la.identity(QI, k)), shift)
+        pencil = lo.Pencil(mu, p, x, y, psi0, dpsi).check()
+        for t in (GaussRat(0), GaussRat(1), I):
+            psi = la.mat_add(psi0, la.mat_scale(t, dpsi))
+            m = lo.pencil_member(pencil, t)
+            assert m.W == mu.W
+            assert m.F == added_fiber_filtration(mu, p, x, y, psi)
 
 
 def test_bad_pencils_rejected():

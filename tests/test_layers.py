@@ -87,3 +87,28 @@ def _private_functions_left_unreferenced():
 def test_private_functions_are_referenced():
     unused = _private_functions_left_unreferenced()
     assert not unused, f"private functions never referenced: {unused}"
+
+
+def _checks_called(name):
+    """The checking functions a module calls: *_problems, check_*,
+    validate_mhs, and the problems and check methods of a pencil or a
+    filtration."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called = (fn.id if isinstance(fn, ast.Name) else
+                      fn.attr if isinstance(fn, ast.Attribute) else "")
+            if (called.endswith("problems") or called.startswith("check")
+                    or called == "validate_mhs"):
+                out.add(called)
+    return out
+
+
+def test_readers_only_parse():
+    """serialize parses and emits; what it reads is checked where it
+    enters the library, by the caller."""
+    assert _checks_called("serialize") == set()
+    # The probe sees the checks of a module that makes them.
+    assert {"check_valid", "check_triple"} <= _checks_called("cli")

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (added_build_mhs, added_fiber_filtration, graded_offsets,
-                     oracle_structures, random_mhs, random_triple,
-                     tate_triple)
+from helpers import (added_build_mhs, graded_offsets, oracle_structures,
+                     random_mhs, random_triple, tate_triple)
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
 from mhslab import unipotent as un
-from mhslab.errors import DimensionMismatchError, NotAnMhsError
+from mhslab.errors import NotAnMhsError
 from mhslab.field import Q, QI, GaussRat, I
 from mhslab.linalg import Subspace
 
@@ -340,21 +339,6 @@ def test_truncation_matches_transport_oracle():
 
 # -- fibers ---------------------------------------------------------------------
 
-def test_fiber_point_reassembles_kummer():
-    mu = corpus.kummer_triple()
-    z = GaussRat(Fraction(1, 3), Fraction(2, 5))
-    low, high = tr.truncate(mu, -2)
-    a_low, a_high = tr.truncate_point(mu, -2, corpus.kummer_tpoint(z))
-    x = tr.spoint(low, a_low)
-    y = tr.spoint(high, a_high)
-    psi = la.mat(QI, [[z], [1]])
-    s = tr.fiber_point(mu, -2, x, y, psi)
-    assert tr.mhs_of_spoint(s) == corpus.kummer_mhs(z)
-    # A non-section gluing map is rejected.
-    with pytest.raises(NotAnMhsError):
-        tr.fiber_point(mu, -2, x, y, la.mat(QI, [[z], [2]]))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 40), st.integers(0, 10 ** 6), st.booleans())
 def test_build_mhs_matches_the_added_oracle(seed, point, rational):
@@ -368,32 +352,6 @@ def test_build_mhs_of_the_zero_triple_is_zero():
     zero = tr.TPoint(())
     assert tr.build_mhs(tr.zero_triple(), zero) == mh.zero_mhs()
     assert added_build_mhs(tr.zero_triple(), zero) == mh.zero_mhs()
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(0, 40), st.integers(0, 10 ** 6))
-def test_fiber_point_matches_the_added_oracle(seed, point):
-    """Glue the truncations of a sampled point back along a section of
-    the projection moved by a random map into W_p."""
-    mu = random_triple(seed)
-    alpha = tr.sample_point(mu, point, 6)
-    rng = random.Random(point)
-    for p in mu.W.jumps[:-1]:
-        low, high = tr.truncate(mu, p)
-        a_low, a_high = tr.truncate_point(mu, p, alpha)
-        x, y = tr.spoint(low, a_low), tr.spoint(high, a_high)
-        wp = mu.W.at(p)
-        k = mu.dim - wp.dim
-        psi = la.mat_add(
-            la.solve_matrix(QI, la.to_qi_mat(la.quotient_map(wp)),
-                            la.identity(QI, k)),
-            la.mat_mul(la.to_qi_mat(la.inclusion_map(wp)),
-                       la.mat(QI, [[GaussRat(rng.randint(-3, 3),
-                                             rng.randint(-3, 3))
-                                    for _ in range(k)]
-                                   for _ in range(wp.dim)])))
-        assert (tr.fiber_point(mu, p, x, y, psi).F
-                == added_fiber_filtration(mu, p, x, y, psi))
 
 
 def test_fiber_dim_examples():

@@ -742,23 +742,30 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     bigrading = mh.deligne_bigrading
     monkeypatch.setattr(mh, "deligne_bigrading",
                         lambda m: bigraded.append(m) or bigrading(m))
-    reductions = []
+    reductions, point_checks = [], []
     rref = la._rref
     monkeypatch.setattr(la, "_rref", lambda rows, field:
                         reductions.append(1) or rref(rows, field))
+    check_tpoint = tr.check_tpoint
+    monkeypatch.setattr(tr, "check_tpoint", lambda mu, alpha:
+                        point_checks.append(1) or check_tpoint(mu, alpha))
     mh.graded_pieces.cache_clear()
     un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
     assert len(calls) == 1
+    # The sampled sections are a point by construction, so no member's
+    # point is checked.
+    assert point_checks == []
     # One bigrading per member (2 samples and 3 controls) gives the class
     # and H-projectors of both cuts, with no structure on either side or
-    # on H.  There were 171 reductions when build_mhs added the image of
-    # each piece to a running sum, 198 when the graded-Tate check formed
-    # the direct sum of the graded pieces, 395 when each cut read its
-    # sides off the bigrading and built H, 772 with a bigrading of each H
-    # and intersections for each side, and 1,163 when equations were
-    # reduced twice more and solve_matrix went column by column.
+    # on H.  There were 121 reductions when each sampled point was
+    # checked, 171 when build_mhs added the image of each piece to a
+    # running sum, 198 when the graded-Tate check formed the direct sum
+    # of the graded pieces, 395 when each cut read its sides off the
+    # bigrading and built H, 772 with a bigrading of each H and
+    # intersections for each side, and 1,163 when equations were reduced
+    # twice more and solve_matrix went column by column.
     assert len(bigraded) == 5
-    assert len(reductions) <= 121
+    assert len(reductions) <= 106
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
