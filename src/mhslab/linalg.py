@@ -81,11 +81,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def kron_vec(u: Vector, v: Vector) -> Vector:
-    """u (x) v; a zero factor is returned as it is, without multiplying."""
-    return tuple(x * y if x and y else (y if x else x) for x in u for y in v)
-
-
 def kron_mat(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
@@ -102,6 +97,7 @@ def to_qi_mat(a: Matrix) -> Matrix:
 # -- row reduction ----------------------------------------------------------
 
 _ZERO_Q, _ZERO_QI = zero(Q), zero(QI)
+_ONE_Q, _ONE_QI = one(Q), one(QI)
 
 
 def _primitive(row: list) -> list:
@@ -112,22 +108,43 @@ def _primitive(row: list) -> list:
 def _rref(rows: Sequence[Sequence[Scalar]], field: str) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon of rows over field; returns (nonzero rows, pivot columns).
 
-    Gauss-Jordan elimination without fractions, in one integer core
-    (`_eliminate`) for both fields.  Over Q each row is scaled by the lcm
-    of its denominators.  Over Q(i) scalars are restricted to Q: entry j
-    of a row v becomes the ints (re, im) in columns 2j and 2j + 1, and v
-    contributes two integer rows, R(v) and R(i*v).  Rows are eliminated
-    by cross-multiplication and kept primitive by dividing out the gcd
-    of their components, which bounds each entry by a minor of the
-    input.  Fractions are built only for the output, when each pivot row
-    is divided by its pivot.  The reduced echelon form is unique, so the
-    result is the one exact division would give.
+    Gauss-Jordan elimination without fractions, in one integer core for
+    both fields: `int_rows` scales the rows to primitive integer rows and
+    `_int_rref` eliminates them and builds the echelon basis.
     """
     if not rows or not rows[0]:
         return (), ()
+    return _int_rref(int_rows(field, rows), field)
+
+
+def int_rows(field: str, rows: Iterable[Sequence[Scalar]]) -> list:
+    """Each row of field scalars as a primitive integer row with the same
+    span.  Over Q a row is scaled by the lcm of its denominators.  Over
+    Q(i) entry j becomes the ints (re, im) in columns 2j and 2j + 1 of
+    one row, scaled the same way."""
+    out = []
+    for row in rows:
+        parts = row if field == Q else [y for x in row for y in (x.re, x.im)]
+        den = lcm(*[y.denominator for y in parts])
+        out.append(_primitive([y.numerator * (den // y.denominator)
+                               for y in parts]))
+    return out
+
+
+def int_kron(field: str, u: list, v: list) -> list:
+    """u (x) v of two integer rows in the layout of int_rows: over Q(i)
+    each (re, im) pair of u multiplies each pair of v as Gaussian
+    integers."""
     if field == Q:
-        return _rref_z(rows)
-    return _rref_zi(rows)
+        return [x * y for x in u for y in v]
+    vs = list(zip(v[::2], v[1::2]))
+    out = []
+    for a, b in zip(u[::2], u[1::2]):
+        if a or b:
+            out += [w for c, d in vs for w in (a * c - b * d, a * d + b * c)]
+        else:
+            out += [0] * len(v)
+    return out
 
 
 def _eliminate(m: list) -> list:
@@ -155,36 +172,39 @@ def _eliminate(m: list) -> list:
     return pivots
 
 
-def _rref_z(rows) -> Tuple[Matrix, Tuple[int, ...]]:
-    m = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    pivots = _eliminate(m)
-    basis = tuple(tuple(Fraction(x, row[p]) if x else _ZERO_Q for x in row)
-                  for row, p in zip(m, pivots))
-    return basis, tuple(pivots)
+def _int_rref(m: list, field: str) -> Tuple[Matrix, Tuple[int, ...]]:
+    """The reduced echelon basis and pivots, over field, of the span of
+    the nonempty integer rows m in the layout of int_rows; the list m is
+    consumed.
 
-
-def _rref_zi(rows) -> Tuple[Matrix, Tuple[int, ...]]:
-    # The span of the rows R(v), R(i*v) is stable under i, so its reduced
-    # echelon basis is {R(b), R(i*b)} for the Q(i) echelon basis b, with
-    # pivots 2c and 2c + 1: the rows with an even pivot are the answer.
-    m = []
-    for row in rows:
-        den = lcm(*[d for x in row for d in (x.re.denominator, x.im.denominator)])
-        v = _primitive([y.numerator * (den // y.denominator)
-                        for x in row for y in (x.re, x.im)])
-        m.append(v)
-        m.append([w for x, y in zip(v[::2], v[1::2]) for w in (-y, x)])
+    Rows are eliminated by cross-multiplication and kept primitive by
+    dividing out the gcd of their components, which bounds each entry by
+    a minor of the input.  Fractions are built only for the output, when
+    each pivot row is divided by its pivot, and every 1 is the shared
+    one of the field.  The reduced echelon form is unique, so the result
+    is the one exact division would give.
+    """
+    if field == Q:
+        pivots = _eliminate(m)
+        basis = tuple(tuple((_ONE_Q if x == row[c] else Fraction(x, row[c]))
+                            if x else _ZERO_Q for x in row)
+                      for row, c in zip(m, pivots))
+        return basis, tuple(pivots)
+    # Over Q(i) scalars are restricted to Q: a row v contributes R(v) and
+    # R(i*v).  Their span is stable under i, so its reduced echelon basis
+    # is {R(b), R(i*b)} for the Q(i) echelon basis b, with pivots 2c and
+    # 2c + 1: the rows with an even pivot are the answer.
+    m = [r for v in m
+         for r in (v, [w for x, y in zip(v[::2], v[1::2]) for w in (-y, x)])]
     basis, pivots = [], []
     for row, c in zip(m, _eliminate(m)):
         if c % 2:
             continue
         p = row[c]
         basis.append(tuple(
-            GaussRat(Fraction(x, p) if x else _ZERO_Q,
-                     Fraction(y, p) if y else _ZERO_Q) if x or y else _ZERO_QI
+            (_ONE_QI if x == p and not y else
+             GaussRat(Fraction(x, p) if x else _ZERO_Q,
+                      Fraction(y, p) if y else _ZERO_Q)) if x or y else _ZERO_QI
             for x, y in zip(row[::2], row[1::2])))
         pivots.append(c // 2)
     return tuple(basis), tuple(pivots)
@@ -206,6 +226,13 @@ class Subspace:
             raise DimensionMismatchError(
                 f"rows of length {len(m[0])} in ambient dimension {ambient_dim}")
         basis, pivots = _rref(m, field)
+        return cls(field, ambient_dim, basis, pivots)
+
+    @classmethod
+    def span_ints(cls, field: str, ambient_dim: int, m: list) -> "Subspace":
+        """The span of integer rows in the layout of int_rows, such as
+        their int_kron products; the list m is consumed."""
+        basis, pivots = _int_rref(m, field) if m else ((), ())
         return cls(field, ambient_dim, basis, pivots)
 
     @classmethod

@@ -279,29 +279,39 @@ def _adapted_basis(steps: Iterable[Tuple[int, Subspace]]
     return out
 
 
-def _products(factors: List[List[Tuple[int, Vector]]]
-              ) -> List[Tuple[int, Vector]]:
-    """The kron products u_1 (x) ... (x) u_k of one tagged vector per
-    factor, in kron order, each tagged with the sum of its factors' tags."""
+def _int_basis(field: str, steps: Iterable[Tuple[int, Subspace]]
+               ) -> List[Tuple[int, list]]:
+    """_adapted_basis as primitive integer rows (la.int_rows), same tags."""
+    tagged = _adapted_basis(steps)
+    return list(zip([t for t, _ in tagged],
+                    la.int_rows(field, [v for _, v in tagged])))
+
+
+def _products(field: str, factors: List[List[Tuple[int, list]]]
+              ) -> List[Tuple[int, list]]:
+    """The kron products u_1 (x) ... (x) u_k of one tagged integer row
+    per factor, in kron order, each tagged with the sum of its factors'
+    tags."""
     out = factors[0]
     for f in factors[1:]:
-        out = [(s + t, la.kron_vec(u, v)) for s, u in out for t, v in f]
+        out = [(s + t, la.int_kron(field, u, v)) for s, u in out for t, v in f]
     return out
 
 
-def _span_independent(field: str, dim: int, rows: List[Vector]) -> Subspace:
+def _span_independent(field: str, dim: int, rows: list,
+                      span=Subspace.span) -> Subspace:
     """The span of independent rows, such as products of adapted bases or
     images of bigrading vectors: as many of them as the dimension span
-    everything."""
-    return (Subspace.full(field, dim) if len(rows) == dim
-            else Subspace.span(field, dim, rows))
+    everything.  Integer rows pass span=Subspace.span_ints."""
+    return Subspace.full(field, dim) if len(rows) == dim else span(field, dim, rows)
 
 
-def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, Vector]],
+def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, list]],
                   keep) -> Dict[int, Subspace]:
-    """For each candidate jump k, the span of the products u (x) v of the
-    adapted bases with keep(tag(u) + tag(v), k)."""
-    return {k: _span_independent(field, dim, [v for t, v in prods if keep(t, k)])
+    """For each candidate jump k, the span of the integer products u (x) v
+    of the adapted bases with keep(tag(u) + tag(v), k)."""
+    return {k: _span_independent(field, dim, [v for t, v in prods if keep(t, k)],
+                                 Subspace.span_ints)
             for k in {t for t, _ in prods}}
 
 
@@ -335,11 +345,11 @@ def tensor(m: MixedHodgeStructure, n: MixedHodgeStructure) -> MixedHodgeStructur
     f(u) + f(v) >= p} over adapted bases, one reduction per jump."""
     dim = m.dim * n.dim
     check_guard(dim)
-    w = _tensor_steps(Q, dim, _products([_adapted_basis(m.W.steps),
-                                         _adapted_basis(n.W.steps)]),
+    w = _tensor_steps(Q, dim, _products(Q, [_int_basis(Q, m.W.steps),
+                                            _int_basis(Q, n.W.steps)]),
                       lambda t, k: t <= k)
-    f = _tensor_steps(QI, dim, _products([_adapted_basis(reversed(m.F.steps)),
-                                          _adapted_basis(reversed(n.F.steps))]),
+    f = _tensor_steps(QI, dim, _products(QI, [_int_basis(QI, reversed(m.F.steps)),
+                                              _int_basis(QI, reversed(n.F.steps))]),
                       lambda t, p: t >= p)
     return make_mhs(dim, w, f)
 
@@ -438,34 +448,48 @@ def gr_w(m: MixedHodgeStructure) -> List[Tuple[int, MixedHodgeStructure]]:
 # -- Hodge classes ----------------------------------------------------------
 
 def hodge_classes(m: MixedHodgeStructure) -> Subspace:
-    """Rational vectors in W_0 and F^0: the weight-zero Hodge classes."""
+    """Rational vectors in W_0 and F^0: the weight-zero Hodge classes.
+    W_0 is rational, so they are W_0 . rational_part(F^0), over Q."""
     if m.dim == 0:
         return Subspace.zero(Q, 0)
-    return la.rational_part(la.intersect(m.W.at(0).to_qi(), m.F.at(0)))
+    return la.intersect(m.W.at(0), la.rational_part(m.F.at(0)))
 
 
 def power_hodge_classes(m: MixedHodgeStructure, a: int, b: int) -> Subspace:
     """hodge_classes of M^(x a) (x) (M^v)^(x b), the a factors M first,
-    in the coordinates of the chained tensor product, for a + b >= 1.
-
-    Only W_0 and F^0 of the power are built: over the adapted bases of M
-    and M^v, W_0 is the span of the products with weight tags summing to
-    at most 0, and F^0 of those with Hodge tags summing to at least 0.
-    No intermediate tensor product is formed.
-    """
+    in the coordinates of the chained tensor product, for a + b >= 1."""
     if a < 0 or b < 0 or a + b == 0:
         raise MhsError("a tensor power needs a, b >= 0 and a + b >= 1")
     dim = m.dim ** (a + b)
     if dim == 0:
         return Subspace.zero(Q, 0)
+    return _power_classes(dim, _power_bases(m), a, b)
+
+
+def _power_bases(m: MixedHodgeStructure) -> Tuple[list, list, list, list]:
+    """The factors of every tensor power of M: the adapted bases of W of
+    M and of M^v, then those of F, as tagged integer rows (_int_basis)."""
     md = dual(m)
-    w = _products([_adapted_basis(m.W.steps)] * a
-                  + [_adapted_basis(md.W.steps)] * b)
-    f = _products([_adapted_basis(reversed(m.F.steps))] * a
-                  + [_adapted_basis(reversed(md.F.steps))] * b)
-    w0 = _span_independent(Q, dim, [v for t, v in w if t <= 0])
-    f0 = _span_independent(QI, dim, [v for t, v in f if t >= 0])
-    return la.rational_part(la.intersect(w0.to_qi(), f0))
+    return (_int_basis(Q, m.W.steps), _int_basis(Q, md.W.steps),
+            _int_basis(QI, reversed(m.F.steps)),
+            _int_basis(QI, reversed(md.F.steps)))
+
+
+def _power_classes(dim: int, bases: Tuple[list, list, list, list],
+                   a: int, b: int) -> Subspace:
+    """power_hodge_classes from the bases of _power_bases, dim = m.dim^(a+b).
+
+    Only W_0 and F^0 of the power are built: over the adapted bases of M
+    and M^v, W_0 is the span of the integer products with weight tags
+    summing to at most 0, and F^0 of those with Hodge tags summing to at
+    least 0.  No intermediate tensor product is formed.
+    """
+    wm, wd, fm, fd = bases
+    w0 = [v for t, v in _products(Q, [wm] * a + [wd] * b) if t <= 0]
+    f0 = [v for t, v in _products(QI, [fm] * a + [fd] * b) if t >= 0]
+    return la.intersect(
+        _span_independent(Q, dim, w0, Subspace.span_ints),
+        la.rational_part(_span_independent(QI, dim, f0, Subspace.span_ints)))
 
 
 # -- Deligne bigrading and splitting ----------------------------------------

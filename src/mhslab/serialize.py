@@ -6,6 +6,8 @@ the step.  Emission is deterministic: keys are sorted and bases are
 canonical, so equal values serialize to identical bytes.  Readers only
 parse: what they return is checked where it enters the library
 (mhs.check_valid, triples.check_triple and check_tpoint, Pencil.check).
+The one exception is the W of a triple, which triple_from_json checks
+before it reads the graded entries against its jumps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict, List
 
 from . import mhs as mh
 from . import triples as tr
-from .errors import ParseError
+from .errors import NotAnMhsError, ParseError
 from .field import Q, QI, format_q, format_qi, parse_q, parse_qi
 from .linalg import Matrix, Subspace, mat
 from .mhs import MixedHodgeStructure
@@ -121,6 +123,10 @@ def triple_from_json(data) -> Triple:
     dim = data["dim"]
     _require(type(dim) is int and dim >= 0, "triple: bad dim")
     w = _filtration_from_json(Q, dim, data["W"], "W")
+    # The graded entries are read against the jumps of W, so a W that is
+    # not a filtration is rejected first, as check_triple would.
+    if w.problems():
+        raise NotAnMhsError(w.problems())
     pieces = mh.graded_pieces(w)
     dims = {p.weight: p.dim for p in pieces}
     _require(isinstance(data["graded"], list), "triple: graded must be a list")

@@ -63,6 +63,8 @@ class LieData:
 
 def triple_problems(mu: Triple) -> List[str]:
     out = mu.W.problems()
+    if out:
+        return out
     pieces = mh.graded_pieces(mu.W)
     weights = [p.weight for p in pieces]
     if [n for n, _ in mu.graded] != weights:

@@ -269,7 +269,9 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     as d grows, and is closed under the commutator bracket.  Each power
     contributes only its classes (mhs.power_hodge_classes, from W_0 and
     F^0 alone) and the image x.v of each class v, read off v slot by
-    slot; no tensor structure or derivation matrix is built.
+    slot; no tensor structure or derivation matrix is built.  M^v and
+    the integer bases every power is formed from are built once, after
+    the guard.
     """
     if d < 1:
         raise MhsError("tensor degree must be at least 1")
@@ -287,11 +289,11 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
                 f"tensor powers of degree at most {deg} have total dimension "
                 f"{total}, above the ceiling {limit} (set {mh.GUARD_ENV} "
                 f"to raise it)")
-    constraint_rows: List[Tuple] = []
+    bases, constraint_rows = mh._power_bases(m), []
     for deg in range(1, d + 1):
         for a in range(deg + 1):
             # a factors M, then deg - a factors M^v.
-            for v in mh.power_hodge_classes(m, a, deg - a).basis:
+            for v in mh._power_classes(n ** deg, bases, a, deg - a).basis:
                 constraint_rows.extend(_image_rows(v, n, a, deg))
     if not constraint_rows:
         return Subspace.full(Q, n * n)

@@ -14,7 +14,8 @@ from mhslab.linalg import Subspace
 
 
 def kron_vec(u, v):
-    """u (x) v with every product formed: the oracle for la.kron_vec."""
+    """u (x) v of scalar vectors with every product formed: the oracle for
+    la.int_kron."""
     return tuple(x * y for x in u for y in v)
 
 
@@ -154,6 +155,42 @@ def can_lift(m, a_tilde_q):
         return None
     mh.sub_mhs(m, lift)
     return lift
+
+
+# -- Hodge classes over Q(i) from scalar products: oracles -------------------
+
+def hodge_classes(m):
+    """The rational part of W_0 (x) Q(i) . F^0: the oracle for
+    mh.hodge_classes, which intersects W_0 with the rational part of F^0."""
+    if m.dim == 0:
+        return Subspace.zero(Q, 0)
+    return la.rational_part(la.intersect(m.W.at(0).to_qi(), m.F.at(0)))
+
+
+def _scalar_products(factors):
+    """The tagged kron products of scalar adapted-basis vectors."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = [(s + t, kron_vec(u, v)) for s, u in out for t, v in f]
+    return out
+
+
+def power_hodge_classes(m, a, b):
+    """The Hodge classes of M^(x a) (x) (M^v)^(x b) from W_0 and F^0 spanned
+    by scalar products of the adapted bases, and intersected over Q(i):
+    the oracle for mh.power_hodge_classes, which forms the products as
+    integer rows and intersects W_0 with the rational part of F^0."""
+    dim = m.dim ** (a + b)
+    if dim == 0:
+        return Subspace.zero(Q, 0)
+    md = mh.dual(m)
+    w = _scalar_products([mh._adapted_basis(m.W.steps)] * a
+                         + [mh._adapted_basis(md.W.steps)] * b)
+    f = _scalar_products([mh._adapted_basis(reversed(m.F.steps))] * a
+                         + [mh._adapted_basis(reversed(md.F.steps))] * b)
+    w0 = Subspace.span(Q, dim, [v for t, v in w if t <= 0])
+    f0 = Subspace.span(QI, dim, [v for t, v in f if t >= 0])
+    return la.rational_part(la.intersect(w0.to_qi(), f0))
 
 
 def graded_offsets(w: mh.WeightFiltration):

@@ -279,6 +279,37 @@ def test_an_impure_graded_piece_is_a_mathematical_rejection(
             assert problem in capsys.readouterr().err, argv
 
 
+def test_a_w_that_is_not_increasing_is_rejected_before_its_graded_entries(
+        capsys, tmp_path, pencil_file):
+    """W_-2 = <e1>, W_-1 = <e2>, W_0 = Q^2 has no graded piece at -1, yet
+    the file grades -1: every verb that reads the triple exits 3 naming
+    W, not 2 for a weight that is not a jump."""
+    doc = {"dim": 2,
+           "W": {"-2": [["1", "0"]], "-1": [["0", "1"]],
+                 "0": [["1", "0"], ["0", "1"]]},
+           "graded": [{"weight": -2, "F": {"-1": [["1"]]}},
+                      {"weight": -1, "F": {"0": [["1"]]}}]}
+    bad = write(tmp_path, "bad.json", doc)
+    mu = corpus.tate3_triple()
+    alpha = tr.sample_point(mu, "pt", 5)
+    point = write(tmp_path, "pt.json", se.tpoint_to_json(alpha))
+    structure = write(tmp_path, "m.json",
+                      se.mhs_to_json(tr.build_mhs(mu, alpha)))
+    with open(pencil_file) as fh:
+        pencil = dict(json.load(fh), triple=doc)
+    bad_pencil = write(tmp_path, "pen.json", pencil)
+    for argv in (["build", "--triple", bad, "--point", point],
+                 ["sections", "--triple", bad, structure],
+                 ["truncate", "--triple", bad, "--p", "-2"],
+                 ["experiment", "--triple", bad, "--samples", "1"],
+                 ["fiber", bad_pencil, "--t", "i"],
+                 ["locus", bad_pencil, "--vector", '["1","0","0","1"]',
+                  "--construction", '["HOM","SELF","SELF"]']):
+        assert cli.main(argv) == 3, argv
+        assert capsys.readouterr().err == (
+            "error: W is not increasing at weight -1\n"), argv
+
+
 @pytest.fixture
 def off_triple_pencil_file(tmp_path):
     """A pencil on two_weight_triple cut at -1 whose x has F^0 spanned by
@@ -426,12 +457,13 @@ def test_mt_bound_verb_and_guard(capsys, kummer_file, monkeypatch):
 def test_mt_bound_guard_refuses_any_degree_at_once(capsys, tmp_path,
                                                    monkeypatch, make, degree):
     # n^d has thousands of digits on Kummer, and is 1 on Q(1); both are
-    # refused from the total of the powers before any power is formed.
+    # refused from the total of the powers before any power, or the
+    # integer bases it is formed from, is built.
     path = write(tmp_path, "m.json", se.mhs_to_json(make()))
     products = []
-    build = mh._products
-    monkeypatch.setattr(mh, "_products",
-                        lambda fs: products.append(fs) or build(fs))
+    for name in ("_products", "_int_basis"):
+        monkeypatch.setattr(mh, name, lambda *args, build=getattr(mh, name):
+                            products.append(args) or build(*args))
     assert cli.main(["mt-bound", path, "--degree", degree]) == 5
     out, err = capsys.readouterr()
     assert not products and out == ""
@@ -464,7 +496,7 @@ def test_functors_and_locus_guard(capsys, kummer_file, pencil_file,
     products = []
     build = mh._products
     monkeypatch.setattr(mh, "_products",
-                        lambda fs: products.append(fs) or build(fs))
+                        lambda *args: products.append(args) or build(*args))
     assert cli.main(["functors", kummer_file]) == 5
     assert not products  # refused before any product was formed
     assert cli.main(["locus", pencil_file, "--vector", '["1","0","0","1"]',

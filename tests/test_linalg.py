@@ -17,8 +17,8 @@ from mhslab import linalg as la
 from mhslab import triples as tr
 from mhslab import unipotent as un
 from mhslab.errors import DimensionMismatchError, ParseError
-from mhslab.field import (GaussRat, I, Q, QI, format_q, format_qi, parse_q,
-                          parse_qi)
+from mhslab.field import (GaussRat, I, Q, QI, format_q, format_qi, one,
+                          parse_q, parse_qi)
 from mhslab.linalg import Subspace
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -61,15 +61,29 @@ def _sparse(elem):
     return st.lists(st.one_of(st.just(0), elem), max_size=4)
 
 
+def _from_ints(field, row):
+    """The scalars of an integer row in the layout of la.int_rows."""
+    if field == Q:
+        return tuple(Fraction(x) for x in row)
+    return tuple(GaussRat(x, y) for x, y in zip(row[::2], row[1::2]))
+
+
 @settings(max_examples=60, derandomize=True)
 @given(st.sampled_from([Q, QI]), st.data())
 def test_kron_vec_matches_the_multiplying_oracle(field, data):
+    """la.int_kron of the integer rows of u and v is their scalar kron
+    product, and spans what kron_vec(u, v) spans."""
     elem = fractions if field == Q else gauss(fractions, fractions)
     u, v = (tuple(la.mat(field, [data.draw(_sparse(elem))])[0])
             for _ in range(2))
-    out = la.kron_vec(u, v)
-    assert out == kron_vec(u, v)
-    assert [type(x) for x in out] == [type(x) for x in kron_vec(u, v)]
+    ru, rv = la.int_rows(field, [u, v])
+    out = la.int_kron(field, ru, rv)
+    assert all(type(x) is int for x in out)
+    assert _from_ints(field, out) == kron_vec(_from_ints(field, ru),
+                                              _from_ints(field, rv))
+    n = len(u) * len(v)
+    assert (Subspace.span_ints(field, n, [out])
+            == Subspace.span(field, n, [kron_vec(u, v)]))
 
 
 def _elem(field):
@@ -309,9 +323,13 @@ def division_rref(rows):
 
 
 def by_division(fn, *args):
-    """fn(*args) with every row reduction done by `division_rref`."""
+    """fn(*args) with every row reduction done by `division_rref`: those
+    of scalar rows (`_rref`) and those of integer rows, such as the
+    tensor products of adapted bases (`_int_rref`)."""
     with mock.patch.object(la, "_rref", lambda rows, field:
-                           division_rref([list(r) for r in rows])):
+                           division_rref([list(r) for r in rows])), \
+            mock.patch.object(la, "_int_rref", lambda m, field: division_rref(
+                [list(_from_ints(field, r)) for r in m])):
         return fn(*args)
 
 
@@ -377,6 +395,8 @@ def test_rref_matches_division(case):
     want_basis, want_pivots = division_rref(before)
     assert_same(basis, want_basis, field)
     assert pivots == want_pivots
+    # Every pivot entry is the one shared 1 of the field.
+    assert all(row[p] is one(field) for row, p in zip(basis, pivots))
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (folded_graded_mhs, graded_offsets, kron_vec,
                      oracle_structures, padded_direct_sum, random_mhs,
                      tate_triple, walked_bigrading)
@@ -236,11 +237,13 @@ def test_dual_matches_the_range_oracle():
 
 def test_step_walks_reduce_as_often_at_any_gap(monkeypatch, tmp_path):
     """validate, split and functors visit steps, not the integers between
-    them, so they make as many reductions at k = 10 as at k = 10^5."""
+    them, so they make as many reductions at k = 10 as at k = 10^5.  Every
+    reduction, of scalar rows or of the integer products that tensor
+    spans, goes through the integer core _int_rref."""
     calls = []
-    rref = la._rref
-    monkeypatch.setattr(la, "_rref",
-                        lambda rows, field: calls.append(1) or rref(rows, field))
+    rref = la._int_rref
+    monkeypatch.setattr(la, "_int_rref",
+                        lambda m, field: calls.append(1) or rref(m, field))
     counts = {}
     for k in (10, 10 ** 5):
         path = tmp_path / f"gap{k}.json"
@@ -667,6 +670,32 @@ def test_power_hodge_classes_match_the_chained_tensor():
                         == mh.hodge_classes(_chained_power(m, a, deg - a)))
     with pytest.raises(MhsError):
         mh.power_hodge_classes(corpus.kummer_mhs(I), 0, 0)
+
+
+def _same_classes(got, want):
+    assert got == want and got.pivots == want.pivots
+    assert all(type(x) is Fraction for row in got.basis for x in row)
+
+
+def test_classes_over_q_from_integer_products_match_the_q_i_oracles():
+    """The classes of every power of degree at most 3, from integer
+    products and W_0 . rational_part(F^0), equal those from scalar
+    products and the Q(i) intersection, in value and entry type: on the
+    oracle structures (powers of dimension at most 16), on three members
+    of the degree-3 benchmark triple and on a CM member."""
+    cm = corpus.tate_cm_triple()
+    tate3 = tate_triple((-6, -2, 0))
+    members = [tr.build_mhs(tate3, tr.sample_point(tate3, f"4242.{r}", 10))
+               for r in range(3)] + [tr.build_mhs(cm, tr.sample_point(cm, "0", 10))]
+    for m, cap in ([(m, 16) for m in oracle_structures()]
+                   + [(m, 64) for m in members]):
+        _same_classes(mh.hodge_classes(m), helpers.hodge_classes(m))
+        for deg in (1, 2, 3):
+            if m.dim ** deg > cap:
+                continue
+            for a in range(deg + 1):
+                _same_classes(mh.power_hodge_classes(m, a, deg - a),
+                              helpers.power_hodge_classes(m, a, deg - a))
 
 
 def test_identity_is_hodge_class_in_end():

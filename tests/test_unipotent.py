@@ -685,12 +685,12 @@ def test_resource_guard(monkeypatch):
     m = corpus.kummer_mhs(I)
     monkeypatch.setenv(mh.GUARD_ENV, "10")
     products = []
-    build = mh._products
-    monkeypatch.setattr(mh, "_products",
-                        lambda fs: products.append(fs) or build(fs))
+    for name in ("_products", "_int_basis"):
+        monkeypatch.setattr(mh, name, lambda *args, build=getattr(mh, name):
+                            products.append(args) or build(*args))
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 4)  # 2*2 + 3*4 = 16 > 10 by degree 2
-    assert not products  # refused before any power was formed
+    assert not products  # refused before any power or its bases were formed
     monkeypatch.setenv(mh.GUARD_ENV, "sixteen")
     with pytest.raises(ResourceGuardError):
         un.mt_lie_upper_bound(m, 2)
