@@ -7,6 +7,7 @@ check.  Matrices are tuples of tuples, acting on column vectors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -172,6 +173,14 @@ def _eliminate(m: list) -> list:
     return pivots
 
 
+def _restricted(m: list) -> list:
+    """Q(i) integer rows in the layout of int_rows restricted to Q: a row
+    v becomes R(v) and R(i*v), the second with each pair (x, y) turned
+    into (-y, x).  The Q-span of the result is the Q(i)-span of m."""
+    return [r for v in m
+            for r in (v, [w for x, y in zip(v[::2], v[1::2]) for w in (-y, x)])]
+
+
 def _int_rref(m: list, field: str) -> Tuple[Matrix, Tuple[int, ...]]:
     """The reduced echelon basis and pivots, over field, of the span of
     the nonempty integer rows m in the layout of int_rows; the list m is
@@ -190,12 +199,10 @@ def _int_rref(m: list, field: str) -> Tuple[Matrix, Tuple[int, ...]]:
                             if x else _ZERO_Q for x in row)
                       for row, c in zip(m, pivots))
         return basis, tuple(pivots)
-    # Over Q(i) scalars are restricted to Q: a row v contributes R(v) and
-    # R(i*v).  Their span is stable under i, so its reduced echelon basis
-    # is {R(b), R(i*b)} for the Q(i) echelon basis b, with pivots 2c and
-    # 2c + 1: the rows with an even pivot are the answer.
-    m = [r for v in m
-         for r in (v, [w for x, y in zip(v[::2], v[1::2]) for w in (-y, x)])]
+    # The span of the restricted rows is stable under i, so its reduced
+    # echelon basis is {R(b), R(i*b)} for the Q(i) echelon basis b, with
+    # pivots 2c and 2c + 1: the rows with an even pivot are the answer.
+    m = _restricted(m)
     basis, pivots = [], []
     for row, c in zip(m, _eliminate(m)):
         if c % 2:
@@ -434,24 +441,25 @@ def invert(field: str, a: Matrix) -> Matrix:
 def rational_part(u: Subspace) -> Subspace:
     """Largest Q-subspace B with B tensor Q(i) inside u (u over Q(i)).
 
-    The coordinates of v in u's echelon basis b_j are its entries at the
-    pivots p_j, so v is rational exactly when they are rationals c with
-    sum c_j Im(b_j) = 0.  Over the echelon basis of those c, the vectors
-    sum c_j Re(b_j) are the echelon basis of B, with pivots p_q at the
-    kernel's pivots q.  A u defined over Q is its own real part."""
+    As a Q-space u is spanned by the restricted rows of its basis.  With
+    the imaginary columns first, the rows of their echelon basis that
+    pivot in a real column vanish on every imaginary column: their real
+    columns are the echelon basis of B, the rational vectors of u."""
     if u.field == Q:
         return u
     n = u.ambient_dim
-    if is_defined_over_q(u):
-        return Subspace(Q, n, tuple(tuple(x.re for x in b) for b in u.basis),
-                        u.pivots)
-    sols = kernel(Q, tuple(tuple(b[c].im for b in u.basis) for c in range(n)),
-                  u.dim)
-    basis = tuple(tuple(sum((x * b[c].re for x, b in zip(s, u.basis) if x),
-                            _ZERO_Q)
-                        for c in range(n))
-                  for s in sols.basis)
-    return Subspace(Q, n, basis, tuple(u.pivots[q] for q in sols.pivots))
+    s = Subspace.span_ints(Q, 2 * n, [v[1::2] + v[::2] for v in
+                                      _restricted(int_rows(QI, u.basis))])
+    k = bisect_left(s.pivots, n)
+    return Subspace(Q, n, tuple(row[n:] for row in s.basis[k:]),
+                    tuple(c - n for c in s.pivots[k:]))
+
+
+def rational_hull(n: int, rows: Iterable[Sequence[Scalar]]) -> Subspace:
+    """Smallest Q-subspace B of Q^n with B tensor Q(i) holding the Q(i)
+    rows: the span of their real and imaginary parts."""
+    return Subspace.span_ints(Q, n, [part for v in int_rows(QI, rows)
+                                     for part in (v[::2], v[1::2])])
 
 
 def is_defined_over_q(u: Subspace) -> bool:

@@ -124,11 +124,9 @@ def _splits(h: MixedHodgeStructure, a_q: Subspace, rep: ExtClassRep) -> bool:
     """Membership of the class in V + rational vectors, V = a_q (x) Q(i)
     + F^0 h.  As a Q-space V is spanned by b and i*b over a basis b of V,
     so e = v + r with r rational exactly when Im e lies in the Q-span of
-    Im b and Re b."""
+    Im b and Re b, the rational hull of V."""
     v = la.add(a_q.to_qi(), h.F.at(0))
-    rows = [tuple(x.im for x in b) for b in v.basis]
-    rows += [tuple(x.re for x in b) for b in v.basis]
-    return Subspace.span(Q, h.dim, rows).contains(tuple(x.im for x in rep.e))
+    return la.rational_hull(h.dim, v.basis).contains(tuple(x.im for x in rep.e))
 
 
 def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
@@ -192,20 +190,16 @@ def _u_p(cut: WeightCut) -> UpResult:
     exactly when Im(e) lies in B.  u_p is the smallest subobject holding
     Im(e): the rational closure of its span under the projectors onto
     the Deligne components of H, which is a subobject since it is
-    rational and each projector preserves it."""
+    rational and each projector preserves it.  The projectors sum to the
+    identity, so the rational hull of the projections of s holds s."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
     projectors = _h_projectors(cut).values()
-    s = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
-    while True:
-        rows = list(s.basis)
-        for pi in projectors:
-            for v in s.basis:
-                w = la.mat_vec(pi, v)
-                rows += [tuple(x.re for x in w), tuple(x.im for x in w)]
-        grown = Subspace.span(Q, dim, rows)
-        if grown.dim == s.dim:
-            break
+    s = Subspace.zero(Q, dim)
+    grown = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
+    while grown.dim > s.dim:
         s = grown
+        grown = la.rational_hull(dim, [la.mat_vec(pi, v) for pi in projectors
+                                       for v in s.basis])
     return UpResult(s, "TATE_EXACT", s.is_full())
 
 
@@ -295,9 +289,7 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
             # a factors M, then deg - a factors M^v.
             for v in mh._power_classes(n ** deg, bases, a, deg - a).basis:
                 constraint_rows.extend(_image_rows(v, n, a, deg))
-    if not constraint_rows:
-        return Subspace.full(Q, n * n)
-    return la.kernel(Q, la.mat(Q, constraint_rows), n * n)
+    return la.kernel(Q, constraint_rows, n * n)
 
 
 def end_subspace_is_bracket_closed(s: Subspace, n: int) -> bool:

@@ -8,6 +8,7 @@ from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
 from mhslab import triples as tr
+from mhslab import unipotent as un
 from mhslab.errors import DimensionMismatchError
 from mhslab.field import Q, QI, GaussRat, as_scalar, one, zero
 from mhslab.linalg import Subspace
@@ -136,12 +137,40 @@ def is_defined_over_q(u: Subspace) -> bool:
     return rational_part(u).dim == u.dim
 
 
-def can_lift(m, a_tilde_q):
+def kernel_rational_part(u: Subspace) -> Subspace:
+    """The rational part as la.rational_part found it before it eliminated
+    the restricted rows of u: the coordinates of v in u's echelon basis
+    b_j are its entries at the pivots, so v is rational exactly when they
+    are rationals c with sum c_j Im(b_j) = 0 (one kernel), and the sums
+    sum c_j Re(b_j) over the kernel's echelon basis are the echelon basis
+    of the answer.  A u defined over Q is its own real part."""
+    if u.field == Q:
+        return u
+    n = u.ambient_dim
+    if la.is_defined_over_q(u):
+        return Subspace(Q, n, tuple(tuple(x.re for x in b) for b in u.basis),
+                        u.pivots)
+    sols = la.kernel(Q, tuple(tuple(b[c].im for b in u.basis)
+                              for c in range(n)), u.dim)
+    basis = tuple(tuple(sum((x * b[c].re for x, b in zip(s, u.basis) if x),
+                            Fraction(0))
+                        for c in range(n))
+                  for s in sols.basis)
+    return Subspace(Q, n, basis, tuple(u.pivots[q] for q in sols.pivots))
+
+
+def inverse_splitting(m):
+    """The graded structure of m and the inverse of its Deligne splitting,
+    which can_lift reads for every subobject of one member."""
+    return mh.graded_mhs(mh.gr_w(m)), la.invert(QI, mh.deligne_splitting(m))
+
+
+def can_lift(m, a_tilde_q, split=None):
     """The lift of a graded subobject by inverting the Deligne splitting,
     testing each weight piece of its image for rationality, and checking
-    the lift as a subobject of m: the oracle for loci.can_lift."""
-    gm = mh.graded_mhs(mh.gr_w(m))
-    alpha = la.invert(QI, mh.deligne_splitting(m))
+    the lift as a subobject of m: the oracle for loci.can_lift.  split is
+    inverse_splitting(m), formed here when not given."""
+    gm, alpha = split or inverse_splitting(m)
     mh.sub_mhs(gm, a_tilde_q)
     if a_tilde_q.is_zero():
         return a_tilde_q
@@ -155,6 +184,37 @@ def can_lift(m, a_tilde_q):
         return None
     mh.sub_mhs(m, lift)
     return lift
+
+
+# -- the splitting test and u_p from real and imaginary rows: oracles --------
+
+def parts_splits(h, a_q, rep):
+    """un._splits with the Q-span of Im b and Re b over a basis b of
+    V = a_q (x) Q(i) + F^0 h spanned from those scalar rows: the oracle
+    for the rational hull of V."""
+    v = la.add(a_q.to_qi(), h.F.at(0))
+    rows = [tuple(x.im for x in b) for b in v.basis]
+    rows += [tuple(x.re for x in b) for b in v.basis]
+    return Subspace.span(Q, h.dim, rows).contains(tuple(x.im for x in rep.e))
+
+
+def parts_u_p(cut):
+    """The rational closure of span(Im e) under the weight projectors of
+    H, each round spanning s with the real and imaginary parts of every
+    projection: the oracle for the rational hulls of un._u_p."""
+    dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
+    projectors = un._h_projectors(cut).values()
+    s = Subspace.span(Q, dim, [tuple(x.im for x in un._ext_class(cut).e)])
+    while True:
+        rows = list(s.basis)
+        for pi in projectors:
+            for v in s.basis:
+                w = la.mat_vec(pi, v)
+                rows += [tuple(x.re for x in w), tuple(x.im for x in w)]
+        grown = Subspace.span(Q, dim, rows)
+        if grown.dim == s.dim:
+            return s
+        s = grown
 
 
 # -- Hodge classes over Q(i) from scalar products: oracles -------------------

@@ -438,6 +438,25 @@ def test_up_and_u_large_verbs(capsys, kummer_file, tmp_path):
     capsys.readouterr()
 
 
+def test_two_weight_members_split_at_zero_so_exit_4_is_no_gap(capsys,
+                                                               tmp_path):
+    """At the cut -1 of the two-weight triple H has weight -1, dimension 4
+    and dim F^0 H = 2, so H_Q (+) F^0 H is all of H as a Q-space and
+    every class dies modulo the zero subobject: u_p = 0 at every member.
+    up and u-large still exit 4 there, since H is not graded-Tate; that
+    exit is not a gap in what they report."""
+    mu = corpus.two_weight_triple()
+    for seed in "abcde":
+        m = tr.build_mhs(mu, tr.sample_point(mu, seed, 10))
+        h = un._hom(m, m.W.at(-1))
+        assert (h.dim, h.F.at(0).dim, h.W.jumps) == (4, 2, (-1,))
+        assert un.splits_mod(m, -1, Subspace.zero(Q, 4))
+        path = write(tmp_path, f"tw_{seed}.json", se.mhs_to_json(m))
+        assert cli.main(["up", path, "--p", "-1"]) == 4
+        assert cli.main(["u-large", path]) == 4
+    assert "not Tate" in capsys.readouterr().err
+
+
 def test_degenerate_cut_is_a_math_error(capsys, kummer_file):
     assert cli.main(["up", kummer_file, "--p", "5"]) == 3
     capsys.readouterr()

@@ -93,9 +93,10 @@ def test_can_lift_matches_the_inverse_splitting_oracle():
     for m in oracle_structures():
         if not mh.is_valid(m):
             continue
+        split = helpers.inverse_splitting(m)
         for a in _graded_block_sums(m):
             lift = lo.can_lift(m, a)
-            assert lift == helpers.can_lift(m, a)
+            assert lift == helpers.can_lift(m, a, split)
             outcomes.add(lift is not None)
             if lift is not None:
                 assert lift.dim == a.dim

@@ -116,3 +116,44 @@ def test_readers_only_parse():
     # The probe sees the checks of a module that makes them.
     assert {"check_valid", "check_triple"} <= {
         called for _, called in _checks_called("cli")}
+
+
+def _part_reads(name, attr):
+    """The places (line, column) where a module reads attr off a value."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return {(node.lineno, node.col_offset) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr}
+
+
+def _class_part_reads(name, attr):
+    """The reads x.attr in a comprehension whose x runs over some .e, the
+    entries of an extension class."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for comp in ast.walk(tree):
+        if not isinstance(comp, (ast.GeneratorExp, ast.ListComp)):
+            continue
+        over_e = {gen.target.id for gen in comp.generators
+                  if isinstance(gen.target, ast.Name)
+                  and isinstance(gen.iter, ast.Attribute)
+                  and gen.iter.attr == "e"}
+        out |= {(node.lineno, node.col_offset) for node in ast.walk(comp.elt)
+                if isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id in over_e}
+    return out
+
+
+def test_scalar_parts_are_read_in_field_and_linalg():
+    """Restriction of scalars is linalg's: everywhere else the rational
+    structure is reached through rational_part and rational_hull.  Only
+    field and linalg read a scalar's .re; outside them only unipotent
+    reads .im, and only of the class e, whose imaginary part u_p holds."""
+    for name in LAYERS:
+        if name in ("field", "linalg"):
+            continue
+        assert not _part_reads(name, "re"), name
+        im = _part_reads(name, "im")
+        if name == "unipotent":
+            assert im and im == _class_part_reads(name, "im")
+        else:
+            assert not im, name

@@ -223,30 +223,76 @@ def complex_subspaces(draw):
                                         for j in perm] for row in rows])
 
 
+def _no_kernel(*args):
+    raise AssertionError("rational_part took a kernel")
+
+
 @settings(max_examples=150, deadline=None)
 @given(complex_subspaces())
 def test_rational_part_matches_the_solving_oracle(u):
+    """One elimination of the restricted rows of u and no kernel give what
+    the 2k-unknown solve and the kernel of Im parts give."""
     want, defined = helpers.rational_part(u), helpers.is_defined_over_q(u)
-    inside, kernel, rref = [], la.kernel, la._rref
-
-    def marked_kernel(*args):
-        inside.append(True)
-        try:
-            return kernel(*args)
-        finally:
-            inside.pop()
-
-    def guarded_rref(rows, field):
-        assert inside, "rational_part reduced outside its kernel"
-        return rref(rows, field)
-
-    with mock.patch.object(la, "kernel", marked_kernel), \
-            mock.patch.object(la, "_rref", guarded_rref):
+    assert helpers.kernel_rational_part(u) == want
+    eliminations, eliminate = [], la._eliminate
+    with mock.patch.object(la, "kernel", _no_kernel), \
+            mock.patch.object(la, "_eliminate", lambda m: eliminations.append(1)
+                              or eliminate(m)):
         got = la.rational_part(u)
+    assert len(eliminations) == 1
     assert got == want and got.pivots == want.pivots
     assert all(type(x) is Fraction for row in got.basis for x in row)
     with mock.patch.object(la, "_rref", None):  # no reduction at all
         assert la.is_defined_over_q(u) == defined
+
+
+def _edge_subspaces(rng):
+    """Q(i) subspaces of ambient dimension 0 to 4: zero, full, defined
+    over Q, and spans of random rows with small real and imaginary parts,
+    some of them rational or conjugate pairs."""
+    def entry():
+        return GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                        rng.choice([0, 0, Fraction(rng.randint(-3, 3), 2)]))
+    for n in range(5):
+        yield Subspace.zero(QI, n)
+        yield Subspace.full(QI, n)
+        for _ in range(12):
+            rows = [[entry() for _ in range(n)]
+                    for _ in range(rng.randint(1, n + 1))]
+            yield Subspace.span(QI, n, rows)
+            yield Subspace.span(QI, n, rows + [[x.conj() for x in v]
+                                               for v in rows])
+            yield Subspace.span(Q, n, [[x.re for x in v] for v in rows]).to_qi()
+
+
+def test_rational_part_matches_the_kernel_oracle_at_the_edges():
+    """Against the kernel of Im parts and the 2k-unknown solve, on zero,
+    full and rational subspaces and in ambient dimension 0."""
+    rng = random.Random("edges")
+    seen = set()
+    for u in _edge_subspaces(rng):
+        got = la.rational_part(u)
+        assert got == helpers.kernel_rational_part(u) == helpers.rational_part(u)
+        assert all(type(x) is Fraction for row in got.basis for x in row)
+        assert la.is_defined_over_q(u) == (got.dim == u.dim)
+        seen.add((u.ambient_dim, u.is_zero(), u.is_full(), got.dim == u.dim))
+    assert (0, True, True, True) in seen
+    assert {(3, False, False, True), (3, False, False, False)} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), rows_strategy(QI, n))))
+def test_rational_hull_is_the_span_of_the_parts(case):
+    """rational_hull(rows) (x) Q(i) holds every row, it is the Q-span of
+    their real and imaginary parts, and it is the rational part of its
+    own extension."""
+    n, rows = case
+    hull = la.rational_hull(n, rows)
+    assert hull == Subspace.span(Q, n, [[x.re for x in v] for v in rows]
+                                 + [[x.im for x in v] for v in rows])
+    assert all(hull.to_qi().contains(v) for v in rows)
+    assert la.rational_part(hull.to_qi()) == hull
 
 
 @settings(max_examples=40)

@@ -698,6 +698,32 @@ def test_classes_over_q_from_integer_products_match_the_q_i_oracles():
                               helpers.power_hodge_classes(m, a, deg - a))
 
 
+def test_rational_part_of_every_power_f0_matches_the_kernel_oracle(
+        monkeypatch):
+    """F^0 of every power of degree at most 3, on corpus members and on
+    members of the Tate, equal-gap and CM triples: its rational part by
+    one elimination of restricted rows equals the one from the kernel of
+    Im parts."""
+    f0s, rational_part = [], la.rational_part
+    monkeypatch.setattr(la, "rational_part",
+                        lambda u: f0s.append(u) or rational_part(u))
+    members = [corpus.tate_mhs(0), corpus.tate_mhs(3), corpus.two_weight_mhs()]
+    members += [corpus.kummer_mhs(z) for z in (GaussRat(0), I, GaussRat(1, 1))]
+    for mu in (tate_triple((-6, -2, 0)), tate_triple((-4, -2, 0)),
+               corpus.tate_cm_triple()):
+        members += [tr.build_mhs(mu, tr.sample_point(mu, s, 10))
+                    for s in ("a", "b")]
+        members.append(tr.build_mhs(mu, tr.sample_rational_point(mu, "r", 10)))
+    for m in members:
+        for deg in (1, 2, 3):
+            if m.dim ** deg <= 64:
+                for a in range(deg + 1):
+                    mh.power_hodge_classes(m, a, deg - a)
+    assert {u.ambient_dim for u in f0s} >= {1, 3, 9, 16, 27, 64}
+    for u in f0s:
+        assert rational_part(u) == helpers.kernel_rational_part(u)
+
+
 def test_identity_is_hodge_class_in_end():
     for s in SEEDS:
         m = random_mhs(s, max_dim=4)
