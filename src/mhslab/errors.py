@@ -43,7 +43,7 @@ class DegenerateRangeError(MhsError):
 
 
 class RegimeError(MhsError):
-    """Operation only available in the rank-one graded-Tate regime."""
+    """Operation only available in the graded-Tate regime, at any rank."""
 
 
 class ResourceGuardError(MhsError):

@@ -155,10 +155,8 @@ def as_scalar(field: str, x) -> Scalar:
             if not x.is_rational():
                 raise FieldError(f"{x} is not rational")
             return x.re
-        return Fraction(x)
-    if isinstance(x, GaussRat):
-        return x
-    return GaussRat(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
+    return x if isinstance(x, GaussRat) else GaussRat(x)
 
 
 class FieldError(ParseError):

@@ -134,7 +134,6 @@ class MixedHodgeStructure:
             raise DimensionMismatchError("filtrations do not match ambient dimension")
 
 
-
 @dataclass(frozen=True, slots=True)
 class Bigrading:
     """Deligne bigrading: components (p, q) -> subspace over Q(i)."""
@@ -541,28 +540,37 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     return Bigrading(m.dim, tuple(comps))
 
 
-def _projector_factors(m: MixedHodgeStructure
-                       ) -> Dict[int, Tuple[Matrix, Matrix]]:
-    """For each weight n, S_n = S[:, cols_n] and T_n = S^-1[cols_n, :], of
-    k_n = dim Gr^W_n columns and rows, S being the matrix whose columns
-    are bases of the I^{p,q}: one inversion of S in all."""
-    cols: Dict[int, List[Vector]] = {n: [] for n in m.W.jumps}
-    for (p, q), comp in deligne_bigrading(m).items():
-        cols[p + q].extend(comp.basis)
-    s_inv = la.invert(QI, la.transpose(tuple(v for c in cols.values()
-                                             for v in c)))
-    out, at = {}, 0
-    for n, c in cols.items():
-        out[n] = (la.transpose(tuple(c)), s_inv[at:at + len(c)])
-        at += len(c)
-    return out
+@dataclass(frozen=True, slots=True)
+class DeligneFrame:
+    """A basis adapted to a Deligne bigrading, each vector with its type
+    (p, q), and its dual rows: duals[i] . vectors[j] is 1 if i = j, else 0."""
+
+    types: Tuple[Tuple[int, int], ...]
+    vectors: Tuple[Vector, ...]
+    duals: Matrix
+
+    def select(self, keep) -> Tuple[Matrix, Matrix]:
+        """S, the vectors whose type has keep(p, q), as columns, and T, their
+        dual rows: S . T projects onto their span along the other vectors."""
+        picked = [i for i, t in enumerate(self.types) if keep(*t)]
+        return (la.transpose(tuple(self.vectors[i] for i in picked)),
+                tuple(self.duals[i] for i in picked))
+
+
+def deligne_frame(m: MixedHodgeStructure) -> DeligneFrame:
+    """The bases of the I^{p,q} of deligne_bigrading, in its order, and the
+    rows of the one inverse of the matrix they form as columns."""
+    comps = deligne_bigrading(m).items()
+    vectors = tuple(v for _, comp in comps for v in comp.basis)
+    return DeligneFrame(tuple(pq for pq, comp in comps for _ in comp.basis),
+                        vectors, la.invert(QI, la.transpose(vectors)))
 
 
 def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
     """For each weight n, the projector P_n = S_n . T_n of M_C onto the sum
-    of the I^{p,q} with p + q = n along the other components, with S_n
-    and T_n from _projector_factors."""
-    return {n: la.mat_mul(s, t) for n, (s, t) in _projector_factors(m).items()}
+    of the I^{p,q} with p + q = n along the other components."""
+    frame = deligne_frame(m)
+    return {n: la.mat_mul(*frame.select(lambda p, q: p + q == n)) for n in m.W.jumps}
 
 
 def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
@@ -573,9 +581,9 @@ def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
     the identity on the associated graded, since P_n v = v mod W_{n-1}
     for v in W_n and pi_n kills W_{n-1}.  Formed as (pi_n . S_n) . T_n.
     """
-    factors, rows = _projector_factors(m), []
+    frame, rows = deligne_frame(m), []
     for piece in graded_pieces(m.W):
-        s, t = factors[piece.weight]
+        s, t = frame.select(lambda p, q: p + q == piece.weight)
         rows += la.mat_mul(la.mat_mul(piece.pi_qi, s), t)
     return tuple(rows)
 
@@ -584,9 +592,9 @@ def deligne_sections(m: MixedHodgeStructure) -> Tuple[Tuple[int, Matrix], ...]:
     """The inverse of deligne_splitting, block by block: on Gr^W_n it is
     P_n . section_n, for the Deligne projector P_n and any section of
     W_n -> Gr^W_n, formed as S_n . (T_n . section_n) with no inversion."""
-    factors, out = _projector_factors(m), []
+    frame, out = deligne_frame(m), []
     for piece in graded_pieces(m.W):
-        s, t = factors[piece.weight]
+        s, t = frame.select(lambda p, q: p + q == piece.weight)
         out.append((piece.weight, la.mat_mul(s, la.mat_mul(t, piece.section))))
     return tuple(out)
 

@@ -10,11 +10,10 @@ as the subobject generated by the imaginary part of the class.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from . import linalg as la
 from . import mhs as mh
@@ -33,9 +32,9 @@ from .triples import Triple
 @dataclass(frozen=True, slots=True)
 class WeightCut:
     """M at one weight cut p: W_pM, the maps between M, W_pM and M/W_pM,
-    and the Deligne weight projectors of M, built once per (M, p).  The
-    structures of the two sides and of Hom(M/W_pM, W_pM) are not formed:
-    the class and the projectors of Hom are read off those of M."""
+    and the Deligne frame of M, built once per (M, p).  The structures of
+    the two sides and of Hom(M/W_pM, W_pM) are not formed: the class and
+    the frame of Hom are read off the frame of M."""
 
     m: MixedHodgeStructure
     p: int
@@ -43,20 +42,18 @@ class WeightCut:
     proj: Matrix                  # over Q, M -> M/W_pM
     incl: Matrix                  # over Q, W_pM -> M
     section: Matrix               # over Q, a right inverse of proj
-    projectors: Dict[int, Matrix]  # mh.deligne_projectors(m)
+    frame: mh.DeligneFrame        # mh.deligne_frame(m)
 
 
 def weight_cut(m: MixedHodgeStructure, p: int,
-               projectors: Optional[Dict[int, Matrix]] = None) -> WeightCut:
-    """The cut at p, with the weight projectors of M (formed here when not
-    given; a caller with several cuts of one M passes them to each)."""
+               frame: Optional[mh.DeligneFrame] = None) -> WeightCut:
+    """The cut at p, with the Deligne frame of M (formed here when not
+    given; a caller with several cuts of one M passes it to each)."""
     wp = _cut_step(m, p)
-    if projectors is None:
-        projectors = mh.deligne_projectors(m)
     proj = la.quotient_map(wp)
     section = la.solve_matrix(Q, proj, la.identity(Q, m.dim - wp.dim))
     return WeightCut(m, p, wp, proj, la.inclusion_map(wp), section,
-                     projectors)
+                     frame or mh.deligne_frame(m))
 
 
 def _cut_step(m: MixedHodgeStructure, p: int) -> Subspace:
@@ -87,14 +84,14 @@ class ExtClassRep:
 
 
 def _ext_class(cut: WeightCut) -> ExtClassRep:
-    """P_{>p} . section, with P_{>p} the sum of the projectors P_n of M with
-    n > p, is a Hodge section: it maps F^q(M/W_pM) into F^qM, since a
+    """P_{>p} . section, P_{>p} projecting onto the frame vectors of weight
+    above p, is a Hodge section: it maps F^q(M/W_pM) into F^qM, since a
     lift of a vector of F^q(M/W_pM) into F^qM differs from the rational
     one by a vector of W_pM, which P_{>p} kills.  The rational section
-    differs from it by P_{<=p} . section, a map into W_pM."""
-    low = functools.reduce(la.mat_add, [pn for n, pn in cut.projectors.items()
-                                        if n <= cut.p])
-    diff = la.mat_mul(tuple(low[c] for c in cut.wp.pivots), cut.section)
+    differs from it by S_{<=p} . (T_{<=p} . section), a map into W_pM."""
+    s, t = cut.frame.select(lambda p, q: p + q <= cut.p)
+    diff = la.mat_mul(tuple(s[c] for c in cut.wp.pivots),
+                      la.mat_mul(t, cut.section))
     return ExtClassRep(mh.hom_vec(diff, cut.m.dim - cut.wp.dim, cut.wp.dim))
 
 
@@ -135,7 +132,7 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
 
     a_q must underlie a subobject of Hom(M/W_pM, W_pM); the test decides
     membership of the class in a_q (x) Q(i) + F^0 + rational vectors.
-    M's projectors are formed only to find the class when no rep is given.
+    M's frame is formed only to find the class when no rep is given.
     """
     h = _hom(m, _cut_step(m, p))
     mh.sub_mhs(h, a_q)  # raises NotASubobjectError when not a subobject
@@ -161,45 +158,42 @@ def _check_graded_tate(graded: Iterable) -> None:
                               f"(the structure must be graded-Tate)")
 
 
-def _h_projectors(cut: WeightCut) -> Dict[int, Matrix]:
-    """The Deligne weight projectors of H, by functoriality from those of
-    M: P_n preserves W_pM, so it restricts to P_b(W_pM) = coords . P_b .
-    incl (nonzero for b <= p) and descends to P_a(M/W_pM) = proj . P_a .
-    section (nonzero for a > p).  The weight-k part of a map phi is the
-    sum over b - a = k of P_b(W_pM) . phi . P_a(M/W_pM); in hom
-    coordinates (dual slot first) that is kron(P_a(M/W_pM)^T, P_b(W_pM))."""
-    sub, quo = [], []
-    for n, pn in cut.projectors.items():
-        if n <= cut.p:
-            sub.append((n, la.mat_mul(tuple(pn[c] for c in cut.wp.pivots),
-                                      cut.incl)))
-        else:
-            quo.append((n, la.transpose(la.mat_mul(
-                la.mat_mul(cut.proj, pn), cut.section))))
-    out: Dict[int, Matrix] = {}
-    for a, qa in quo:
-        for b, sb in sub:
-            block = la.kron_mat(qa, sb)
-            out[b - a] = la.mat_add(out[b - a], block) if b - a in out else block
-    return dict(sorted(out.items()))
+def _h_frame(cut: WeightCut) -> mh.DeligneFrame:
+    """The Deligne frame of H by functoriality: a frame vector b of M of
+    weight at most p restricts to b[pivots], with dual row r_b . incl; one
+    of weight above p, a, descends to proj . a, with dual row r_a . section.
+    The map x -> b (r_a . x) has type (p_b - p_a, q_b - q_a), and in hom
+    coordinates (dual slot first) it is kron(r_a . section, b[pivots]),
+    with dual row kron(proj . a, r_b . incl)."""
+    s_low, t_low = cut.frame.select(lambda p, q: p + q <= cut.p)
+    s_high, t_high = cut.frame.select(lambda p, q: p + q > cut.p)
+    return mh.DeligneFrame(
+        tuple((pb - pa, qb - qa) for pa, qa in cut.frame.types if pa + qa > cut.p
+              for pb, qb in cut.frame.types if pb + qb <= cut.p),
+        la.kron_mat(la.mat_mul(t_high, cut.section),
+                    la.transpose(tuple(s_low[c] for c in cut.wp.pivots))),
+        la.kron_mat(la.transpose(la.mat_mul(cut.proj, s_high)),
+                    la.mat_mul(t_low, cut.incl)))
 
 
 def _u_p(cut: WeightCut) -> UpResult:
     """u_p of a graded-Tate M: H = Hom(M/W_pM, W_pM) has only negative
     weights, so F^0 H = 0 and the class e splits modulo a subobject B
     exactly when Im(e) lies in B.  u_p is the smallest subobject holding
-    Im(e): the rational closure of its span under the projectors onto
-    the Deligne components of H, which is a subobject since it is
+    Im(e): the rational closure of its span under the projectors S_k . T_k
+    onto the frame vectors of H of each weight k, a subobject since it is
     rational and each projector preserves it.  The projectors sum to the
     identity, so the rational hull of the projections of s holds s."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
-    projectors = _h_projectors(cut).values()
+    h = _h_frame(cut)
+    factors = [h.select(lambda p, q: p + q == k)
+               for k in sorted({p + q for p, q in h.types})]
     s = Subspace.zero(Q, dim)
     grown = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
     while grown.dim > s.dim:
         s = grown
-        grown = la.rational_hull(dim, [la.mat_vec(pi, v) for pi in projectors
-                                       for v in s.basis])
+        grown = la.rational_hull(dim, [la.mat_vec(sk, la.mat_vec(tk, v))
+                                       for sk, tk in factors for v in s.basis])
     return UpResult(s, "TATE_EXACT", s.is_full())
 
 
@@ -213,10 +207,9 @@ def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
 
 
 def _detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
-    """u_p at every cut, from one set of Deligne projectors of m."""
-    projectors = mh.deligne_projectors(m)
-    return [(p, _u_p(weight_cut(m, p, projectors)))
-            for p in m.W.jumps[:-1]]
+    """u_p at every cut, from one Deligne frame of m."""
+    frame = mh.deligne_frame(m)
+    return [(p, _u_p(weight_cut(m, p, frame))) for p in m.W.jumps[:-1]]
 
 
 def u_large_detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:

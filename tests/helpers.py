@@ -198,12 +198,38 @@ def parts_splits(h, a_q, rep):
     return Subspace.span(Q, h.dim, rows).contains(tuple(x.im for x in rep.e))
 
 
+def h_projectors(cut):
+    """The Deligne weight projectors of H, as unipotent built them before
+    H's frame, by functoriality from the weight projectors of M: P_n
+    preserves W_pM, so it restricts to P_b(W_pM) = coords . P_b . incl
+    (nonzero for b <= p) and descends to P_a(M/W_pM) = proj . P_a .
+    section (nonzero for a > p).  The weight-k part of a map phi is the
+    sum over b - a = k of P_b(W_pM) . phi . P_a(M/W_pM); in hom
+    coordinates (dual slot first) that is kron(P_a(M/W_pM)^T, P_b(W_pM)).
+    The oracle for the weight projectors S_k . T_k of un._h_frame."""
+    sub, quo = [], []
+    for n, pn in mh.deligne_projectors(cut.m).items():
+        if n <= cut.p:
+            sub.append((n, la.mat_mul(tuple(pn[c] for c in cut.wp.pivots),
+                                      cut.incl)))
+        else:
+            quo.append((n, la.transpose(la.mat_mul(
+                la.mat_mul(cut.proj, pn), cut.section))))
+    out = {}
+    for a, qa in quo:
+        for b, sb in sub:
+            block = la.kron_mat(qa, sb)
+            out[b - a] = la.mat_add(out[b - a], block) if b - a in out else block
+    return dict(sorted(out.items()))
+
+
 def parts_u_p(cut):
     """The rational closure of span(Im e) under the weight projectors of
-    H, each round spanning s with the real and imaginary parts of every
-    projection: the oracle for the rational hulls of un._u_p."""
+    H (h_projectors), each round spanning s with the real and imaginary
+    parts of every projection: the oracle for the rational hulls and the
+    frame of H in un._u_p."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
-    projectors = un._h_projectors(cut).values()
+    projectors = h_projectors(cut).values()
     s = Subspace.span(Q, dim, [tuple(x.im for x in un._ext_class(cut).e)])
     while True:
         rows = list(s.basis)

@@ -109,22 +109,22 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
     mu = corpus.tate3_triple()
     m = tr.build_mhs(mu, tr.sample_point(mu, "a", 10))
     validations, inside, reductions = [], [], []
-    validate, factors = mh.validate_mhs, mh._projector_factors
+    validate, frame = mh.validate_mhs, mh.deligne_frame
     invert, rref = la.invert, la._rref
 
     def counted_validate(s):
         validations.append(s)
         return validate(s)
 
-    def marked_factors(s):
+    def marked_frame(s):
         inside.append(True)
         try:
-            return factors(s)
+            return frame(s)
         finally:
             inside.pop()
 
     def guarded_invert(field, a):
-        assert inside, "can_lift inverted outside the projector factors"
+        assert inside, "can_lift inverted outside the Deligne frame"
         return invert(field, a)
 
     def counted_rref(rows, field):
@@ -132,7 +132,7 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
         return rref(rows, field)
 
     monkeypatch.setattr(mh, "validate_mhs", counted_validate)
-    monkeypatch.setattr(mh, "_projector_factors", marked_factors)
+    monkeypatch.setattr(mh, "deligne_frame", marked_frame)
     monkeypatch.setattr(la, "invert", guarded_invert)
     monkeypatch.setattr(la, "_rref", counted_rref)
     assert lo.can_lift(m, Subspace.full(Q, 3)) == Subspace.full(Q, 3)

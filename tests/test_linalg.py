@@ -17,8 +17,8 @@ from mhslab import linalg as la
 from mhslab import triples as tr
 from mhslab import unipotent as un
 from mhslab.errors import DimensionMismatchError, ParseError
-from mhslab.field import (GaussRat, I, Q, QI, format_q, format_qi, one,
-                          parse_q, parse_qi)
+from mhslab.field import (FieldError, GaussRat, I, Q, QI, as_scalar,
+                          format_q, format_qi, one, parse_q, parse_qi)
 from mhslab.linalg import Subspace
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -148,6 +148,18 @@ def test_gauss_rat_mul_matches_the_four_product_formula(x, y):
         assert type(out) is GaussRat
         assert type(out.re) is Fraction and type(out.im) is Fraction
     assert x * y == y * x == GaussRat(re, im)
+
+
+def test_as_scalar_returns_a_scalar_of_its_field_as_it_is():
+    """Subspace.span coerces every entry, so a scalar already of the field
+    is not built again; others are converted or rejected."""
+    f, g = Fraction(-3, 4), GaussRat(1, 2)
+    assert as_scalar(Q, f) is f and as_scalar(QI, g) is g
+    for x in (3, True, GaussRat(Fraction(3, 1))):
+        assert type(as_scalar(Q, x)) is Fraction and as_scalar(Q, x) == x
+    assert as_scalar(QI, f) == GaussRat(f)
+    with pytest.raises(FieldError):
+        as_scalar(Q, g)
 
 
 @settings(max_examples=60)

@@ -323,12 +323,34 @@ def test_ext_class_matches_the_adapted_basis_hodge_section():
 
 
 def test_h_projectors_match_the_per_cut_bigrading():
-    """The projectors of H by functoriality equal, entry for entry, those
-    read off a Deligne bigrading of H itself."""
+    """The weight projectors S_k . T_k of H's frame equal, entry for entry,
+    the kron sums of M's weight projectors (helpers.h_projectors) and
+    those read off a Deligne bigrading of H itself."""
     for cut in _cuts(_tate_members() + _other_members()):
-        got = un._h_projectors(cut)
+        h = un._h_frame(cut)
+        got = {k: la.mat_mul(*h.select(lambda p, q: p + q == k))
+               for k in sorted({p + q for p, q in h.types})}
         want = mh.deligne_projectors(checked_hom(cut))
+        assert helpers.h_projectors(cut) == want
         assert list(got) == list(want) and got == want
+
+
+def test_h_frame_spans_the_per_cut_bigrading_type_by_type():
+    """Grouped by type (p, q), the vectors of H's frame span the component
+    of that type in a Deligne bigrading of H itself, and its dual rows
+    are dual to them: T . S is the identity."""
+    other_types = 0
+    for cut in _cuts(_tate_members() + _other_members()):
+        h = un._h_frame(cut)
+        dim = len(h.vectors)
+        assert la.mat_mul(h.duals, la.transpose(h.vectors)) == la.identity(QI, dim)
+        comps = dict(mh.deligne_bigrading(checked_hom(cut)).items())
+        assert set(h.types) == set(comps)
+        for pq, comp in comps.items():
+            group = [v for t, v in zip(h.types, h.vectors) if t == pq]
+            assert Subspace.span(QI, dim, group) == comp
+        other_types += any(p != q for p, q in h.types)
+    assert other_types > 0  # some H has types other than (k, k)
 
 
 # -- unipotent radical in the graded-Tate regime -------------------------------
@@ -377,9 +399,10 @@ def test_detail_builds_no_structure(monkeypatch):
     expected = [un._detail(m) for m in members]
 
     def forbidden(*args):
-        raise AssertionError("_detail built a structure")
+        raise AssertionError("_detail built a structure or a projector")
     monkeypatch.setattr(mh, "hom", forbidden)
     monkeypatch.setattr(mh, "make_mhs", forbidden)
+    monkeypatch.setattr(mh, "deligne_projectors", forbidden)
     assert [un._detail(m) for m in members] == expected
 
 
@@ -677,9 +700,9 @@ def test_weight_cut_sides_are_the_checked_sub_and_quotient():
                 for rational in (False, True)]
     members += _other_members()[-4:]
     for m in members:
-        projectors = mh.deligne_projectors(m)
+        frame = mh.deligne_frame(m)
         for p in m.W.jumps[:-1]:
-            cut = un.weight_cut(m, p, projectors)
+            cut = un.weight_cut(m, p, frame)
             assert cut == un.weight_cut(m, p)
             sub = mh.sub_mhs(m, cut.wp)  # raises unless valid
             assert mh._restrict(m, cut.wp) == sub
@@ -778,7 +801,7 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     # point is checked.
     assert point_checks == []
     # One bigrading per member (2 samples and 3 controls) gives the class
-    # and H-projectors of both cuts, with no structure on either side or
+    # and the frame of H at both cuts, with no structure on either side or
     # on H.  There were 106 reductions before the closure of u_p spanned
     # rational hulls of integer rows, which reach _int_rref directly
     # (81 eliminations in all, then and now), 121 when each sampled point was
