@@ -297,20 +297,19 @@ def _products(field: str, factors: List[List[Tuple[int, list]]]
     return out
 
 
-def _span_independent(field: str, dim: int, rows: list,
-                      span=Subspace.span) -> Subspace:
-    """The span of independent rows, such as products of adapted bases or
-    images of bigrading vectors: as many of them as the dimension span
-    everything.  Integer rows pass span=Subspace.span_ints."""
-    return Subspace.full(field, dim) if len(rows) == dim else span(field, dim, rows)
+def _span_independent(field: str, dim: int, rows: list) -> Subspace:
+    """The span of independent integer rows in the layout of la.int_rows,
+    such as products of adapted bases or images of basis vectors: as many
+    of them as the dimension span everything."""
+    return (Subspace.full(field, dim) if len(rows) == dim
+            else Subspace.span_ints(field, dim, rows))
 
 
 def _tensor_steps(field: str, dim: int, prods: List[Tuple[int, list]],
                   keep) -> Dict[int, Subspace]:
     """For each candidate jump k, the span of the integer products u (x) v
     of the adapted bases with keep(tag(u) + tag(v), k)."""
-    return {k: _span_independent(field, dim, [v for t, v in prods if keep(t, k)],
-                                 Subspace.span_ints)
+    return {k: _span_independent(field, dim, [v for t, v in prods if keep(t, k)])
             for k in {t for t, _ in prods}}
 
 
@@ -319,8 +318,8 @@ def _image_steps(field: str, dim: int, parts) -> Dict[int, Subspace]:
     span of the images a.v over the basis vectors v of every G.at(k), in
     one reduction.  The images must be independent, as block inclusions,
     the sections of a point and incl(W_p) + psi are."""
-    return {k: _span_independent(field, dim, [la.mat_vec(a, v) for a, g in parts
-                                              for v in g.at(k).basis])
+    return {k: _span_independent(field, dim, la.int_rows(
+                field, [la.mat_vec(a, v) for a, g in parts for v in g.at(k).basis]))
             for k in {k for _, g in parts for k in g.jumps}}
 
 
@@ -487,8 +486,8 @@ def _power_classes(dim: int, bases: Tuple[list, list, list, list],
     w0 = [v for t, v in _products(Q, [wm] * a + [wd] * b) if t <= 0]
     f0 = [v for t, v in _products(QI, [fm] * a + [fd] * b) if t >= 0]
     return la.intersect(
-        _span_independent(Q, dim, w0, Subspace.span_ints),
-        la.rational_part(_span_independent(QI, dim, f0, Subspace.span_ints)))
+        _span_independent(Q, dim, w0),
+        la.rational_part(_span_independent(QI, dim, f0)))
 
 
 # -- Deligne bigrading and splitting ----------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg as la
 from . import mhs as mh
@@ -148,14 +148,16 @@ class UpResult:
     large: bool
 
 
-def _check_graded_tate(graded: Iterable) -> None:
-    """Raise unless every (weight n, pure piece) pair, as in gr_w(m), is
-    Tate: n is even and F^{n/2} covers the piece, so that by Hodge
-    symmetry F^{n/2+1} is zero there."""
-    for n, pure in graded:
-        if n % 2 or not pure.F.at(n // 2).is_full():
-            raise RegimeError(f"the graded piece of weight {n} is not Tate "
-                              f"(the structure must be graded-Tate)")
+def _check_graded_tate(frame: mh.DeligneFrame) -> mh.DeligneFrame:
+    """The Deligne frame of M, unless M is not graded-Tate.  The I^{p,q}
+    have the Hodge numbers of Gr^W M, so every Gr^W_n is a sum of copies
+    of Q(-n/2) exactly when every frame vector has a type with p = q;
+    otherwise this raises for the lowest weight p + q of another type."""
+    off = [p + q for p, q in frame.types if p != q]
+    if off:
+        raise RegimeError(f"the graded piece of weight {min(off)} is not Tate "
+                          f"(the structure must be graded-Tate)")
+    return frame
 
 
 def _h_frame(cut: WeightCut) -> mh.DeligneFrame:
@@ -202,20 +204,14 @@ def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:
     graded-Tate M: the smallest subobject of Hom(M/W_pM, W_pM) modulo
     which the extension class splits, found as the subobject generated
     by the imaginary part of the class."""
-    _check_graded_tate(mh.gr_w(m))
-    return _u_p(weight_cut(m, p))
-
-
-def _detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
-    """u_p at every cut, from one Deligne frame of m."""
-    frame = mh.deligne_frame(m)
-    return [(p, _u_p(weight_cut(m, p, frame))) for p in m.W.jumps[:-1]]
+    return _u_p(weight_cut(m, p, _check_graded_tate(mh.deligne_frame(m))))
 
 
 def u_large_detail(m: MixedHodgeStructure) -> List[Tuple[int, UpResult]]:
-    """u_p at every weight cut, lowest weight first."""
-    _check_graded_tate(mh.gr_w(m))
-    return _detail(m)
+    """u_p at every weight cut, lowest weight first, from one Deligne
+    frame of m."""
+    frame = _check_graded_tate(mh.deligne_frame(m))
+    return [(p, _u_p(weight_cut(m, p, frame))) for p in m.W.jumps[:-1]]
 
 
 def is_u_large(m: MixedHodgeStructure) -> bool:
@@ -308,8 +304,12 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
     pure function of (mu, n_samples, seed, height).  The triple is
     checked here; each member is built from the sections _sample draws,
     which are a point of mu by construction, so no point is checked.
+    The regime is checked on each member's Deligne frame by
+    u_large_detail: the frame types are the Hodge types of mu's pieces,
+    so a triple that is not graded-Tate raises at the first member, a
+    control when n_samples is 0.
     """
-    _check_graded_tate(tr.check_triple(mu).graded)
+    tr.check_triple(mu)
     if n_samples < 0:
         raise MhsError("the number of samples must be at least 0")
     if height < 1:
@@ -321,7 +321,7 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
         alpha = tr._sample(mu, random.Random(f"{seed}:{i}"), height,
                            imaginary=True)
         m = tr._build_mhs(mu, alpha)
-        detail = _detail(m)
+        detail = u_large_detail(m)
         for p, res in detail:
             if res.large:
                 n_large_per_p[p] += 1
@@ -332,7 +332,7 @@ def genericity_experiment(mu: Triple, n_samples: int, seed,
         alpha = tr._sample(mu, random.Random(f"{seed}:deg:{j}"), height,
                            imaginary=False)
         m = tr._build_mhs(mu, alpha)
-        detail = _detail(m)
+        detail = u_large_detail(m)
         degenerate.append({
             "params": se.tpoint_to_json(alpha)["sections"],
             "u_p_dims": {str(p): res.subspace.dim for p, res in detail},

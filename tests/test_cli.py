@@ -200,6 +200,12 @@ def test_zero_dimensional_structure_splits_sections_and_lifts(capsys, tmp_path):
     assert code == 0 and doc["sections"] == {}
     code, doc = run(capsys, ["lift", lift_file])
     assert code == 0 and doc["liftable"] and doc["lift"] == []
+    # The regime gate frames the empty structure and passes it.
+    assert cli.main(["up", m_file, "--p", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "error: weight cut 0 leaves nothing on one side\n")
+    code, doc = run(capsys, ["u-large", m_file])
+    assert code == 0 and doc["large"] is True and doc["per_p"] == []
 
 
 def test_truncate_verb(capsys, tmp_path):
@@ -455,6 +461,22 @@ def test_two_weight_members_split_at_zero_so_exit_4_is_no_gap(capsys,
         assert cli.main(["up", path, "--p", "-1"]) == 4
         assert cli.main(["u-large", path]) == 4
     assert "not Tate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("triple, weight", [
+    (corpus.tate_cm_triple, -3), (corpus.two_weight_triple, -1)])
+def test_experiment_outside_the_regime_exits_4(capsys, tmp_path, triple,
+                                               weight):
+    """Each member is checked, and the controls run with no samples, so a
+    triple outside the regime is refused also at --samples 0."""
+    mu_file = write(tmp_path, "mu.json", se.triple_to_json(triple()))
+    for samples in ("0", "2"):
+        assert cli.main(["experiment", "--triple", mu_file,
+                         "--samples", samples]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: the graded piece of weight {weight} is not Tate "
+            f"(the structure must be graded-Tate)\n")
 
 
 def test_degenerate_cut_is_a_math_error(capsys, kummer_file):

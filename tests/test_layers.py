@@ -157,3 +157,9 @@ def test_scalar_parts_are_read_in_field_and_linalg():
             assert im and im == _class_part_reads(name, "im")
         else:
             assert not im, name
+
+
+def test_unipotent_reads_the_regime_off_the_frame():
+    """The graded-Tate gate reads the types of M's Deligne frame, which
+    u_p forms anyway, so unipotent never forms Gr^W M."""
+    assert not _part_reads("unipotent", "gr_w")

@@ -394,16 +394,24 @@ def test_every_u_p_is_a_subobject_of_the_checked_hom():
             mh.sub_mhs(h, res.subspace)  # raises unless a subobject
 
 
+def _u_p_everywhere(members):
+    """u_large_detail of each member, and u_p_tate at each of its cuts."""
+    return [(un.u_large_detail(m), [un.u_p_tate(m, p) for p in m.W.jumps[:-1]])
+            for m in members]
+
+
 def test_detail_builds_no_structure(monkeypatch):
+    """The regime is read off the frame, so neither verb forms Gr^W M."""
     members = _tate_members()
-    expected = [un._detail(m) for m in members]
+    expected = _u_p_everywhere(members)
+    for detail, ups in expected:
+        assert [res for _, res in detail] == ups
 
     def forbidden(*args):
-        raise AssertionError("_detail built a structure or a projector")
-    monkeypatch.setattr(mh, "hom", forbidden)
-    monkeypatch.setattr(mh, "make_mhs", forbidden)
-    monkeypatch.setattr(mh, "deligne_projectors", forbidden)
-    assert [un._detail(m) for m in members] == expected
+        raise AssertionError("u_p built a structure, a projector or Gr^W")
+    for name in ("hom", "make_mhs", "deligne_projectors", "gr_w"):
+        monkeypatch.setattr(mh, name, forbidden)
+    assert _u_p_everywhere(members) == expected
 
 
 def _u_p_by_public_search(m, p):
@@ -484,12 +492,15 @@ def _regime_message(check, m):
 
 
 def test_graded_tate_check_matches_the_intersection_oracle():
+    """On every valid oracle structure, the check read off the frame
+    types agrees with the ranks of F^{n/2} on each Gr^W_n.  Only a valid
+    structure has a frame, and every caller validates first."""
     messages = []
     for m in oracle_structures():
-        if m.W.problems() or m.F.problems():
+        if not mh.is_valid(m):
             continue
         messages.append(_regime_message(
-            lambda m: un._check_graded_tate(mh.gr_w(m)), m))
+            lambda m: un._check_graded_tate(mh.deligne_frame(m)), m))
         assert messages[-1] == _regime_message(intersection_graded_tate, m)
     assert None in messages and len(set(messages)) > 2
 
@@ -802,8 +813,9 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     assert point_checks == []
     # One bigrading per member (2 samples and 3 controls) gives the class
     # and the frame of H at both cuts, with no structure on either side or
-    # on H.  There were 106 reductions before the closure of u_p spanned
-    # rational hulls of integer rows, which reach _int_rref directly
+    # on H.  There were 92 reductions before the images of the sections
+    # were spanned as integer rows, 106 before the closure of u_p spanned
+    # rational hulls of integer rows, both of which reach _int_rref directly
     # (81 eliminations in all, then and now), 121 when each sampled point was
     # checked, 171 when build_mhs added the image of each piece to a
     # running sum, 198 when the graded-Tate check formed the direct sum
@@ -812,7 +824,7 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     # intersections for each side, and 1,163 when equations were reduced
     # twice more and solve_matrix went column by column.
     assert len(bigraded) == 5
-    assert len(reductions) <= 92
+    assert len(reductions) <= 82
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
