@@ -151,7 +151,12 @@ def int_kron(field: str, u: list, v: list) -> list:
 def _eliminate(m: list) -> list:
     """Gauss-Jordan elimination of the integer rows m in place, keeping
     every row primitive; returns the pivot columns, and m[:len(pivots)]
-    are the echelon rows (divided by their pivots, the reduced ones)."""
+    are the echelon rows (divided by their pivots, the reduced ones).
+
+    Row i becomes a * row - b * prow, formed as a new list: the scaling
+    is skipped when a = 1, and b * prow is subtracted only on the
+    support of the pivot row, listed once a row needs it.  The rows
+    handed in are never changed."""
     nrows, pivots, r = len(m), [], 0
     for c in range(len(m[0])):
         pr = next((i for i in range(r, nrows) if m[i][c]), None)
@@ -160,12 +165,18 @@ def _eliminate(m: list) -> list:
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         p = prow[c]
+        support = None
         for i in range(nrows):
             f = m[i][c]
             if f and i != r:
+                if support is None:
+                    support = [(j, y) for j, y in enumerate(prow) if y]
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
+                row = m[i].copy() if a == 1 else [a * x for x in m[i]]
+                for j, y in support:
+                    row[j] -= b * y
+                m[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -439,17 +450,26 @@ def invert(field: str, a: Matrix) -> Matrix:
 # -- rational structure -----------------------------------------------------
 
 def rational_part(u: Subspace) -> Subspace:
-    """Largest Q-subspace B with B tensor Q(i) inside u (u over Q(i)).
-
-    As a Q-space u is spanned by the restricted rows of its basis.  With
-    the imaginary columns first, the rows of their echelon basis that
-    pivot in a real column vanish on every imaginary column: their real
-    columns are the echelon basis of B, the rational vectors of u."""
+    """Largest Q-subspace B with B tensor Q(i) inside u (u over Q(i)): the
+    rational part of the integer rows of its basis."""
     if u.field == Q:
         return u
-    n = u.ambient_dim
-    s = Subspace.span_ints(Q, 2 * n, [v[1::2] + v[::2] for v in
-                                      _restricted(int_rows(QI, u.basis))])
+    return rational_part_ints(u.ambient_dim, int_rows(QI, u.basis))
+
+
+def rational_part_ints(n: int, rows: list) -> Subspace:
+    """The rational part of the Q(i)-span of independent integer rows in
+    the layout of int_rows, of Q(i)^n: as many of them as n span
+    everything, and the list is not changed.
+
+    As a Q-space the span is spanned by the restricted rows.  With the
+    imaginary columns first, the rows of their echelon basis that pivot
+    in a real column vanish on every imaginary column: their real
+    columns are the echelon basis of B, the rational vectors of the
+    span."""
+    if len(rows) == n:
+        return Subspace.full(Q, n)
+    s = Subspace.span_ints(Q, 2 * n, [v[1::2] + v[::2] for v in _restricted(rows)])
     k = bisect_left(s.pivots, n)
     return Subspace(Q, n, tuple(row[n:] for row in s.basis[k:]),
                     tuple(c - n for c in s.pivots[k:]))

@@ -477,17 +477,18 @@ def _power_classes(dim: int, bases: Tuple[list, list, list, list],
                    a: int, b: int) -> Subspace:
     """power_hodge_classes from the bases of _power_bases, dim = m.dim^(a+b).
 
-    Only W_0 and F^0 of the power are built: over the adapted bases of M
+    Only W_0 and F^0 of the power are used: over the adapted bases of M
     and M^v, W_0 is the span of the integer products with weight tags
     summing to at most 0, and F^0 of those with Hodge tags summing to at
-    least 0.  No intermediate tensor product is formed.
+    least 0.  The products of F^0 go to la.rational_part_ints as they
+    are, with no echelon basis of F^0.  No intermediate tensor product
+    is formed.
     """
     wm, wd, fm, fd = bases
     w0 = [v for t, v in _products(Q, [wm] * a + [wd] * b) if t <= 0]
     f0 = [v for t, v in _products(QI, [fm] * a + [fd] * b) if t >= 0]
-    return la.intersect(
-        _span_independent(Q, dim, w0),
-        la.rational_part(_span_independent(QI, dim, f0)))
+    return la.intersect(_span_independent(Q, dim, w0),
+                        la.rational_part_ints(dim, f0))
 
 
 # -- Deligne bigrading and splitting ----------------------------------------

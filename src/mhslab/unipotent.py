@@ -220,11 +220,12 @@ def is_u_large(m: MixedHodgeStructure) -> bool:
 
 # -- bounded-degree Lie-algebra upper bound -----------------------------------
 
-def _image_rows(v, n: int, a: int, deg: int) -> List[Tuple]:
+def _image_rows(v: list, n: int, a: int, deg: int) -> List[list]:
     """The linear map x -> x.v for a class v of M^(x a) (x) (M^v)^(x deg-a),
-    as n^deg rows of n^2 columns in hom coordinates (column i*n + j is
-    x[j][i]).  x acts on each primal slot as x and on each dual slot as
-    -x^T; the coefficients are read off v by index arithmetic."""
+    as the nonzero ones of its n^deg rows of n^2 columns in hom
+    coordinates (column i*n + j is x[j][i]).  x acts on each primal slot
+    as x and on each dual slot as -x^T; the coefficients are read off v
+    by index arithmetic, so an integer v gives integer rows."""
     rows = []
     for idx in range(n ** deg):
         row = [0] * (n * n)
@@ -240,7 +241,8 @@ def _image_rows(v, n: int, a: int, deg: int) -> List[Tuple]:
                     row[i * n + k] += c      # coefficient of x[k][i]
                 else:
                     row[k * n + i] -= c      # coefficient of x[i][k]
-        rows.append(tuple(row))
+        if any(row):
+            rows.append(row)
     return rows
 
 
@@ -252,9 +254,11 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     as d grows, and is closed under the commutator bracket.  Each power
     contributes only its classes (mhs.power_hodge_classes, from W_0 and
     F^0 alone) and the image x.v of each class v, read off v slot by
-    slot; no tensor structure or derivation matrix is built.  M^v and
-    the integer bases every power is formed from are built once, after
-    the guard.
+    slot; no tensor structure or derivation matrix is built.  Each class
+    is scaled to a primitive integer row, so the images are integer rows
+    and the bound is the annihilator of their span_ints.  M^v and the
+    integer bases every power is formed from are built once, after the
+    guard.
     """
     if d < 1:
         raise MhsError("tensor degree must be at least 1")
@@ -276,9 +280,10 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     for deg in range(1, d + 1):
         for a in range(deg + 1):
             # a factors M, then deg - a factors M^v.
-            for v in mh._power_classes(n ** deg, bases, a, deg - a).basis:
-                constraint_rows.extend(_image_rows(v, n, a, deg))
-    return la.kernel(Q, constraint_rows, n * n)
+            classes = mh._power_classes(n ** deg, bases, a, deg - a)
+            for v in la.int_rows(Q, classes.basis):
+                constraint_rows += _image_rows(v, n, a, deg)
+    return la.annihilator(Subspace.span_ints(Q, n * n, constraint_rows))
 
 
 def end_subspace_is_bracket_closed(s: Subspace, n: int) -> bool:

@@ -3,6 +3,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 from mhslab import corpus
 from mhslab import linalg as la
@@ -37,6 +38,33 @@ def mat_vec(a, v):
         raise DimensionMismatchError("matrix/vector size mismatch")
     return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v else 0
                  for row in a)
+
+
+# -- the dense row update: oracle ---------------------------------------------
+
+def dense_eliminate(m):
+    """la._eliminate as it updated every column of a row: row i becomes
+    a * row - b * prow over the whole row, through la._primitive.  The
+    oracle for the update on the support of the pivot row."""
+    nrows, pivots, r = len(m), [], 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                m[i] = la._primitive([a * x - b * y for x, y in zip(m[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 # -- the free-column kernel and column-by-column solves: oracles -------------
@@ -277,6 +305,27 @@ def power_hodge_classes(m, a, b):
     w0 = Subspace.span(Q, dim, [v for t, v in w if t <= 0])
     f0 = Subspace.span(QI, dim, [v for t, v in f if t >= 0])
     return la.rational_part(la.intersect(w0.to_qi(), f0))
+
+
+def frame_power_classes(m, a, b):
+    """The Hodge classes of M^(x a) (x) (M^v)^(x b) read off the Deligne
+    frame: the products of a frame vectors of M (type (p, q)) and b dual
+    rows (type (-p, -q), a frame of M^v) form a frame of the power, each
+    of the summed type.  W_0 . F^0 over Q(i) is the span of those with
+    sum p >= 0 and sum (p + q) <= 0, and the classes are its rational
+    part: the oracle for mh.power_hodge_classes."""
+    dim = m.dim ** (a + b)
+    if dim == 0:
+        return Subspace.zero(Q, 0)
+    frame = mh.deligne_frame(m)
+    factors = [list(zip(frame.types, frame.vectors))] * a
+    factors += [[((-p, -q), t) for (p, q), t in zip(frame.types, frame.duals)]] * b
+    prods = factors[0]
+    for f in factors[1:]:
+        prods = [((p + r, q + s), kron_vec(u, v))
+                 for (p, q), u in prods for (r, s), v in f]
+    kept = [v for (p, q), v in prods if p >= 0 and p + q <= 0]
+    return la.rational_part(Subspace.span(QI, dim, kept))
 
 
 def graded_offsets(w: mh.WeightFiltration):

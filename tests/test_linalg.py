@@ -242,8 +242,9 @@ def _no_kernel(*args):
 @settings(max_examples=150, deadline=None)
 @given(complex_subspaces())
 def test_rational_part_matches_the_solving_oracle(u):
-    """One elimination of the restricted rows of u and no kernel give what
-    the 2k-unknown solve and the kernel of Im parts give."""
+    """One elimination of the restricted rows of u (none when u is full)
+    and no kernel give what the 2k-unknown solve and the kernel of Im
+    parts give."""
     want, defined = helpers.rational_part(u), helpers.is_defined_over_q(u)
     assert helpers.kernel_rational_part(u) == want
     eliminations, eliminate = [], la._eliminate
@@ -251,7 +252,7 @@ def test_rational_part_matches_the_solving_oracle(u):
             mock.patch.object(la, "_eliminate", lambda m: eliminations.append(1)
                               or eliminate(m)):
         got = la.rational_part(u)
-    assert len(eliminations) == 1
+    assert len(eliminations) == (0 if u.is_full() else 1)
     assert got == want and got.pivots == want.pivots
     assert all(type(x) is Fraction for row in got.basis for x in row)
     with mock.patch.object(la, "_rref", None):  # no reduction at all
@@ -290,6 +291,87 @@ def test_rational_part_matches_the_kernel_oracle_at_the_edges():
         seen.add((u.ambient_dim, u.is_zero(), u.is_full(), got.dim == u.dim))
     assert (0, True, True, True) in seen
     assert {(3, False, False, True), (3, False, False, False)} <= seen
+
+
+def test_rational_part_ints_at_the_edges():
+    """No rows give zero, as many independent rows as the dimension give
+    everything with no elimination, and real rows give the span of their
+    real parts; the rows handed in are not changed."""
+    rng = random.Random("rational-part-ints")
+    for n in range(5):
+        assert la.rational_part_ints(n, []) == Subspace.zero(Q, n)
+        full = la.int_rows(QI, [[GaussRat(x, rng.randint(-2, 2)) for x in v]
+                                for v in helpers.random_invertible(rng, n)])
+        assert Subspace.span_ints(QI, n, [list(r) for r in full]).is_full()
+        with mock.patch.object(la, "_eliminate", side_effect=AssertionError):
+            assert la.rational_part_ints(n, full) == Subspace.full(Q, n)
+        for k in range(n):
+            real = [[x for y in row for x in (int(y), 0)]
+                    for row in helpers.random_invertible(rng, n)[:k]]
+            before = [list(r) for r in real]
+            got = la.rational_part_ints(n, real)
+            assert real == before
+            assert got == Subspace.span(Q, n, [r[::2] for r in real])
+            assert got == helpers.kernel_rational_part(
+                Subspace.span_ints(QI, n, before))
+
+
+def _random_int_rows(rng, nrows, ncols, units=False):
+    """Random integer rows, about a third of them zero and the rest
+    sparse; with units, every nonzero entry is 1 or -1."""
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        return rng.choice([1, -1]) if units else rng.randint(-9, 9)
+    return [[0] * ncols if rng.random() < 0.3 else [entry() for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _bound_inputs():
+    """Every integer matrix the degree-3 bound eliminates on a member of
+    the three-step Tate triple (up to 44 x 54) and on a CM member."""
+    mu, cm = corpus.tate3_triple(), corpus.tate_cm_triple()
+    inputs, eliminate = [], la._eliminate
+    with mock.patch.object(la, "_eliminate", lambda m: inputs.append(
+            [list(r) for r in m]) or eliminate(m)):
+        for m in (tr.build_mhs(mu, tr.sample_point(mu, "4242.0", 10)),
+                  tr.build_mhs(cm, tr.sample_point(cm, "0", 10))):
+            un.mt_lie_upper_bound(m, 3)
+    return inputs
+
+
+def _eliminate_inputs():
+    rng = random.Random("eliminate")
+    for nrows, ncols in [(1, 1), (3, 5), (8, 8), (12, 7), (44, 54), (102, 9)]:
+        yield _random_int_rows(rng, nrows, ncols)
+        yield _random_int_rows(rng, nrows, ncols, units=True)
+        yield la._restricted(_random_int_rows(rng, nrows, 2 * ncols))
+    yield [[0, 0], [0, 0]]
+    yield from _bound_inputs()
+
+
+def test_support_update_matches_the_dense_one_step_for_step():
+    """la._eliminate, which subtracts b * prow only on the support of the
+    pivot row and scales a row only when a != 1, makes the same rows in
+    the same order as the dense update of helpers.dense_eliminate, the
+    same pivots and the same echelon rows, and changes no row it is
+    handed: on random rows with zero rows, on rows with unit pivots, on
+    restricted Q(i) rows and on every input of the degree-3 bound."""
+    shapes = set()
+    for m in _eliminate_inputs():
+        shapes.add((len(m), len(m[0])))
+        steps, primitive = {}, la._primitive
+        for name, fn in (("sparse", la._eliminate),
+                         ("dense", helpers.dense_eliminate)):
+            rows = [list(r) for r in m]
+            handed, made = list(rows), []
+            with mock.patch.object(la, "_primitive", lambda row: made.append(
+                    primitive(row)) or made[-1]):
+                pivots = fn(rows)
+            assert handed == m  # the same row objects, none changed
+            steps[name] = made, pivots, rows
+        assert steps["sparse"] == steps["dense"]
+    assert {(44, 54), (102, 9), (20, 54)} <= shapes
 
 
 @settings(max_examples=60, deadline=None)
@@ -532,8 +614,9 @@ def test_rows_sharing_gaussian_factors_match_division(capped_rows):
 
 
 def test_degree3_bound_on_a_cm_member_keeps_entries_bounded(capped_rows):
-    # On this member of Q(3) + E(-3) + Q(0) the bound reduces matrices
-    # of up to 57 x 64 over Q(i).
+    # On this member of Q(3) + E(-3) + Q(0) the bound eliminates integer
+    # matrices of up to 108 x 128: the restricted rows of 54 products
+    # spanning F^0 of a power of dimension 64.
     mu = corpus.tate_cm_triple()
     m = tr.build_mhs(mu, tr.sample_point(mu, "0", 10))
     g3 = un.mt_lie_upper_bound(m, 3)

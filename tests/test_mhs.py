@@ -698,15 +698,9 @@ def test_classes_over_q_from_integer_products_match_the_q_i_oracles():
                               helpers.power_hodge_classes(m, a, deg - a))
 
 
-def test_rational_part_of_every_power_f0_matches_the_kernel_oracle(
-        monkeypatch):
-    """F^0 of every power of degree at most 3, on corpus members and on
-    members of the Tate, equal-gap and CM triples: its rational part by
-    one elimination of restricted rows equals the one from the kernel of
-    Im parts."""
-    f0s, rational_part = [], la.rational_part
-    monkeypatch.setattr(la, "rational_part",
-                        lambda u: f0s.append(u) or rational_part(u))
+def _power_members():
+    """Corpus members and members of the Tate, equal-gap and CM triples,
+    sampled and rational."""
     members = [corpus.tate_mhs(0), corpus.tate_mhs(3), corpus.two_weight_mhs()]
     members += [corpus.kummer_mhs(z) for z in (GaussRat(0), I, GaussRat(1, 1))]
     for mu in (tate_triple((-6, -2, 0)), tate_triple((-4, -2, 0)),
@@ -714,14 +708,49 @@ def test_rational_part_of_every_power_f0_matches_the_kernel_oracle(
         members += [tr.build_mhs(mu, tr.sample_point(mu, s, 10))
                     for s in ("a", "b")]
         members.append(tr.build_mhs(mu, tr.sample_rational_point(mu, "r", 10)))
-    for m in members:
-        for deg in (1, 2, 3):
-            if m.dim ** deg <= 64:
-                for a in range(deg + 1):
-                    mh.power_hodge_classes(m, a, deg - a)
-    assert {u.ambient_dim for u in f0s} >= {1, 3, 9, 16, 27, 64}
-    for u in f0s:
-        assert rational_part(u) == helpers.kernel_rational_part(u)
+    return members
+
+
+def _small_powers():
+    """(m, a, b) for every power of degree at most 3 and dimension at most
+    64 of the _power_members."""
+    return [(m, a, deg - a) for m in _power_members() for deg in (1, 2, 3)
+            if m.dim ** deg <= 64 for a in range(deg + 1)]
+
+
+def test_rational_part_of_every_power_f0_matches_the_kernel_oracle(
+        monkeypatch):
+    """The integer products spanning F^0 of every power of degree at most
+    3, on corpus members and on members of the Tate, equal-gap and CM
+    triples: their rational part by one elimination of restricted rows
+    equals the one from the kernel of Im parts of their span.  The
+    sweep meets F^0 = 0, F^0 spanned by as many products as the
+    dimension, and F^0 spanned by real products."""
+    f0s, rational_part_ints = [], la.rational_part_ints
+    monkeypatch.setattr(la, "rational_part_ints", lambda n, rows: f0s.append(
+        (n, [list(r) for r in rows])) or rational_part_ints(n, rows))
+    for m, a, b in _small_powers():
+        mh.power_hodge_classes(m, a, b)
+    assert {n for n, _ in f0s} >= {1, 3, 9, 16, 27, 64}
+    assert any(not rows for _, rows in f0s)
+    assert any(len(rows) == n for n, rows in f0s)
+    assert any(0 < len(rows) < n and not any(x for r in rows for x in r[1::2])
+               for n, rows in f0s)
+    for n, rows in f0s:
+        want = helpers.kernel_rational_part(
+            Subspace.span_ints(QI, n, [list(r) for r in rows]))
+        assert rational_part_ints(n, rows) == want
+
+
+def test_power_classes_read_off_the_deligne_frame_match():
+    """The classes of every power of degree at most 3 and dimension at
+    most 64 of the same members, from products of the Deligne frame of M
+    and its dual rows with sum p >= 0 and sum (p + q) <= 0, equal
+    mh.power_hodge_classes: CM and two-weight members included."""
+    powers = _small_powers()
+    assert len(powers) == 135
+    for m, a, b in powers:
+        assert helpers.frame_power_classes(m, a, b) == mh.power_hodge_classes(m, a, b)
 
 
 def test_identity_is_hodge_class_in_end():
