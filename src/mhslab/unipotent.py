@@ -19,9 +19,9 @@ from . import linalg as la
 from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
-from .errors import (DegenerateRangeError, MhsError, RegimeError,
-                     ResourceGuardError)
-from .field import Q, GaussRat
+from .errors import (DegenerateRangeError, DimensionMismatchError, MhsError,
+                     NotASubobjectError, RegimeError, ResourceGuardError)
+from .field import Q, QI, GaussRat
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Triple
@@ -68,10 +68,49 @@ def _cut_step(m: MixedHodgeStructure, p: int) -> Subspace:
     return wp
 
 
-def _hom(m: MixedHodgeStructure, wp: Subspace) -> MixedHodgeStructure:
-    """H = Hom(M/W_pM, W_pM), for the callers that read F^0 H.  W_pM is a
-    subobject of a valid M, so neither side is validated."""
-    return mh.hom(mh._push_forward(m, wp), mh._restrict(m, wp))
+def _h_frame(cut: WeightCut) -> mh.DeligneFrame:
+    """The Deligne frame of H by functoriality: a frame vector b of M of
+    weight at most p restricts to b[pivots], with dual row r_b . incl; one
+    of weight above p, a, descends to proj . a, with dual row r_a . section.
+    The map x -> b (r_a . x) has type (p_b - p_a, q_b - q_a), and in hom
+    coordinates (dual slot first) it is kron(r_a . section, b[pivots]),
+    with dual row kron(proj . a, r_b . incl)."""
+    s_low, t_low = cut.frame.select(lambda p, q: p + q <= cut.p)
+    s_high, t_high = cut.frame.select(lambda p, q: p + q > cut.p)
+    return mh.DeligneFrame(
+        tuple((pb - pa, qb - qa) for pa, qa in cut.frame.types if pa + qa > cut.p
+              for pb, qb in cut.frame.types if pb + qb <= cut.p),
+        la.kron_mat(la.mat_mul(t_high, cut.section),
+                    la.transpose(tuple(s_low[c] for c in cut.wp.pivots))),
+        la.kron_mat(la.transpose(la.mat_mul(cut.proj, s_high)),
+                    la.mat_mul(t_low, cut.incl)))
+
+
+def _projectors(h: mh.DeligneFrame, key) -> List[Tuple[Matrix, Matrix]]:
+    """For each value k of key(p, q) over the types of H's frame, in
+    increasing order, S and T with S . T the projector onto the frame
+    vectors with key k along the others.  These projectors sum to the
+    identity, and no dim H x dim H matrix is formed: a projection is
+    S . (T . v)."""
+    return [h.select(lambda p, q: key(p, q) == k)
+            for k in sorted({key(*t) for t in h.types})]
+
+
+def _project(factors: List[Tuple[Matrix, Matrix]], s: Subspace) -> Subspace:
+    """The rational hull of the projections of a basis of s under the
+    factors of _projectors.  The projectors sum to the identity, so it
+    holds s, and it is s exactly when each of them maps s (x) Q(i) into
+    itself."""
+    return la.rational_hull(s.ambient_dim, [la.mat_vec(sk, la.mat_vec(tk, v))
+                                            for sk, tk in factors
+                                            for v in s.basis])
+
+
+def _f0(h: mh.DeligneFrame) -> Subspace:
+    """F^0 H, the sum of the I^{p,q} of H with p >= 0: the span of H's
+    frame vectors of those types."""
+    return Subspace.span(QI, len(h.vectors),
+                         [v for (p, _), v in zip(h.types, h.vectors) if p >= 0])
 
 
 # -- extension classes --------------------------------------------------------
@@ -100,8 +139,9 @@ def ext_class_rep(m: MixedHodgeStructure, p: int,
     """A representative of the extension class at the weight cut p.
 
     With an rng, the rational section is shifted by a random rational map
-    M/W_pM -> W_pM and the Hodge section by a random vector of F^0 H; the
-    class modulo F^0 + rational is unchanged.
+    M/W_pM -> W_pM and the Hodge section by a random vector of F^0 H, read
+    off H's frame as the span of its vectors of type (p, q) with p >= 0;
+    the class modulo F^0 + rational is unchanged.
     """
     cut = weight_cut(m, p)
     e = _ext_class(cut).e
@@ -110,33 +150,53 @@ def ext_class_rep(m: MixedHodgeStructure, p: int,
         noise = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in range(k)] for _ in range(w)]
         e = [x + y for x, y in zip(e, mh.hom_vec(noise, k, w))]
-        for v in _hom(m, cut.wp).F.at(0).basis:
+        for v in _f0(_h_frame(cut)).basis:
             c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             e = [x - c * y for x, y in zip(e, v)]
     return ExtClassRep(tuple(e))
 
 
-def _splits(h: MixedHodgeStructure, a_q: Subspace, rep: ExtClassRep) -> bool:
+def _splits(f0: Subspace, a_q: Subspace, rep: ExtClassRep) -> bool:
     """Membership of the class in V + rational vectors, V = a_q (x) Q(i)
-    + F^0 h.  As a Q-space V is spanned by b and i*b over a basis b of V,
+    + F^0 H.  As a Q-space V is spanned by b and i*b over a basis b of V,
     so e = v + r with r rational exactly when Im e lies in the Q-span of
     Im b and Re b, the rational hull of V."""
-    v = la.add(a_q.to_qi(), h.F.at(0))
-    return la.rational_hull(h.dim, v.basis).contains(tuple(x.im for x in rep.e))
+    v = la.add(a_q.to_qi(), f0)
+    return la.rational_hull(f0.ambient_dim, v.basis).contains(
+        tuple(x.im for x in rep.e))
+
+
+def _check_subobject(h: mh.DeligneFrame, a_q: Subspace) -> None:
+    """Raise unless the rational a_q underlies a subobject of H.  It does
+    exactly when a_q (x) Q(i) is the sum of its intersections with the
+    I^{p,q} of H, that is, when the projector onto H's frame vectors of
+    each type (p, q) maps it into itself."""
+    if a_q.field != Q or a_q.ambient_dim != len(h.vectors):
+        raise DimensionMismatchError(
+            "subspace must be rational, in the ambient space")
+    if _project(_projectors(h, lambda p, q: (p, q)), a_q).dim > a_q.dim:
+        raise NotASubobjectError(["the subspace (x) Q(i) is not the sum of "
+                                  "its intersections with the I^{p,q} of "
+                                  "Hom(M/W_pM, W_pM)"])
 
 
 def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
                rep: Optional[ExtClassRep] = None) -> bool:
     """Whether the extension class at p dies modulo the subobject a_q.
 
-    a_q must underlie a subobject of Hom(M/W_pM, W_pM); the test decides
-    membership of the class in a_q (x) Q(i) + F^0 + rational vectors.
-    M's frame is formed only to find the class when no rep is given.
+    Both a_q and F^0 H are read off the frame of H = Hom(M/W_pM, W_pM),
+    which comes from M's: a_q must underlie a subobject of H, so its
+    scalar extension is stable under the projector of each frame type of
+    H (else NotASubobjectError), and F^0 H is the span of the frame
+    vectors of type (p, q) with p >= 0.  The test decides membership of
+    the class in a_q (x) Q(i) + F^0 H + rational vectors; a rep given
+    spares only the class.
     """
-    h = _hom(m, _cut_step(m, p))
-    mh.sub_mhs(h, a_q)  # raises NotASubobjectError when not a subobject
-    return _splits(h, a_q, rep or _ext_class(weight_cut(m, p)))
+    cut = weight_cut(m, p)
+    h = _h_frame(cut)
+    _check_subobject(h, a_q)
+    return _splits(_f0(h), a_q, rep or _ext_class(cut))
 
 
 # -- the graded-Tate regime ---------------------------------------------------
@@ -160,43 +220,28 @@ def _check_graded_tate(frame: mh.DeligneFrame) -> mh.DeligneFrame:
     return frame
 
 
-def _h_frame(cut: WeightCut) -> mh.DeligneFrame:
-    """The Deligne frame of H by functoriality: a frame vector b of M of
-    weight at most p restricts to b[pivots], with dual row r_b . incl; one
-    of weight above p, a, descends to proj . a, with dual row r_a . section.
-    The map x -> b (r_a . x) has type (p_b - p_a, q_b - q_a), and in hom
-    coordinates (dual slot first) it is kron(r_a . section, b[pivots]),
-    with dual row kron(proj . a, r_b . incl)."""
-    s_low, t_low = cut.frame.select(lambda p, q: p + q <= cut.p)
-    s_high, t_high = cut.frame.select(lambda p, q: p + q > cut.p)
-    return mh.DeligneFrame(
-        tuple((pb - pa, qb - qa) for pa, qa in cut.frame.types if pa + qa > cut.p
-              for pb, qb in cut.frame.types if pb + qb <= cut.p),
-        la.kron_mat(la.mat_mul(t_high, cut.section),
-                    la.transpose(tuple(s_low[c] for c in cut.wp.pivots))),
-        la.kron_mat(la.transpose(la.mat_mul(cut.proj, s_high)),
-                    la.mat_mul(t_low, cut.incl)))
-
-
 def _u_p(cut: WeightCut) -> UpResult:
     """u_p of a graded-Tate M: H = Hom(M/W_pM, W_pM) has only negative
     weights, so F^0 H = 0 and the class e splits modulo a subobject B
     exactly when Im(e) lies in B.  u_p is the smallest subobject holding
     Im(e): the rational closure of its span under the projectors S_k . T_k
     onto the frame vectors of H of each weight k, a subobject since it is
-    rational and each projector preserves it.  The projectors sum to the
-    identity, so the rational hull of the projections of s holds s."""
+    rational and each projector preserves it.  A span of 0 (a rational
+    class) or of all of H is that closure already, so H's frame is built
+    only for a span in between.  The projectors sum to the identity, so
+    each round's rational hull of the projections holds the span it
+    projects; the closure stops when the span is all of H or a round
+    adds nothing."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
-    h = _h_frame(cut)
-    factors = [h.select(lambda p, q: p + q == k)
-               for k in sorted({p + q for p, q in h.types})]
-    s = Subspace.zero(Q, dim)
-    grown = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
-    while grown.dim > s.dim:
+    s = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
+    if s.is_zero() or s.is_full():
+        return UpResult(s, "TATE_EXACT", s.is_full())
+    factors = _projectors(_h_frame(cut), lambda p, q: p + q)
+    while True:
+        grown = _project(factors, s)
+        if grown.dim == s.dim or grown.is_full():
+            return UpResult(grown, "TATE_EXACT", grown.is_full())
         s = grown
-        grown = la.rational_hull(dim, [la.mat_vec(sk, la.mat_vec(tk, v))
-                                       for sk, tk in factors for v in s.basis])
-    return UpResult(s, "TATE_EXACT", s.is_full())
 
 
 def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:

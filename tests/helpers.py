@@ -271,6 +271,43 @@ def parts_u_p(cut):
         s = grown
 
 
+def stable_u_p(cut):
+    """u_p by the closure as un._u_p ran it before it stopped early: H's
+    frame and weight factors built at every cut, and rational hulls of
+    the projections taken from span(Im e) until a round adds nothing,
+    that last round included.  The oracle for the lazy closure."""
+    dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
+    h = un._h_frame(cut)
+    factors = [h.select(lambda p, q: p + q == k)
+               for k in sorted({p + q for p, q in h.types})]
+    s = Subspace.zero(Q, dim)
+    grown = Subspace.span(Q, dim, [tuple(x.im for x in un._ext_class(cut).e)])
+    while grown.dim > s.dim:
+        s = grown
+        grown = la.rational_hull(dim, [la.mat_vec(sk, la.mat_vec(tk, v))
+                                       for sk, tk in factors for v in s.basis])
+    return s
+
+
+# -- F^0 H and the subobject test from the structure H: oracles ------------
+
+def unchecked_hom(m, wp):
+    """H = Hom(M/W_pM, W_pM) as Hom of the unchecked sides, _push_forward
+    and _restrict of W_pM, as unipotent formed it before it read F^0 H
+    and the subobject test off H's frame: the oracle for both."""
+    return mh.hom(mh._push_forward(m, wp), mh._restrict(m, wp))
+
+
+def sub_mhs_splits_mod(m, p, a_q, rep=None):
+    """splits_mod by the sub_mhs route: H formed by unchecked_hom, a_q
+    checked by mh.sub_mhs(H, a_q), and the class tested against F^0 of
+    H.  The oracle for un.splits_mod, which reads both off H's frame."""
+    cut = un.weight_cut(m, p)
+    h = unchecked_hom(m, cut.wp)
+    mh.sub_mhs(h, a_q)  # raises NotASubobjectError when not a subobject
+    return un._splits(h.F.at(0), a_q, rep or un._ext_class(cut))
+
+
 # -- Hodge classes over Q(i) from scalar products: oracles -------------------
 
 def hodge_classes(m):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import tate_triple
+from helpers import tate_triple, unchecked_hom
 
 import mhslab
 from mhslab import cli, corpus
@@ -454,7 +454,7 @@ def test_two_weight_members_split_at_zero_so_exit_4_is_no_gap(capsys,
     mu = corpus.two_weight_triple()
     for seed in "abcde":
         m = tr.build_mhs(mu, tr.sample_point(mu, seed, 10))
-        h = un._hom(m, m.W.at(-1))
+        h = unchecked_hom(m, m.W.at(-1))
         assert (h.dim, h.F.at(0).dim, h.W.jumps) == (4, 2, (-1,))
         assert un.splits_mod(m, -1, Subspace.zero(Q, 4))
         path = write(tmp_path, f"tw_{seed}.json", se.mhs_to_json(m))

@@ -163,3 +163,17 @@ def test_unipotent_reads_the_regime_off_the_frame():
     """The graded-Tate gate reads the types of M's Deligne frame, which
     u_p forms anyway, so unipotent never forms Gr^W M."""
     assert not _part_reads("unipotent", "gr_w")
+
+
+def test_unipotent_forms_no_structure_at_a_cut():
+    """F^0 H and the subobject test of splits_mod are read off H's frame,
+    so unipotent forms no Hom structure, and no side of a cut: it reads
+    none of mh.hom, mh.sub_mhs, mh._push_forward or mh._restrict, as an
+    attribute or as a name."""
+    tree = ast.parse((PACKAGE / "unipotent.py").read_text())
+    read = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))}
+    read |= {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not read & {"hom", "sub_mhs", "_push_forward", "_restrict"}

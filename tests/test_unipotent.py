@@ -107,27 +107,46 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_splits_mod_with_a_rep_forms_no_projectors(monkeypatch):
+def _kind(outcome):
+    """A boolean outcome, or the type of what was raised."""
+    return outcome if isinstance(outcome, bool) else outcome[0]
+
+
+def test_splits_mod_with_a_rep_spares_only_the_class(monkeypatch):
+    """splits_mod reads its subobject test and F^0 H off H's frame, which
+    comes from M's, so it bigrades M once per call that gets past the
+    cut, with a rep or without; a rep spares the class.  Every outcome,
+    errors included, is the one without a rep, and of the same kind as
+    by the sub_mhs route."""
     m = tate3_mhs("rep")
     cases = [(p, a_q, un.ext_class_rep(m, p))
              for p in (-6, -2)
              for a_q in (Subspace.zero(Q, 2), Subspace.full(Q, 2),
                          Subspace.span(Q, 2, [(1, 1)]))]
     cases += [(p, Subspace.zero(Q, 1), cases[0][2]) for p in (-8, 0)]
-    expected = [_outcome(un.splits_mod, m, p, a_q) for p, a_q, _ in cases]
-    monkeypatch.setenv(mh.GUARD_ENV, "1")
-    expected += [_outcome(un.splits_mod, m, -2, a_q) for _, a_q, _ in cases[:3]]
-    monkeypatch.delenv(mh.GUARD_ENV)
-    kinds = {x if isinstance(x, bool) else x[0] for x in expected}
-    assert kinds == {True, False, NotASubobjectError, DegenerateRangeError,
-                     ResourceGuardError}
-    bigradings = []
-    monkeypatch.setattr(mh, "deligne_bigrading", bigradings.append)
-    got = [_outcome(un.splits_mod, m, p, a_q, rep) for p, a_q, rep in cases]
-    monkeypatch.setenv(mh.GUARD_ENV, "1")
-    got += [_outcome(un.splits_mod, m, -2, a_q, rep) for _, a_q, rep in cases[:3]]
-    assert got == expected
-    assert not bigradings
+
+    def outcomes(fn, with_rep):
+        out = [_outcome(fn, m, p, a_q, r if with_rep else None)
+               for p, a_q, r in cases]
+        monkeypatch.setenv(mh.GUARD_ENV, "1")
+        out += [_outcome(fn, m, -2, a_q, r if with_rep else None)
+                for _, a_q, r in cases[:3]]
+        monkeypatch.delenv(mh.GUARD_ENV)
+        return out
+    expected = outcomes(un.splits_mod, False)
+    assert {_kind(x) for x in expected} == {
+        True, False, NotASubobjectError, DegenerateRangeError,
+        ResourceGuardError}
+    assert ([_kind(x) for x in outcomes(helpers.sub_mhs_splits_mod, False)]
+            == [_kind(x) for x in expected])
+    bigradings, classes = [], []
+    bigrading, ext_class = mh.deligne_bigrading, un._ext_class
+    monkeypatch.setattr(mh, "deligne_bigrading",
+                        lambda s: bigradings.append(s) or bigrading(s))
+    monkeypatch.setattr(un, "_ext_class",
+                        lambda cut: classes.append(cut) or ext_class(cut))
+    assert outcomes(un.splits_mod, True) == expected
+    assert len(bigradings) == 6 and not classes
 
 
 # The splitting test by restriction of scalars on every generator, kept
@@ -183,13 +202,14 @@ def test_splits_matches_the_mixed_span_oracle():
     for i, cut in enumerate(_cuts(structures)):
         rng = random.Random(f"splits:{i}")
         h = checked_hom(cut)
-        f0_dims.append(h.F.at(0).dim)
+        f0 = un._f0(un._h_frame(cut))
+        f0_dims.append(f0.dim)
         reps = [un._ext_class(cut)] + [
             un.ext_class_rep(cut.m, cut.p, random.Random(f"redraw:{i}:{k}"))
             for k in range(2)]
         for a_q in _rational_candidates(h.dim, rng):
             for rep in reps:
-                got = un._splits(h, a_q, rep)
+                got = un._splits(f0, a_q, rep)
                 assert got == mixed_span_splits(h, a_q, rep)
                 outcomes.add(got)
     assert outcomes == {True, False} and max(f0_dims) > 0
@@ -284,25 +304,69 @@ def _other_members():
     return out
 
 
+def _is_subobject(h, a_q):
+    """Whether un._check_subobject accepts a_q on the frame h of H."""
+    try:
+        un._check_subobject(h, a_q)
+    except NotASubobjectError:
+        return False
+    return True
+
+
 def test_rational_hulls_match_the_real_and_imaginary_rows():
     """At every cut of the graded-Tate and other oracle members, _u_p and
     _splits read from rational hulls what the closure and the splitting
-    test spanned from real and imaginary rows of scalars give: for u_p,
-    for zero, everything, each coordinate line and random subspaces, and
-    for the class and a redraw of it."""
-    outcomes = set()
+    test spanned from real and imaginary rows of scalars give, and the
+    lazy closure gives what the closure run until a round adds nothing
+    gives: for u_p, for zero, everything, each coordinate line and random
+    subspaces, and for the class and a redraw of it.  On the same
+    candidates the per-type projector test of H's frame accepts exactly
+    the subobjects mh.sub_mhs accepts."""
+    outcomes, subobjects = set(), set()
     for i, cut in enumerate(_cuts(_tate_members() + _other_members())):
         up = un._u_p(cut).subspace
-        assert up == helpers.parts_u_p(cut)
-        h = un._hom(cut.m, cut.wp)
+        assert up == helpers.parts_u_p(cut) == helpers.stable_u_p(cut)
+        h = helpers.unchecked_hom(cut.m, cut.wp)
+        frame = un._h_frame(cut)
         reps = [un._ext_class(cut),
                 un.ext_class_rep(cut.m, cut.p, random.Random(f"hull:{i}"))]
         for a_q in [up, *_rational_candidates(h.dim, random.Random(i))]:
+            sub = _is_subobject(frame, a_q)
+            assert sub == (mh.try_sub_mhs(h, a_q) is not None)
+            subobjects.add(sub)
             for rep in reps:
-                got = un._splits(h, a_q, rep)
+                got = un._splits(h.F.at(0), a_q, rep)
                 assert got == helpers.parts_splits(h, a_q, rep)
                 outcomes.add(got)
-    assert outcomes == {True, False}
+    assert outcomes == subobjects == {True, False}
+
+
+def test_f0_of_h_is_read_off_the_frame():
+    """At every cut of the valid oracle structures, the span of H's frame
+    vectors of type (p, q) with p >= 0 is F^0 of H formed as a Hom."""
+    f0_dims = []
+    for cut in _cuts(m for m in oracle_structures() if mh.is_valid(m)):
+        f0 = un._f0(un._h_frame(cut))
+        assert f0 == helpers.unchecked_hom(cut.m, cut.wp).F.at(0)
+        f0_dims.append(f0.dim)
+    assert 0 in f0_dims and max(f0_dims) > 0
+
+
+def test_u_p_builds_h_frame_only_between_zero_and_h(monkeypatch):
+    """H's frame is built only at a cut where span(Im e) is neither 0 nor
+    all of H: not for the three rational controls of the experiment nor
+    for a Kummer member, where dim H = 1, and at each of the two cuts of
+    its two samples."""
+    frames, h_frame = [], un._h_frame
+    monkeypatch.setattr(un, "_h_frame",
+                        lambda cut: frames.append(cut.p) or h_frame(cut))
+    for z in Z_VALUES:
+        assert un.u_p_tate(corpus.kummer_mhs(z), -2).large == (
+            not z.is_rational())
+    un.genericity_experiment(corpus.tate3_triple(), 0, "cnt", 10)
+    assert frames == []
+    un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
+    assert frames == [-6, -2, -6, -2]
 
 
 def test_ext_class_matches_the_adapted_basis_hodge_section():
@@ -727,8 +791,9 @@ def test_weight_cut_validates_neither_side(monkeypatch):
 
 
 def test_weight_cut_sides_are_the_checked_sub_and_quotient():
-    """The unchecked H that splits_mod and ext_class_rep read F^0 of is
-    the Hom of the checked sides, and its dimension is the one u_p uses."""
+    """The unchecked H of the oracles for F^0 H and the subobject test
+    (helpers.unchecked_hom) is the Hom of the checked sides, and its
+    dimension is the one u_p uses."""
     members = [m for m in oracle_structures() if mh.is_valid(m)]
     members += [tate3_mhs(f"sides:{s}", rational) for s in range(2)
                 for rational in (False, True)]
@@ -742,7 +807,7 @@ def test_weight_cut_sides_are_the_checked_sub_and_quotient():
             assert mh._restrict(m, cut.wp) == sub
             quo = mh.quotient_mhs(m, cut.wp)
             assert mh.is_valid(quo) and mh._push_forward(m, cut.wp) == quo
-            h = un._hom(m, cut.wp)
+            h = helpers.unchecked_hom(m, cut.wp)
             assert h == mh.hom(quo, sub)
             assert h.dim == cut.wp.dim * (m.dim - cut.wp.dim)
 
@@ -846,10 +911,12 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     # of the graded pieces, 395 when each cut read its sides off the
     # bigrading and built H, 772 with a bigrading of each H and
     # intersections for each side, and 1,163 when equations were reduced
-    # twice more and solve_matrix went column by column.
+    # twice more and solve_matrix went column by column.  The 81 fell
+    # to 77 when u_p stopped forming H's frame for a span of 0 or all of
+    # H and stopped the closure once the span was all of H.
     assert len(bigraded) == 5
     assert len(reductions) <= 82
-    assert len(eliminations) == 81
+    assert len(eliminations) == 77
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
