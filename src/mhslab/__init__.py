@@ -8,10 +8,10 @@ from .errors import (DegenerateRangeError, DimensionMismatchError,
                      ResourceGuardError)
 from .field import GaussRat, I, Q, QI
 from .linalg import Subspace
-from .mhs import (Bigrading, HodgeFiltration, MixedHodgeStructure,
-                  WeightFiltration, deligne_bigrading, deligne_splitting,
-                  direct_sum, dual, gr_w, hodge_classes, hom, quotient_mhs,
-                  sub_mhs, tate_twist, tensor, validate_mhs)
+from .mhs import (HodgeFiltration, MixedHodgeStructure, WeightFiltration,
+                  deligne_bigrading, deligne_splitting, direct_sum, dual,
+                  gr_w, hodge_classes, hom, quotient_mhs, sub_mhs, tate_twist,
+                  tensor, validate_mhs)
 from .triples import (LieData, Pencil, SPoint, TPoint, Triple, build_mhs,
                       dim_S, equal_in_S, fiber_dim, lie_data, sample_point,
                       sections_from_mhs, truncate, truncate_point)

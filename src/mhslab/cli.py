@@ -97,7 +97,7 @@ def _cmd_split(args, digests):
     doc = {"run": _run_record("split", digests),
            "splitting": se.matrix_to_json(QI, mh.deligne_splitting(m)),
            "bigrading": {f"{p},{q}": se.subspace_to_json(s)
-                         for (p, q), s in big.items()}}
+                         for (p, q), s in big}}
     return doc, EXIT_OK
 
 

@@ -480,9 +480,3 @@ def rational_hull(n: int, rows: Iterable[Sequence[Scalar]]) -> Subspace:
     rows: the span of their real and imaginary parts."""
     return Subspace.span_ints(Q, n, [part for v in int_rows(QI, rows)
                                      for part in (v[::2], v[1::2])])
-
-
-def is_defined_over_q(u: Subspace) -> bool:
-    """Whether u = B tensor Q(i) for a rational B: the reduced echelon
-    basis of B tensor Q(i) is that of B, so exactly when u's is real."""
-    return u.field == Q or not any(x.im for b in u.basis for x in b)

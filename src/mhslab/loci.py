@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from . import mhs as mh
-from . import triples as tr
 from .errors import LocusError, ParseError
 from .field import Q, QI, GaussRat, parse_q
 from .linalg import Matrix, Subspace
@@ -29,14 +28,20 @@ from .triples import Pencil
 def can_lift(m: MixedHodgeStructure, a_tilde_q: Subspace) -> Optional[Subspace]:
     """Lift a rational subobject of the associated graded into m, if possible.
 
-    a_tilde_q lives in graded block coordinates.  The lift exists exactly
-    when the Deligne sections of m (the inverse splitting, which maps W_n
-    of the graded onto W_n M) carry it to a subspace defined over Q; it
-    is then unique, and its rational points are returned."""
-    mh.sub_mhs(mh.graded_mhs(mh.gr_w(m)), a_tilde_q)  # raises if not a subobject
-    alpha = tr.total_section_matrix(tr.TPoint(mh.deligne_sections(m)))
-    image = la.apply_to_subspace(alpha, a_tilde_q.to_qi())
-    return la.rational_part(image) if la.is_defined_over_q(image) else None
+    a_tilde_q lives in graded block coordinates and must be a subobject of
+    Gr^W M, tested on the graded frame (S_gr, T_gr) carried from the
+    Deligne frame (S, T) of m.  The Deligne sections S . T_gr carry it
+    onto the span of S . (T_gr . b) over its basis b.  The lift exists
+    exactly when that image is defined over Q, that is, when its rational
+    part has its dimension; it is then unique, and is that rational part."""
+    frame = mh.deligne_frame(m)
+    graded = mh.graded_frame(m.W, frame)
+    mh.check_subobject(graded, a_tilde_q, "Gr^W M")
+    s = la.transpose(frame.vectors)
+    image = Subspace.span(QI, m.dim, [la.mat_vec(s, la.mat_vec(graded.duals, b))
+                                      for b in a_tilde_q.basis])
+    lift = la.rational_part(image)
+    return lift if lift.dim == a_tilde_q.dim else None
 
 
 # -- construction term language ----------------------------------------------

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import linalg as la
 from .errors import (DimensionMismatchError, FieldMismatchError, MhsError,
                      NotAnMhsError, NotASubobjectError, ResourceGuardError)
-from .field import Q, QI
+from .field import Q, QI, zero
 from .linalg import Matrix, Subspace, Vector
 
 GUARD_ENV = "MHSLAB_TENSOR_GUARD"
@@ -132,17 +132,6 @@ class MixedHodgeStructure:
     def __post_init__(self):
         if self.W.ambient_dim != self.dim or self.F.ambient_dim != self.dim:
             raise DimensionMismatchError("filtrations do not match ambient dimension")
-
-
-@dataclass(frozen=True, slots=True)
-class Bigrading:
-    """Deligne bigrading: components (p, q) -> subspace over Q(i)."""
-
-    dim: int
-    components: Tuple[Tuple[Tuple[int, int], Subspace], ...]
-
-    def items(self):
-        return self.components
 
 
 # -- graded coordinates -----------------------------------------------------
@@ -493,11 +482,13 @@ def _power_classes(dim: int, bases: Tuple[list, list, list, list],
 
 # -- Deligne bigrading and splitting ----------------------------------------
 
-def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
-    """I^{p,q} = F^p . W_n . (conj F^q . W_n + sum_{j>=2} conj F^{q-j+1} . W_{n-j}),
-    n = p + q, on a valid m.  Between two jumps of W a term grows with j,
-    so the term at each jump b = n - j holds the others: the sum runs over
-    the jumps b <= n - 2 of W, with terms conj F^{b-p+1} . W_b.
+def deligne_bigrading(m: MixedHodgeStructure
+                      ) -> Tuple[Tuple[Tuple[int, int], Subspace], ...]:
+    """The ((p, q), I^{p,q}) pairs of a valid m, n = p + q, with
+    I^{p,q} = F^p . W_n . (conj F^q . W_n + sum_{j>=2} conj F^{q-j+1} . W_{n-j}).
+    Between two jumps of W a term grows with j, so the term at each jump
+    b = n - j holds the others: the sum runs over the jumps b <= n - 2 of
+    W, with terms conj F^{b-p+1} . W_b.
 
     Every term is read off one table of F^p . W_n at the jumps, which also
     gives the Hodge numbers h^{p,q} of Gr^W_n.  I^{p,q} lies in F^p . W_n
@@ -505,7 +496,7 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
     dimensions agree (everywhere on a graded-Tate m); the correction sum
     is formed only at the other (p, n)."""
     if m.dim == 0:
-        return Bigrading(0, ())
+        return ()
     # I^{p,q} lies in F^p and W_{p+q} and meets F^{p+1} and W_{p+q-1} in
     # zero, so it vanishes unless p is a jump of F and p + q one of W.
     fj = m.F.jumps
@@ -537,7 +528,7 @@ def deligne_bigrading(m: MixedHodgeStructure) -> Bigrading:
                         rows += conj_fw(b - p + 1, j).basis
                 comp = la.intersect(comp, Subspace.span(QI, m.dim, rows))
             comps.append(((p, n - p), comp))
-    return Bigrading(m.dim, tuple(comps))
+    return tuple(comps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -556,47 +547,90 @@ class DeligneFrame:
         return (la.transpose(tuple(self.vectors[i] for i in picked)),
                 tuple(self.duals[i] for i in picked))
 
+    def projectors(self, key) -> List[Tuple[Matrix, Matrix]]:
+        """S and T of select for each value k of key(p, q), in increasing
+        order: the projectors S . T onto those vectors sum to the identity,
+        and a projection is S . (T . v), with no square matrix formed."""
+        return [self.select(lambda p, q: key(p, q) == k)
+                for k in sorted({key(*t) for t in self.types})]
+
 
 def deligne_frame(m: MixedHodgeStructure) -> DeligneFrame:
     """The bases of the I^{p,q} of deligne_bigrading, in its order, and the
     rows of the one inverse of the matrix they form as columns."""
-    comps = deligne_bigrading(m).items()
+    comps = deligne_bigrading(m)
     vectors = tuple(v for _, comp in comps for v in comp.basis)
     return DeligneFrame(tuple(pq for pq, comp in comps for _ in comp.basis),
                         vectors, la.invert(QI, la.transpose(vectors)))
 
 
-def deligne_projectors(m: MixedHodgeStructure) -> Dict[int, Matrix]:
-    """For each weight n, the projector P_n = S_n . T_n of M_C onto the sum
-    of the I^{p,q} with p + q = n along the other components."""
-    frame = deligne_frame(m)
-    return {n: la.mat_mul(*frame.select(lambda p, q: p + q == n)) for n in m.W.jumps}
+def projected_hull(factors: List[Tuple[Matrix, Matrix]], s: Subspace) -> Subspace:
+    """The rational hull of the projections of a basis of the rational s
+    under the factors of DeligneFrame.projectors.  The projectors sum to
+    the identity, so it holds s, and it is s exactly when each of them
+    maps s (x) Q(i) into itself."""
+    return la.rational_hull(s.ambient_dim, [la.mat_vec(sk, la.mat_vec(tk, v))
+                                            for sk, tk in factors
+                                            for v in s.basis])
+
+
+def check_subobject(frame: DeligneFrame, a_q: Subspace, name: str) -> None:
+    """Raise unless the rational a_q underlies a subobject of the structure
+    called name, with Deligne frame frame: unless a_q (x) Q(i) is the sum
+    of its intersections with the I^{p,q}, that is, the projector onto
+    the frame vectors of each type maps it into itself."""
+    if a_q.field != Q or a_q.ambient_dim != len(frame.vectors):
+        raise DimensionMismatchError(
+            "subspace must be rational, in the ambient space")
+    if projected_hull(frame.projectors(lambda p, q: (p, q)), a_q).dim > a_q.dim:
+        raise NotASubobjectError([f"the subspace (x) Q(i) is not the sum of its "
+                                  f"intersections with the I^{{p,q}} of {name}"])
+
+
+def _graded_blocks(w: WeightFiltration) -> List[Tuple[int, GradedPiece]]:
+    """(offset, piece) for each graded piece of w, at its block's offset."""
+    pieces = graded_pieces(w)
+    return list(zip(itertools.accumulate((g.dim for g in pieces), initial=0),
+                    pieces))
+
+
+def graded_frame(w: WeightFiltration, frame: DeligneFrame) -> DeligneFrame:
+    """The Deligne frame of Gr^W M in graded coordinates, carried from the
+    frame of M, whose weight filtration is w: a vector v of weight n
+    becomes pi_n . v in block n, and its dual row r becomes r . section_n
+    in block n.  No inversion is needed: section_n . pi_n . v differs
+    from v by a vector of W_{n-1}, which r kills, so the rows stay dual."""
+    z = zero(QI)
+    blocks = {piece.weight: (at, piece, la.transpose(piece.section))
+              for at, piece in _graded_blocks(w)}
+    vectors, duals = [], []
+    for (p, q), v, r in zip(frame.types, frame.vectors, frame.duals):
+        at, piece, section_t = blocks[p + q]
+        before, after = (z,) * at, (z,) * (w.ambient_dim - at - piece.dim)
+        vectors.append(before + la.mat_vec(piece.pi_qi, v) + after)
+        duals.append(before + la.mat_vec(section_t, r) + after)
+    return DeligneFrame(frame.types, tuple(vectors), tuple(duals))
 
 
 def deligne_splitting(m: MixedHodgeStructure) -> Matrix:
-    """The canonical isomorphism a_M : M_C -> Gr^W M_C in graded coordinates.
-
-    Its rows for Gr^W_n are pi_n . P_n, so it sends each I^{p,q}
-    identically onto its image in Gr^W_{p+q}; preserves W and F; induces
-    the identity on the associated graded, since P_n v = v mod W_{n-1}
-    for v in W_n and pi_n kills W_{n-1}.  Formed as (pi_n . S_n) . T_n.
-    """
-    frame, rows = deligne_frame(m), []
-    for piece in graded_pieces(m.W):
-        s, t = frame.select(lambda p, q: p + q == piece.weight)
-        rows += la.mat_mul(la.mat_mul(piece.pi_qi, s), t)
-    return tuple(rows)
+    """The canonical isomorphism a_M : M_C -> Gr^W M_C in graded
+    coordinates, S_gr . T for the vectors S_gr of the graded frame as
+    columns and the dual rows T of M's frame: it maps each frame vector v
+    of weight n to pi_n . v, so it sends each I^{p,q} identically onto its
+    image in Gr^W_{p+q}, preserves W and F, and is the identity on Gr^W."""
+    frame = deligne_frame(m)
+    return la.mat_mul(la.transpose(graded_frame(m.W, frame).vectors),
+                      frame.duals)
 
 
 def deligne_sections(m: MixedHodgeStructure) -> Tuple[Tuple[int, Matrix], ...]:
-    """The inverse of deligne_splitting, block by block: on Gr^W_n it is
-    P_n . section_n, for the Deligne projector P_n and any section of
-    W_n -> Gr^W_n, formed as S_n . (T_n . section_n) with no inversion."""
-    frame, out = deligne_frame(m), []
-    for piece in graded_pieces(m.W):
-        s, t = frame.select(lambda p, q: p + q == piece.weight)
-        out.append((piece.weight, la.mat_mul(s, la.mat_mul(t, piece.section))))
-    return tuple(out)
+    """The inverse of deligne_splitting, block by block: the column blocks
+    of S . T_gr, for the vectors S of M's frame as columns and the dual
+    rows T_gr of the graded frame.  On Gr^W_n it is P_n . section_n."""
+    frame = deligne_frame(m)
+    st = la.mat_mul(la.transpose(frame.vectors), graded_frame(m.W, frame).duals)
+    return tuple((piece.weight, tuple(row[at:at + piece.dim] for row in st))
+                 for at, piece in _graded_blocks(m.W))
 
 
 def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]

@@ -19,8 +19,8 @@ from . import linalg as la
 from . import mhs as mh
 from . import serialize as se
 from . import triples as tr
-from .errors import (DegenerateRangeError, DimensionMismatchError, MhsError,
-                     NotASubobjectError, RegimeError, ResourceGuardError)
+from .errors import (DegenerateRangeError, MhsError, RegimeError,
+                     ResourceGuardError)
 from .field import Q, QI, GaussRat
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
@@ -86,26 +86,6 @@ def _h_frame(cut: WeightCut) -> mh.DeligneFrame:
                     la.mat_mul(t_low, cut.incl)))
 
 
-def _projectors(h: mh.DeligneFrame, key) -> List[Tuple[Matrix, Matrix]]:
-    """For each value k of key(p, q) over the types of H's frame, in
-    increasing order, S and T with S . T the projector onto the frame
-    vectors with key k along the others.  These projectors sum to the
-    identity, and no dim H x dim H matrix is formed: a projection is
-    S . (T . v)."""
-    return [h.select(lambda p, q: key(p, q) == k)
-            for k in sorted({key(*t) for t in h.types})]
-
-
-def _project(factors: List[Tuple[Matrix, Matrix]], s: Subspace) -> Subspace:
-    """The rational hull of the projections of a basis of s under the
-    factors of _projectors.  The projectors sum to the identity, so it
-    holds s, and it is s exactly when each of them maps s (x) Q(i) into
-    itself."""
-    return la.rational_hull(s.ambient_dim, [la.mat_vec(sk, la.mat_vec(tk, v))
-                                            for sk, tk in factors
-                                            for v in s.basis])
-
-
 def _f0(h: mh.DeligneFrame) -> Subspace:
     """F^0 H, the sum of the I^{p,q} of H with p >= 0: the span of H's
     frame vectors of those types."""
@@ -167,20 +147,6 @@ def _splits(f0: Subspace, a_q: Subspace, rep: ExtClassRep) -> bool:
         tuple(x.im for x in rep.e))
 
 
-def _check_subobject(h: mh.DeligneFrame, a_q: Subspace) -> None:
-    """Raise unless the rational a_q underlies a subobject of H.  It does
-    exactly when a_q (x) Q(i) is the sum of its intersections with the
-    I^{p,q} of H, that is, when the projector onto H's frame vectors of
-    each type (p, q) maps it into itself."""
-    if a_q.field != Q or a_q.ambient_dim != len(h.vectors):
-        raise DimensionMismatchError(
-            "subspace must be rational, in the ambient space")
-    if _project(_projectors(h, lambda p, q: (p, q)), a_q).dim > a_q.dim:
-        raise NotASubobjectError(["the subspace (x) Q(i) is not the sum of "
-                                  "its intersections with the I^{p,q} of "
-                                  "Hom(M/W_pM, W_pM)"])
-
-
 def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
                rep: Optional[ExtClassRep] = None) -> bool:
     """Whether the extension class at p dies modulo the subobject a_q.
@@ -195,7 +161,7 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
     """
     cut = weight_cut(m, p)
     h = _h_frame(cut)
-    _check_subobject(h, a_q)
+    mh.check_subobject(h, a_q, "Hom(M/W_pM, W_pM)")
     return _splits(_f0(h), a_q, rep or _ext_class(cut))
 
 
@@ -236,9 +202,9 @@ def _u_p(cut: WeightCut) -> UpResult:
     s = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
     if s.is_zero() or s.is_full():
         return UpResult(s, "TATE_EXACT", s.is_full())
-    factors = _projectors(_h_frame(cut), lambda p, q: p + q)
+    factors = _h_frame(cut).projectors(lambda p, q: p + q)
     while True:
-        grown = _project(factors, s)
+        grown = mh.projected_hull(factors, s)
         if grown.dim == s.dim or grown.is_full():
             return UpResult(grown, "TATE_EXACT", grown.is_full())
         s = grown

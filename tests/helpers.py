@@ -165,6 +165,14 @@ def is_defined_over_q(u: Subspace) -> bool:
     return rational_part(u).dim == u.dim
 
 
+def has_real_echelon_basis(u: Subspace) -> bool:
+    """Whether u = B tensor Q(i) for a rational B, read off the basis: the
+    reduced echelon basis of B tensor Q(i) is that of B, so exactly when
+    u's is real.  The oracle for rational_part(u).dim == u.dim, as
+    linalg.is_defined_over_q read it."""
+    return u.field == Q or not any(x.im for b in u.basis for x in b)
+
+
 def kernel_rational_part(u: Subspace) -> Subspace:
     """The rational part as la.rational_part found it before it eliminated
     the restricted rows of u: the coordinates of v in u's echelon basis
@@ -175,7 +183,7 @@ def kernel_rational_part(u: Subspace) -> Subspace:
     if u.field == Q:
         return u
     n = u.ambient_dim
-    if la.is_defined_over_q(u):
+    if has_real_echelon_basis(u):
         return Subspace(Q, n, tuple(tuple(x.re for x in b) for b in u.basis),
                         u.pivots)
     sols = la.kernel(Q, tuple(tuple(b[c].im for b in u.basis)
@@ -226,6 +234,17 @@ def parts_splits(h, a_q, rep):
     return Subspace.span(Q, h.dim, rows).contains(tuple(x.im for x in rep.e))
 
 
+def deligne_projectors(m):
+    """For each weight n, in increasing order, the projector P_n = S_n . T_n
+    of M_C onto the sum of the I^{p,q} with p + q = n along the other
+    components, from the frame vectors S_n and dual rows T_n of that
+    weight, as mhs.deligne_projectors returned them: the oracle for the
+    weight factors that splitting, sections and u_p read off a frame."""
+    frame = mh.deligne_frame(m)
+    return {n: la.mat_mul(*frame.select(lambda p, q: p + q == n))
+            for n in m.W.jumps}
+
+
 def h_projectors(cut):
     """The Deligne weight projectors of H, as unipotent built them before
     H's frame, by functoriality from the weight projectors of M: P_n
@@ -236,7 +255,7 @@ def h_projectors(cut):
     coordinates (dual slot first) that is kron(P_a(M/W_pM)^T, P_b(W_pM)).
     The oracle for the weight projectors S_k . T_k of un._h_frame."""
     sub, quo = [], []
-    for n, pn in mh.deligne_projectors(cut.m).items():
+    for n, pn in deligne_projectors(cut.m).items():
         if n <= cut.p:
             sub.append((n, la.mat_mul(tuple(pn[c] for c in cut.wp.pivots),
                                       cut.incl)))
@@ -524,7 +543,7 @@ def walked_bigrading(m):
     of W, as deligne_bigrading formed it before it read the components of
     dimension h^{p,q} off its table of F^p . W_n: the oracle for that."""
     if m.dim == 0:
-        return mh.Bigrading(0, ())
+        return ()
     w = [(n, s.to_qi()) for n, s in m.W.steps]
     comps = []
     for p in m.F.jumps:
@@ -538,7 +557,7 @@ def walked_bigrading(m):
             comp = la.intersect(la.intersect(m.F.at(p), wn), corr)
             if comp.dim:
                 comps.append(((p, n - p), comp))
-    return mh.Bigrading(m.dim, tuple(comps))
+    return tuple(comps)
 
 
 # -- sums of images by padding, folding and add chains: oracles ---------------

@@ -67,7 +67,7 @@ def test_criterion_2_bigrading_axioms(capsys):
         for s in range(20):
             m = random_mhs(s)
             assert m.dim <= 6
-            big = dict(mh.deligne_bigrading(m).items())
+            big = dict(mh.deligne_bigrading(m))
             total = Subspace.zero(QI, m.dim)
             for sub in big.values():
                 total = la.add(total, sub)

@@ -208,6 +208,21 @@ def test_zero_dimensional_structure_splits_sections_and_lifts(capsys, tmp_path):
     assert code == 0 and doc["large"] is True and doc["per_p"] == []
 
 
+def test_lift_of_a_graded_line_that_is_no_subobject_exits_3(capsys, tmp_path):
+    """On the Kummer structure the graded line spanned by (1, 1) mixes the
+    weights -2 and 0, so it is no subobject of Gr^W M: the verb exits 3
+    with one error line naming the graded structure, and no traceback."""
+    lift_file = write(tmp_path, "lift.json",
+                      {"structure": se.mhs_to_json(corpus.kummer_mhs(I)),
+                       "graded_rows": [["1", "1"]]})
+    assert cli.main(["lift", lift_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the subspace (x) Q(i) is not the sum of its intersections "
+        "with the I^{p,q} of Gr^W M\n")
+
+
 def test_truncate_verb(capsys, tmp_path):
     mu_file = write(tmp_path, "mu.json", se.triple_to_json(corpus.tate3_triple()))
     code, doc = run(capsys, ["truncate", "--triple", mu_file, "--p", "-2"])

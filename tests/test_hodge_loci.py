@@ -88,26 +88,80 @@ def _graded_block_sums(m):
             yield Subspace.span(Q, m.dim, [r for b in subset for r in b])
 
 
+def _random_candidates(rng, m, count=6):
+    """Seeded random rational subspaces of the graded coordinates of m,
+    most of them not subobjects of Gr^W M."""
+    for _ in range(count):
+        rows = [[rng.randint(-2, 2) for _ in range(m.dim)]
+                for _ in range(rng.randint(1, m.dim))]
+        yield Subspace.span(Q, m.dim, rows)
+
+
+def _lift_or_error(lift, m, a, *args):
+    """lift(m, a, *args), or the kind of error it raised."""
+    try:
+        return lift(m, a, *args)
+    except NotASubobjectError:
+        return NotASubobjectError
+
+
 def test_can_lift_matches_the_inverse_splitting_oracle():
+    """On every graded block sum of the valid oracle structures and on
+    seeded random rational subspaces: the same lift, None, or rejection
+    as a non-subobject."""
     outcomes = set()
+    rng = random.Random("can-lift")
     for m in oracle_structures():
         if not mh.is_valid(m):
             continue
         split = helpers.inverse_splitting(m)
-        for a in _graded_block_sums(m):
-            lift = lo.can_lift(m, a)
-            assert lift == helpers.can_lift(m, a, split)
-            outcomes.add(lift is not None)
-            if lift is not None:
+        for a in [*_graded_block_sums(m), *_random_candidates(rng, m)]:
+            lift = _lift_or_error(lo.can_lift, m, a)
+            assert lift == _lift_or_error(helpers.can_lift, m, a, split)
+            outcomes.add("rejected" if lift is NotASubobjectError else
+                         "none" if lift is None else "lifted")
+            if lift not in (None, NotASubobjectError):
                 assert lift.dim == a.dim
                 mh.sub_mhs(m, lift)  # raises unless the lift is a subobject
-    assert outcomes == {False, True}
+    assert outcomes == {"rejected", "none", "lifted"}
+
+
+def _tate3_member():
+    mu = corpus.tate3_triple()
+    return tr.build_mhs(mu, tr.sample_point(mu, "a", 10))
+
+
+def test_can_lift_reads_one_frame_and_no_graded_structure(monkeypatch):
+    """can_lift forms the Deligne frame of m once and reads the graded
+    side off it: it forms no Gr^W M, validates nothing and restricts to
+    no subobject, also when it rejects a non-subobject."""
+    m = _tate3_member()
+    frames = []
+    frame = mh.deligne_frame
+
+    def counted_frame(s):
+        frames.append(s)
+        return frame(s)
+
+    def forbidden(*args):
+        raise AssertionError("can_lift formed or checked a structure")
+    monkeypatch.setattr(mh, "deligne_frame", counted_frame)
+    for name in ("gr_w", "graded_mhs", "sub_mhs", "validate_mhs"):
+        monkeypatch.setattr(mh, name, forbidden)
+    for rows in ([(0, 0, 1)], [(1, 0, 0), (0, 1, 0)]):
+        frames.clear()
+        lo.can_lift(m, Subspace.span(Q, 3, rows))
+        assert frames == [m]
+    frames.clear()
+    with pytest.raises(NotASubobjectError):
+        lo.can_lift(m, Subspace.span(Q, 3, [(1, 1, 0)]))
+    assert frames == [m]
 
 
 def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
         monkeypatch):
-    mu = corpus.tate3_triple()
-    m = tr.build_mhs(mu, tr.sample_point(mu, "a", 10))
+    m = _tate3_member()
+    mh.graded_pieces(m.W)  # the cached coordinates, formed by any build
     validations, inside, reductions = [], [], []
     validate, frame = mh.validate_mhs, mh.deligne_frame
     invert, rref = la.invert, la._rref
@@ -136,8 +190,8 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
     monkeypatch.setattr(la, "invert", guarded_invert)
     monkeypatch.setattr(la, "_rref", counted_rref)
     assert lo.can_lift(m, Subspace.full(Q, 3)) == Subspace.full(Q, 3)
-    assert len(validations) == 1
-    assert len(reductions) <= 60
+    assert len(validations) == 0
+    assert len(reductions) == 10
 
 
 # -- construction terms ----------------------------------------------------------

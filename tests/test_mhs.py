@@ -311,7 +311,7 @@ def test_splitting_is_filtered_isomorphism():
 # -- bigrading ----------------------------------------------------------------
 
 def _bigrading_axioms(m):
-    big = dict(mh.deligne_bigrading(m).items())
+    big = dict(mh.deligne_bigrading(m))
     # Direct sum of everything is the full space.
     total = Subspace.zero(QI, m.dim)
     dims = 0
@@ -359,7 +359,7 @@ def grid_bigrading(m):
     only p in F.jumps and p + q in W.jumps."""
     mh.check_valid(m)
     if m.dim == 0:
-        return mh.Bigrading(0, ())
+        return ()
     wj, fj = m.W.jumps, m.F.jumps
     lo = min(min(fj), min(wj) - max(fj)) - 1
     hi = max(max(fj), max(wj) - min(fj)) + 1
@@ -381,7 +381,7 @@ def grid_bigrading(m):
             comp = la.intersect(la.intersect(m.F.at(p), wn), corr)
             if comp.dim:
                 comps.append(((p, q), comp))
-    return mh.Bigrading(m.dim, tuple(comps))
+    return tuple(comps)
 
 
 def _bigrading_cases():
@@ -419,7 +419,7 @@ def _splitting_oracle(m):
     z = (zero(QI),)
     src_cols = []
     tgt_cols = []
-    for (p, q), comp in big.items():
+    for (p, q), comp in big:
         offset, piece = pieces[p + q]
         before, after = offset, m.dim - offset - piece.dim
         for v in comp.basis:
@@ -497,20 +497,23 @@ def bigrading_once(monkeypatch):
 
 def test_splitting_and_projectors_match_the_inverted_splitting_oracles(
         bigrading_once):
+    """The splitting S_gr . T, and the weight projectors S_n . T_n of the
+    frame (helpers.deligne_projectors), against the blocks of the
+    inverted splitting T . S^-1."""
     assert mh.deligne_splitting(mh.zero_mhs()) == _splitting_oracle(mh.zero_mhs())
-    assert mh.deligne_projectors(mh.zero_mhs()) == {}
+    assert helpers.deligne_projectors(mh.zero_mhs()) == {}
     for m in _projector_cases():
         alpha = _splitting_oracle(m)
         assert mh.deligne_splitting(m) == alpha
-        proj = mh.deligne_projectors(m)
+        proj = helpers.deligne_projectors(m)
         assert list(proj) == [g.weight for g in mh.graded_pieces(m.W)]
         assert list(proj.values()) == _inverted_splitting_projectors(m, alpha)
 
 
 def test_projectors_decompose_the_space_into_weights(bigrading_once):
     for m in _projector_cases():
-        proj = mh.deligne_projectors(m)
-        big = mh.deligne_bigrading(m).items()
+        proj = helpers.deligne_projectors(m)
+        big = mh.deligne_bigrading(m)
         zeros = la.zeros(QI, m.dim, m.dim)
         total = zeros
         for n, pn in proj.items():
@@ -525,10 +528,31 @@ def test_projectors_decompose_the_space_into_weights(bigrading_once):
         assert total == la.identity(QI, m.dim)
 
 
+def test_graded_frame_is_a_deligne_frame_of_the_graded(bigrading_once):
+    """The frame of Gr^W M carried from M's has dual rows (T_gr . S_gr is
+    the identity, with no inversion), M's types, and, type by type,
+    vectors spanning the components of the bigrading of the split
+    structure graded_mhs(gr_w(m)).  The splitting maps each vector of M's
+    frame onto the matching vector of the graded frame."""
+    for m in _projector_cases():
+        frame = mh.deligne_frame(m)
+        graded = mh.graded_frame(m.W, frame)
+        assert graded.types == frame.types
+        assert (la.mat_mul(graded.duals, la.transpose(graded.vectors))
+                == la.identity(QI, m.dim))
+        comps = dict(mh.deligne_bigrading(mh.graded_mhs(mh.gr_w(m))))
+        assert set(comps) == set(graded.types)
+        for pq, comp in comps.items():
+            group = [v for t, v in zip(graded.types, graded.vectors) if t == pq]
+            assert Subspace.span(QI, m.dim, group) == comp
+        split = mh.deligne_splitting(m)
+        assert [la.mat_vec(split, v) for v in frame.vectors] == list(graded.vectors)
+
+
 def test_kummer_bigrading_explicit():
     z = I
     m = corpus.kummer_mhs(z)
-    big = dict(mh.deligne_bigrading(m).items())
+    big = dict(mh.deligne_bigrading(m))
     assert set(big) == {(-1, -1), (0, 0)}
     assert big[(-1, -1)] == Subspace.span(QI, 2, [(GaussRat(1), GaussRat(0))])
     # F^0 is one-dimensional here, so I^{0,0} is F^0 itself.

@@ -305,9 +305,9 @@ def _other_members():
 
 
 def _is_subobject(h, a_q):
-    """Whether un._check_subobject accepts a_q on the frame h of H."""
+    """Whether mh.check_subobject accepts a_q on the frame h of H."""
     try:
-        un._check_subobject(h, a_q)
+        mh.check_subobject(h, a_q, "H")
     except NotASubobjectError:
         return False
     return True
@@ -394,7 +394,7 @@ def test_h_projectors_match_the_per_cut_bigrading():
         h = un._h_frame(cut)
         got = {k: la.mat_mul(*h.select(lambda p, q: p + q == k))
                for k in sorted({p + q for p, q in h.types})}
-        want = mh.deligne_projectors(checked_hom(cut))
+        want = helpers.deligne_projectors(checked_hom(cut))
         assert helpers.h_projectors(cut) == want
         assert list(got) == list(want) and got == want
 
@@ -408,7 +408,7 @@ def test_h_frame_spans_the_per_cut_bigrading_type_by_type():
         h = un._h_frame(cut)
         dim = len(h.vectors)
         assert la.mat_mul(h.duals, la.transpose(h.vectors)) == la.identity(QI, dim)
-        comps = dict(mh.deligne_bigrading(checked_hom(cut)).items())
+        comps = dict(mh.deligne_bigrading(checked_hom(cut)))
         assert set(h.types) == set(comps)
         for pq, comp in comps.items():
             group = [v for t, v in zip(h.types, h.vectors) if t == pq]
@@ -472,8 +472,8 @@ def test_detail_builds_no_structure(monkeypatch):
         assert [res for _, res in detail] == ups
 
     def forbidden(*args):
-        raise AssertionError("u_p built a structure, a projector or Gr^W")
-    for name in ("hom", "make_mhs", "deligne_projectors", "gr_w"):
+        raise AssertionError("u_p built a structure or read Gr^W")
+    for name in ("hom", "make_mhs", "graded_frame", "gr_w"):
         monkeypatch.setattr(mh, name, forbidden)
     assert _u_p_everywhere(members) == expected
 
@@ -602,11 +602,11 @@ def test_u_p_with_a_rank_two_piece_against_bounded_height_candidates(
     assert un.splits_mod(m, -4, u)
     assert u.dim == (0 if rational else 4)
     rep = un.ext_class_rep(m, -4)
-    # can_lift reads the Deligne sections of h afresh on every call;
-    # compute them once.
-    sections, read = mh.deligne_sections(h), mh.deligne_sections
-    monkeypatch.setattr(mh, "deligne_sections",
-                        lambda s: sections if s is h else read(s))
+    # can_lift reads the Deligne frame of h afresh on every call; form
+    # it once.
+    frame, read = mh.deligne_frame(h), mh.deligne_frame
+    monkeypatch.setattr(mh, "deligne_frame",
+                        lambda s: frame if s is h else read(s))
     for cand in _bounded_height_candidates(h):
         if cand.dim < u.dim:
             a_q = lo.can_lift(h, cand)
