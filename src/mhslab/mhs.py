@@ -172,6 +172,77 @@ def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
     return tuple(pieces)
 
 
+@dataclass(frozen=True, slots=True)
+class GradedBasis:
+    """The W-adapted basis B whose columns are the sections of the graded
+    pieces, in ascending weight.  In the coordinates B^-1 . v, W_n is
+    spanned by the first dims[k] unit vectors, n being the k-th jump."""
+
+    dims: Tuple[int, ...]       # dim W_n at each jump n of W
+    basis: Optional[Matrix]     # B over Q, or None when B is the identity
+    inverse: Optional[Matrix]   # B^-1, or None with basis
+
+
+@functools.lru_cache(maxsize=16)
+def graded_basis(w: WeightFiltration) -> GradedBasis:
+    """The graded basis of w, cached by its value as graded_pieces is.  B
+    is the identity when W_n is spanned by the first dim W_n coordinates
+    at every jump, as on the coordinate flag of a Tate triple."""
+    dims = tuple(s.dim for _, s in w.steps)
+    b = la.transpose(tuple(c for piece in graded_pieces(w)
+                           for c in la.transpose(piece.section)))
+    if b == la.identity(Q, w.ambient_dim):
+        return GradedBasis(dims, None, None)
+    return GradedBasis(dims, b, la.invert(Q, b))
+
+
+class _WeightMeets:
+    """F^p . W_n at every jump n of W, from one reduction of F^p.
+
+    The basis of F^p goes to graded coordinates, where W_n is spanned by
+    the first d_n unit vectors, and is reduced with its columns reversed.
+    Each echelon row then ends at its pivot L, and the rows with L < d_n
+    span F^p . W_n: dims[k] counts them at the k-th jump of W.  at(k)
+    maps them back by B and takes their reduced echelon form, except
+    where the meet is F^p, W_n or 0.  F^p = 0 needs no reduction, nor
+    does F^p = everything, which meets W_n in W_n."""
+
+    __slots__ = ("f", "w", "g", "rows", "dims", "_at")
+
+    def __init__(self, f: Subspace, w: WeightFiltration):
+        self.f, self.w, self.g, self._at = f, w, graded_basis(w), {}
+        if f.is_full():
+            self.rows, self.dims = (), self.g.dims
+            return
+        rows = f.basis if self.g.inverse is None else tuple(
+            la.mat_vec(self.g.inverse, v) for v in f.basis)
+        rev = Subspace.span_ints(QI, f.ambient_dim,
+                                 la.int_rows(QI, [v[::-1] for v in rows]))
+        # Reversed pivots ascend, so the rows ending before d_n come last.
+        self.rows = tuple(v[::-1] for v in rev.basis)
+        self.dims = tuple(rev.dim - bisect.bisect_left(rev.pivots, f.ambient_dim - d)
+                          for d in self.g.dims)
+
+    def at(self, k: int) -> Subspace:
+        """F^p . W_n for the k-th jump n of W."""
+        if k not in self._at:
+            self._at[k] = self._meet(k)
+        return self._at[k]
+
+    def _meet(self, k: int) -> Subspace:
+        count, f = self.dims[k], self.f
+        if count == f.dim:
+            return f
+        if count == self.g.dims[k]:
+            return self.w.steps[k][1].to_qi()
+        if count == 0:
+            return Subspace.zero(QI, f.ambient_dim)
+        rows = self.rows[len(self.rows) - count:]
+        if self.g.basis is not None:
+            rows = [la.mat_vec(self.g.basis, v) for v in rows]
+        return Subspace.span_ints(QI, f.ambient_dim, la.int_rows(QI, rows))
+
+
 # -- validation -------------------------------------------------------------
 
 def validate_mhs(m: MixedHodgeStructure) -> List[str]:
@@ -490,40 +561,41 @@ def deligne_bigrading(m: MixedHodgeStructure
     b = n - j holds the others: the sum runs over the jumps b <= n - 2 of
     W, with terms conj F^{b-p+1} . W_b.
 
-    Every term is read off one table of F^p . W_n at the jumps, which also
-    gives the Hodge numbers h^{p,q} of Gr^W_n.  I^{p,q} lies in F^p . W_n
-    and has dimension h^{p,q}, so it is that intersection wherever the
-    dimensions agree (everywhere on a graded-Tate m); the correction sum
-    is formed only at the other (p, n)."""
+    Each step F^p is reduced once in the graded coordinates of W
+    (_WeightMeets), which gives dim F^p . W_n at every jump n and so the
+    Hodge numbers h^{p,q} of Gr^W_n; F^p . W_n itself is formed only
+    where it is read.  I^{p,q} lies in F^p . W_n and has dimension
+    h^{p,q}, so it is that intersection wherever the dimensions agree
+    (everywhere on a graded-Tate m); the correction sum is formed only
+    at the other (p, n)."""
     if m.dim == 0:
         return ()
     # I^{p,q} lies in F^p and W_{p+q} and meets F^{p+1} and W_{p+q-1} in
     # zero, so it vanishes unless p is a jump of F and p + q one of W.
     fj = m.F.jumps
-    w = [(n, s.to_qi()) for n, s in m.W.steps]
-    zero = Subspace.zero(QI, m.dim)
-    # table[i][k] = F^{fj[i]} . W_{w[k]}, with a zero row for F above its
-    # last jump and a zero column, at k = -1, for W below its first.
-    table = [[la.intersect(f, wn) for _, wn in w] + [zero]
-             for _, f in m.F.steps]
-    table.append([zero] * (len(w) + 1))
+    w = m.W.jumps
+    meets = [_WeightMeets(f, m.W) for _, f in m.F.steps]
+
+    def dim(i: int, k: int) -> int:
+        """dim F^{fj[i]} . W_{w[k]}: 0 above F's last jump or below W's first."""
+        return meets[i].dims[k] if i < len(fj) and k >= 0 else 0
 
     def conj_fw(q: int, k: int) -> Subspace:
         """conj F^q . W_{w[k]}, W being rational."""
-        return table[bisect.bisect_left(fj, q)][k].conj()
+        i = bisect.bisect_left(fj, q)
+        return meets[i].at(k).conj() if i < len(fj) else Subspace.zero(QI, m.dim)
 
     comps = []
     for i, p in enumerate(fj):
-        for k, (n, _) in enumerate(w):
-            comp = table[i][k]
+        for k, n in enumerate(w):
             # h^{p,n-p} = dim F^p Gr^W_n - dim F^{p+1} Gr^W_n.
-            h = (comp.dim - table[i][k - 1].dim
-                 - table[i + 1][k].dim + table[i + 1][k - 1].dim)
+            h = dim(i, k) - dim(i, k - 1) - dim(i + 1, k) + dim(i + 1, k - 1)
             if not h:
                 continue
+            comp = meets[i].at(k)
             if comp.dim != h:
                 rows = list(conj_fw(n - p, k).basis)
-                for j, (b, _) in enumerate(w):
+                for j, b in enumerate(w):
                     if b <= n - 2:
                         rows += conj_fw(b - p + 1, j).basis
                 comp = la.intersect(comp, Subspace.span(QI, m.dim, rows))

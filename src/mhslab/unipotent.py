@@ -276,17 +276,18 @@ def mt_lie_upper_bound(m: MixedHodgeStructure, d: int) -> Subspace:
     n, limit = m.dim, mh.guard_limit()
     if n == 0:
         return Subspace.zero(Q, 0)
-    # Each degree contributes deg + 1 powers of dimension n^deg.  Their
-    # running total is checked degree by degree, so that a refusal comes
-    # before any large power is formed, even as an integer.
+    # Each degree contributes deg + 1 powers of dimension n^deg, and each
+    # class of a power is read slot by slot, deg slots.  The running total
+    # of (deg + 1) * deg * n^deg is checked degree by degree, so that a
+    # refusal comes before any large power is formed, even as an integer.
     total = 0
     for deg in range(1, d + 1):
-        total += (deg + 1) * n ** deg
+        total += (deg + 1) * deg * n ** deg
         if total > limit:
             raise ResourceGuardError(
-                f"tensor powers of degree at most {deg} have total dimension "
-                f"{total}, above the ceiling {limit} (set {mh.GUARD_ENV} "
-                f"to raise it)")
+                f"tensor powers of degree at most {deg} have total size "
+                f"{total} (dimension times degree), above the ceiling {limit} "
+                f"(set {mh.GUARD_ENV} to raise it)")
     bases, constraint_rows = mh._power_bases(m), []
     for deg in range(1, d + 1):
         for a in range(deg + 1):

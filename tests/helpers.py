@@ -1,5 +1,6 @@
 """Seeded generators for the structures used across the tests, valid and perturbed."""
 
+import bisect
 import functools
 import random
 from fractions import Fraction
@@ -536,6 +537,43 @@ def hodge_section_class(cut):
                  for r, s in zip(cut.section, hodge))
     return mh.hom_vec(la.solve_matrix(QI, la.to_qi_mat(cut.incl), diff),
                       quo.dim, cut.wp.dim)
+
+
+def table_bigrading(m):
+    """The Deligne bigrading read off the whole table of F^p . W_n at the
+    jumps of F and of W, two reductions of la.intersect per cell, as
+    deligne_bigrading formed it before it reduced each step of F once in
+    the graded coordinates of W: the oracle for that."""
+    if m.dim == 0:
+        return ()
+    fj = m.F.jumps
+    w = [(n, s.to_qi()) for n, s in m.W.steps]
+    zero = Subspace.zero(QI, m.dim)
+    # table[i][k] = F^{fj[i]} . W_{w[k]}, with a zero row for F above its
+    # last jump and a zero column, at k = -1, for W below its first.
+    table = [[la.intersect(f, wn) for _, wn in w] + [zero]
+             for _, f in m.F.steps]
+    table.append([zero] * (len(w) + 1))
+
+    def conj_fw(q, k):
+        return table[bisect.bisect_left(fj, q)][k].conj()
+
+    comps = []
+    for i, p in enumerate(fj):
+        for k, (n, _) in enumerate(w):
+            comp = table[i][k]
+            h = (comp.dim - table[i][k - 1].dim
+                 - table[i + 1][k].dim + table[i + 1][k - 1].dim)
+            if not h:
+                continue
+            if comp.dim != h:
+                rows = list(conj_fw(n - p, k).basis)
+                for j, (b, _) in enumerate(w):
+                    if b <= n - 2:
+                        rows += conj_fw(b - p + 1, j).basis
+                comp = la.intersect(comp, Subspace.span(QI, m.dim, rows))
+            comps.append(((p, n - p), comp))
+    return tuple(comps)
 
 
 def walked_bigrading(m):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import helpers
 from helpers import tate_triple, unchecked_hom
 
 import mhslab
@@ -171,6 +172,35 @@ def test_hodge_classes_and_split(capsys, kummer_file):
     assert code == 0 and set(doc["bigrading"]) == {"-1,-1", "0,0"}
     a = se.matrix_from_json(QI, doc["splitting"])
     assert la.invert(QI, a) is not None
+
+
+def _corpus_structures():
+    """The valid structures of the corpus: its Tate, Kummer, CM and
+    two-weight structures, and sampled members of each of its triples."""
+    out = [corpus.tate_mhs(k) for k in (-2, 0, 3)]
+    out += [corpus.kummer_mhs(z) for z in (GaussRat(0), GaussRat(Fraction(1, 2)),
+                                           I, GaussRat(1, 1))]
+    out += [corpus.cm_piece(-1), corpus.cm_piece(-3), corpus.two_weight_mhs()]
+    for mu in (corpus.kummer_triple(), corpus.tate3_triple(),
+               corpus.tate_cm_triple(), corpus.two_weight_triple()):
+        out += [tr.build_mhs(mu, tr.sample_point(mu, s, 10)) for s in range(2)]
+        out.append(tr.build_mhs(mu, tr.sample_rational_point(mu, "split", 10)))
+    assert all(mh.is_valid(m) for m in out)
+    return out
+
+
+def test_split_bytes_match_the_table_bigrading(capsys, tmp_path, monkeypatch):
+    """split prints the same bytes as with the bigrading read off the whole
+    table of F^p . W_n (helpers.table_bigrading), on every corpus
+    structure."""
+    for m in _corpus_structures():
+        path = write(tmp_path, "m.json", se.mhs_to_json(m))
+        assert cli.main(["split", path]) == 0
+        out = capsys.readouterr().out
+        with monkeypatch.context() as patched:
+            patched.setattr(mh, "deligne_bigrading", helpers.table_bigrading)
+            assert cli.main(["split", path]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_build_and_sections_round_trip(capsys, tmp_path):

@@ -162,9 +162,9 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
         monkeypatch):
     m = _tate3_member()
     mh.graded_pieces(m.W)  # the cached coordinates, formed by any build
-    validations, inside, reductions = [], [], []
+    validations, inside, reductions, eliminations = [], [], [], []
     validate, frame = mh.validate_mhs, mh.deligne_frame
-    invert, rref = la.invert, la._rref
+    invert, rref, eliminate = la.invert, la._rref, la._eliminate
 
     def counted_validate(s):
         validations.append(s)
@@ -189,9 +189,16 @@ def test_can_lift_validates_once_and_inverts_only_for_the_projectors(
     monkeypatch.setattr(mh, "deligne_frame", marked_frame)
     monkeypatch.setattr(la, "invert", guarded_invert)
     monkeypatch.setattr(la, "_rref", counted_rref)
+    monkeypatch.setattr(la, "_eliminate", lambda rows: eliminations.append(
+        len(rows) * len(rows[0])) or eliminate(rows))
     assert lo.can_lift(m, Subspace.full(Q, 3)) == Subspace.full(Q, 3)
     assert len(validations) == 0
-    assert len(reductions) == 10
+    # The frame's inversion and the span of the lifts.  There were 10
+    # reductions through _rref (8 eliminations over 318 integer entries)
+    # while the bigrading read a table of intersections; reducing each
+    # Hodge step once in graded coordinates reaches _int_rref directly.
+    assert len(reductions) == 2
+    assert len(eliminations) == 6 and sum(eliminations) == 210
 
 
 # -- construction terms ----------------------------------------------------------

@@ -13,6 +13,7 @@ from helpers import (folded_graded_mhs, graded_offsets, kron_vec,
                      tate_triple, walked_bigrading)
 from mhslab import cli, corpus
 from mhslab import linalg as la
+from mhslab import loci as lo
 from mhslab import mhs as mh
 from mhslab import serialize as se
 from mhslab import triples as tr
@@ -459,9 +460,10 @@ def _projector_cases():
 
 def test_bigrading_matches_the_walk_on_the_projector_cases(monkeypatch):
     """Also on Hom spaces of weight cuts.  A component is F^p . W_n, read
-    off the table of those intersections, wherever that has dimension
-    h^{p,q}: at every (p, n) of a graded-Tate structure.  Elsewhere the
-    correction sum adds intersections."""
+    off one reduction of F^p in graded coordinates, wherever that has
+    dimension h^{p,q}: at every (p, n) of a graded-Tate structure, which
+    therefore makes no la.intersect call.  Elsewhere the correction sum
+    intersects."""
     tate = [m for m in _projector_cases() if _is_graded_tate(m)]
     assert len(tate) >= 8
     calls = []
@@ -472,12 +474,100 @@ def test_bigrading_matches_the_walk_on_the_projector_cases(monkeypatch):
     for m in _projector_cases():
         calls.clear()
         big = mh.deligne_bigrading(m)
-        table = len(m.F.jumps) * len(m.W.jumps)
-        corrected += len(calls) > table
+        corrected += bool(calls)
         if m in tate:
-            assert len(calls) == table
+            assert calls == []
         assert big == walked_bigrading(m)
     assert corrected > 0
+
+
+def _pencil_members():
+    """Members at t = 0, 1 and i of the three-step pencil through cut -2
+    of a sampled point, based at its weight-0 section in direction e1,
+    and of pencils of random triples, whose W is no coordinate flag."""
+    three = tate_triple((-6, -2, 0))
+    alpha = tr.sample_point(three, "pen", 10)
+    pencils = [(three, -2, alpha, alpha.section(0), la.mat(QI, [[1], [0], [0]]))]
+    for seed in range(6):
+        mu = helpers.random_triple(seed)
+        alpha = tr.sample_point(mu, f"pen:{seed}", 6)
+        for p in mu.W.jumps[:-1]:
+            wp = mu.W.at(p)
+            incl = la.to_qi_mat(la.inclusion_map(wp))
+            psi0 = la.solve_matrix(QI, la.to_qi_mat(la.quotient_map(wp)),
+                                   la.identity(QI, mu.dim - wp.dim))
+            dpsi = la.mat_mul(incl, tuple((GaussRat(1),) * (mu.dim - wp.dim)
+                                          for _ in range(wp.dim)))
+            pencils.append((mu, p, alpha, psi0, dpsi))
+    out = []
+    for mu, p, alpha, psi0, dpsi in pencils:
+        low, high = tr.truncate(mu, p)
+        a_low, a_high = tr.truncate_point(mu, p, alpha)
+        pencil = lo.Pencil(mu, p, tr.spoint(low, a_low), tr.spoint(high, a_high),
+                           psi0, dpsi).check()
+        out += [lo.pencil_member(pencil, t) for t in (GaussRat(0), GaussRat(1), I)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _table_cases():
+    """The projector cases; 200 three-step members, 40 of them rational;
+    20 four-step members; members of the CM, two-weight and Kummer
+    triples; and pencil members."""
+    out = list(_projector_cases())
+    three, four = tate_triple((-6, -2, 0)), tate_triple((-14, -6, -2, 0))
+    out += [tr.build_mhs(three, tr.sample_point(three, f"table:{s}", 10))
+            for s in range(160)]
+    out += [tr.build_mhs(three, tr.sample_rational_point(three, f"table:{s}", 10))
+            for s in range(40)]
+    out += [tr.build_mhs(four, tr.sample_point(four, f"table:{s}", 10))
+            for s in range(20)]
+    for mu in (corpus.tate_cm_triple(), corpus.two_weight_triple(),
+               corpus.kummer_triple()):
+        out += [tr.build_mhs(mu, tr.sample_point(mu, f"table:{s}", 10))
+                for s in range(3)]
+    out += [corpus.two_weight_mhs()] + _pencil_members()
+    return tuple(out)
+
+
+def test_bigrading_matches_the_table_of_intersections():
+    """The one reduction per Hodge step gives the components the whole
+    table of F^p . W_n gave (helpers.table_bigrading), as the same
+    reduced echelon subspaces, and so the same frame."""
+    for m in _table_cases():
+        assert mh.deligne_bigrading(m) == helpers.table_bigrading(m)
+
+
+def test_weight_meets_match_the_intersections():
+    """dims[k] and at(k) of each step F^p are dim F^p . W_n and F^p . W_n
+    at every jump n, also where W is no coordinate flag, so that the
+    graded basis B is not the identity."""
+    cases = [m for m in _table_cases() if m.dim]
+    flags = [m for m in cases if mh.graded_basis(m.W).basis is not None]
+    assert len(flags) >= 20
+    for m in cases:
+        for _, f in m.F.steps:
+            meets = mh._WeightMeets(f, m.W)
+            for k, (_, wn) in enumerate(m.W.steps):
+                meet = la.intersect(f, wn.to_qi())
+                assert meets.dims[k] == meet.dim
+                assert meets.at(k) == meet
+
+
+def test_graded_basis_is_adapted_and_cached():
+    """B's columns are the sections of the pieces in ascending weight, so
+    the first dim W_n of them span W_n; it is held once per value of W."""
+    for m in _table_cases():
+        g = mh.graded_basis(m.W)
+        assert g.dims == tuple(s.dim for _, s in m.W.steps)
+        b = la.identity(Q, m.dim) if g.basis is None else g.basis
+        assert g.inverse is None or la.mat_mul(b, g.inverse) == la.identity(Q, m.dim)
+        for d, (_, wn) in zip(g.dims, m.W.steps):
+            assert Subspace.span(Q, m.dim, la.transpose(b)[:d]) == wn
+    mu = tate_triple((-6, -2, 0))
+    w = mh.WeightFiltration.of(3, dict(mu.W.steps))
+    assert w is not mu.W and mh.graded_basis(w) is mh.graded_basis(mu.W)
+    assert mh.graded_basis(w).basis is None
 
 
 def _is_graded_tate(m):

@@ -833,7 +833,7 @@ def test_resource_guard(monkeypatch):
         monkeypatch.setattr(mh, name, lambda *args, build=getattr(mh, name):
                             products.append(args) or build(*args))
     with pytest.raises(ResourceGuardError):
-        un.mt_lie_upper_bound(m, 4)  # 2*2 + 3*4 = 16 > 10 by degree 2
+        un.mt_lie_upper_bound(m, 4)  # 2*1*2 + 3*2*4 = 28 > 10 by degree 2
     assert not products  # refused before any power or its bases were formed
     monkeypatch.setenv(mh.GUARD_ENV, "sixteen")
     with pytest.raises(ResourceGuardError):
@@ -844,19 +844,27 @@ def test_resource_guard(monkeypatch):
 
 def test_resource_guard_counts_every_power(monkeypatch):
     # On Q(1) every power has dimension 1; the degree-d bound reads
-    # deg + 1 of them at each degree, 2 + 3 + ... + (d + 1) in all.
+    # deg + 1 of them at each degree, deg slots each: 1*2 + 2*3 + ... +
+    # d*(d + 1) = d(d + 1)(d + 2)/3 in all.
     m = mh.tate_twist(1)
     monkeypatch.setenv(mh.GUARD_ENV, "20")
-    assert un.mt_lie_upper_bound(m, 5) == un.mt_lie_upper_bound(m, 1)
-    with pytest.raises(ResourceGuardError, match="degree at most 6 have "
-                       "total dimension 27, above the ceiling 20"):
-        un.mt_lie_upper_bound(m, 6)
-    # The refusal names the first degree over the ceiling, not n^d.
+    assert un.mt_lie_upper_bound(m, 3) == un.mt_lie_upper_bound(m, 1)
+    with pytest.raises(ResourceGuardError, match=r"degree at most 4 have "
+                       r"total size 40 \(dimension times degree\), above "
+                       r"the ceiling 20"):
+        un.mt_lie_upper_bound(m, 4)
+    # The refusal names the first degree over the ceiling, not n^d.  The
+    # total counted dimensions alone until it admitted degree 139 on Q(1),
+    # which took seconds; it now stops at degree 30 (9,920; 10,912 at 31).
     monkeypatch.delenv(mh.GUARD_ENV)
-    with pytest.raises(ResourceGuardError, match="degree at most 10 "):
+    assert un.mt_lie_upper_bound(m, 30) == un.mt_lie_upper_bound(m, 1)
+    with pytest.raises(ResourceGuardError, match="degree at most 31 have "
+                       "total size 10912 "):
+        un.mt_lie_upper_bound(m, 139)
+    with pytest.raises(ResourceGuardError, match="degree at most 7 "):
         un.mt_lie_upper_bound(corpus.kummer_mhs(I), 10 ** 7)
-    # The three-step member at degree 3 reads 2*3 + 3*9 + 4*27 = 141.
-    assert 141 <= mh.DEFAULT_GUARD
+    # The three-step member at degree 3 reads 2*3 + 6*9 + 12*27 = 384.
+    assert 384 <= mh.DEFAULT_GUARD
 
 
 # -- the experiment --------------------------------------------------------------------
@@ -913,10 +921,14 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     # intersections for each side, and 1,163 when equations were reduced
     # twice more and solve_matrix went column by column.  The 81 fell
     # to 77 when u_p stopped forming H's frame for a span of 0 or all of
-    # H and stopped the closure once the span was all of H.
+    # H and stopped the closure once the span was all of H, and to 67
+    # (over 946 integer entries, 1,486 before) when the bigrading reduced
+    # each Hodge step once in graded coordinates instead of intersecting
+    # it with each step of W; that also took the reductions through
+    # _rref from 82 to 42.
     assert len(bigraded) == 5
-    assert len(reductions) <= 82
-    assert len(eliminations) == 77
+    assert len(reductions) == 42
+    assert len(eliminations) == 67 and sum(eliminations) == 946
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
