@@ -3,6 +3,16 @@
 Everything downstream reduces to these primitives.  A subspace is stored
 as a reduced row-echelon basis, so equality of subspaces is a syntactic
 check.  Matrices are tuples of tuples, acting on column vectors.
+
+Exact arithmetic runs on Python integers in two kernels.  Row reductions
+scale rows to primitive integer rows and eliminate them (`_int_rref`).
+Products (`mat_mul`, `mat_vec`, `kron_mat` and the membership test of
+`Subspace.reduce`) scale each row of the left factor and each column of
+the right one to integers over one denominator and form every entry as
+one integer, or Gaussian integer, dot product (`_dots`).  Either kernel
+builds one Fraction, or one GaussRat of two, per output entry, and the
+field's shared zero and one for the entries 0 and 1.  A product is over
+Q(i) when either factor holds a GaussRat and over Q otherwise.
 """
 
 from __future__ import annotations
@@ -10,7 +20,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -43,33 +55,26 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def _nonzero(v: Vector) -> list:
-    return [(j, x) for j, x in enumerate(v) if x]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a . b, forming no product with a zero factor.  Each sum starts from
-    a zero of the product's field, so it has that type when it is empty."""
-    if a and b and len(a[0]) != len(b):
+    """a . b by the integer product kernel `_dots`: each row of a and each
+    column of b scaled to integers over one denominator, and each entry
+    one integer (over Q(i) Gaussian) dot product divided by the product
+    of the two denominators.  The product is over Q(i) when a or b holds
+    a GaussRat and over Q otherwise.  The columns of a must match the
+    rows of b, also when b has none."""
+    if a and len(a[0]) != len(b):
         raise DimensionMismatchError(f"cannot multiply {len(a[0])}-col by {len(b)}-row")
-    cols = [_nonzero(col) for col in transpose(b)]
-    if not a or not cols:
-        return tuple(() for _ in a)
-    z = 0 * a[0][0] * b[0][0]
-    return tuple(tuple(sum((row[j] * y for j, y in col if row[j]), z)
-                       for col in cols)
-                 for row in a)
+    return _dots(a, transpose(b))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a . v, forming no product with a zero factor, as mat_mul."""
+    """a . v by the integer product kernel, as mat_mul; an empty v has no
+    field, and a . v is then a row of int zeros."""
     if a and len(a[0]) != len(v):
         raise DimensionMismatchError("matrix/vector size mismatch")
-    if not a or not v:
+    if not v:
         return tuple(0 for _ in a)
-    z = 0 * a[0][0] * v[0]
-    nz = _nonzero(v)
-    return tuple(sum((row[j] * y for j, y in nz if row[j]), z) for row in a)
+    return tuple(row[0] for row in _dots(a, (v,)))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -83,7 +88,11 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def kron_mat(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+    """a (x) b: the int_kron of each row of a with each row of b, over
+    the product of their denominators, in the field of mat_mul."""
+    gauss = _holds_gauss(a) or _holds_gauss(b)
+    return tuple(_vector(gauss, int_kron(QI if gauss else Q, ra, rb), da * db)
+                 for da, ra in _scaled(gauss, a) for db, rb in _scaled(gauss, b))
 
 
 def conj_mat(a: Matrix) -> Matrix:
@@ -95,11 +104,84 @@ def to_qi_mat(a: Matrix) -> Matrix:
     return tuple(tuple(as_scalar(QI, x) for x in row) for row in a)
 
 
-# -- row reduction ----------------------------------------------------------
+# -- the integer product kernel ---------------------------------------------
 
 _ZERO_Q, _ZERO_QI = zero(Q), zero(QI)
 _ONE_Q, _ONE_QI = one(Q), one(QI)
 
+
+def _holds_gauss(m: Iterable[Sequence]) -> bool:
+    return GaussRat in map(type, chain.from_iterable(m))
+
+
+def _scaled(gauss: bool, vecs: Iterable[Sequence[Scalar]]) -> list:
+    """Each vector v as (d, ints) with v = ints / d: ints is v's integer
+    row in the layout of int_rows, over Q(i) when gauss, and d is the
+    lcm of the denominators of its parts."""
+    out = []
+    for v in vecs:
+        parts = [y for x in v for y in ((x.re, x.im) if type(x) is GaussRat
+                                        else (x, 0))] if gauss else v
+        dens = [y.denominator for y in parts]
+        d = lcm(*dens)
+        out.append((d, [y.numerator for y in parts] if d == 1 else
+                    [y.numerator * (d // q) for y, q in zip(parts, dens)]))
+    return out
+
+
+def _q(x: int, d: int) -> Fraction:
+    return (_ONE_Q if x == d else Fraction(x, d)) if x else _ZERO_Q
+
+
+def _qi(x: int, y: int, d: int) -> GaussRat:
+    return ((_ONE_QI if x == d and not y else GaussRat(_q(x, d), _q(y, d)))
+            if x or y else _ZERO_QI)
+
+
+def _vector(gauss: bool, ints: list, d: int) -> Vector:
+    """The scalars of ints / d, an integer row in the layout of int_rows:
+    one Fraction, or one GaussRat of two, per entry, and the field's
+    shared zero and one for the entries 0 and 1."""
+    if not gauss:
+        return tuple(_q(x, d) for x in ints)
+    return tuple(_qi(x, y, d) for x, y in zip(ints[::2], ints[1::2]))
+
+
+def _twisted(c: list) -> Tuple[list, list]:
+    """The pairs (x, y) of an integer row over Q(i) turned into (x, -y) and
+    into (y, x): u . c is the dot product of u with the first for its real
+    part and with the second for its imaginary part."""
+    re, im = c.copy(), c.copy()
+    re[1::2] = map(neg, c[1::2])
+    im[::2], im[1::2] = c[1::2], c[::2]
+    return re, im
+
+
+def _dots(rows: Sequence[Sequence[Scalar]],
+          cols: Sequence[Sequence[Scalar]]) -> Matrix:
+    """The matrix of the products row . col, by the integer product kernel.
+
+    Each row and each column is scaled to integers over one denominator
+    (`_scaled`), each entry is one integer dot product, and only then is
+    it divided by the product of the two denominators.  Over Q(i) the
+    dot product is Gaussian: against the column's pairs (x, y) turned
+    into (x, -y) for the real part and (y, x) for the imaginary part.
+    The result is over Q(i) when a row or a column holds a GaussRat, and
+    over Q otherwise.  A dot product runs over whole rows, zeros
+    included, in one `sum(map(mul, ...))`: on the small matrices the
+    library multiplies that is faster than gathering the support."""
+    gauss = _holds_gauss(rows) or _holds_gauss(cols)
+    rs, cs = _scaled(gauss, rows), _scaled(gauss, cols)
+    if not gauss:
+        return tuple(tuple(_q(sum(map(mul, r, c)), dr * dc) for dc, c in cs)
+                     for dr, r in rs)
+    cs = [(dc, *_twisted(c)) for dc, c in cs]
+    return tuple(tuple(_qi(sum(map(mul, r, re)), sum(map(mul, r, im)), dr * dc)
+                       for dc, re, im in cs)
+                 for dr, r in rs)
+
+
+# -- row reduction ----------------------------------------------------------
 
 def _primitive(row: list) -> list:
     g = gcd(*row)
@@ -123,13 +205,7 @@ def int_rows(field: str, rows: Iterable[Sequence[Scalar]]) -> list:
     span.  Over Q a row is scaled by the lcm of its denominators.  Over
     Q(i) entry j becomes the ints (re, im) in columns 2j and 2j + 1 of
     one row, scaled the same way."""
-    out = []
-    for row in rows:
-        parts = row if field == Q else [y for x in row for y in (x.re, x.im)]
-        den = lcm(*[y.denominator for y in parts])
-        out.append(_primitive([y.numerator * (den // y.denominator)
-                               for y in parts]))
-    return out
+    return [_primitive(ints) for _, ints in _scaled(field == QI, rows)]
 
 
 def int_kron(field: str, u: list, v: list) -> list:
@@ -206,26 +282,15 @@ def _int_rref(m: list, field: str) -> Tuple[Matrix, Tuple[int, ...]]:
     """
     if field == Q:
         pivots = _eliminate(m)
-        basis = tuple(tuple((_ONE_Q if x == row[c] else Fraction(x, row[c]))
-                            if x else _ZERO_Q for x in row)
-                      for row, c in zip(m, pivots))
-        return basis, tuple(pivots)
+        return (tuple(_vector(False, row, row[c]) for row, c in zip(m, pivots)),
+                tuple(pivots))
     # The span of the restricted rows is stable under i, so its reduced
     # echelon basis is {R(b), R(i*b)} for the Q(i) echelon basis b, with
     # pivots 2c and 2c + 1: the rows with an even pivot are the answer.
     m = _restricted(m)
-    basis, pivots = [], []
-    for row, c in zip(m, _eliminate(m)):
-        if c % 2:
-            continue
-        p = row[c]
-        basis.append(tuple(
-            (_ONE_QI if x == p and not y else
-             GaussRat(Fraction(x, p) if x else _ZERO_Q,
-                      Fraction(y, p) if y else _ZERO_Q)) if x or y else _ZERO_QI
-            for x, y in zip(row[::2], row[1::2])))
-        pivots.append(c // 2)
-    return tuple(basis), tuple(pivots)
+    rows = [(row, c) for row, c in zip(m, _eliminate(m)) if c % 2 == 0]
+    return (tuple(_vector(True, row, row[c]) for row, c in rows),
+            tuple(c // 2 for _, c in rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,20 +341,22 @@ class Subspace:
         return self.reduce(v) is not None
 
     def reduce(self, v: Sequence) -> Optional[Vector]:
-        """Coordinates of v in the echelon basis, or None if v is outside."""
+        """Coordinates of v in the echelon basis, or None if v is outside.
+
+        The coordinates are v's entries at the pivots, and v lies in the
+        subspace exactly when it is the coordinates times the basis.  The
+        echelon basis has the unit vectors at the pivots, so one kernel
+        product checks the other columns."""
         w = [as_scalar(self.field, x) for x in v]
         if len(w) != self.ambient_dim:
             raise DimensionMismatchError("vector length mismatch")
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            coords.append(c)
-            if c:
-                for j in range(len(w)):
-                    w[j] = w[j] - c * row[j]
-        if any(w):
+        coords = tuple(w[p] for p in self.pivots)
+        pivots = set(self.pivots)
+        free = [c for c in range(len(w)) if c not in pivots]
+        cols = [tuple(row[c] for row in self.basis) for c in free]
+        if _dots((coords,), cols)[0] != tuple(w[c] for c in free):
             return None
-        return tuple(coords)
+        return coords
 
     def contains_subspace(self, other: "Subspace") -> bool:
         _check_compatible(self, other)

@@ -24,7 +24,7 @@ def kron_vec(u, v):
 
 def mat_mul(a, b):
     """a . b with every product formed: the oracle for la.mat_mul."""
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise DimensionMismatchError(
             f"cannot multiply {len(a[0])}-col by {len(b)}-row")
     bt = la.transpose(b)
@@ -39,6 +39,29 @@ def mat_vec(a, v):
         raise DimensionMismatchError("matrix/vector size mismatch")
     return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v else 0
                  for row in a)
+
+
+def kron_mat(a, b):
+    """a (x) b with every product formed: the oracle for la.kron_mat."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def reduce(s: Subspace, v):
+    """Subspace.reduce as it subtracted each basis row in turn, times v's
+    entry at its pivot: the oracle for the one kernel product."""
+    w = [as_scalar(s.field, x) for x in v]
+    if len(w) != s.ambient_dim:
+        raise DimensionMismatchError("vector length mismatch")
+    coords = []
+    for row, p in zip(s.basis, s.pivots):
+        c = w[p]
+        coords.append(c)
+        if c:
+            for j in range(len(w)):
+                w[j] = w[j] - c * row[j]
+    if any(w):
+        return None
+    return tuple(coords)
 
 
 # -- the dense row update: oracle ---------------------------------------------

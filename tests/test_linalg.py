@@ -86,8 +86,12 @@ def test_kron_vec_matches_the_multiplying_oracle(field, data):
             == Subspace.span(field, n, [kron_vec(u, v)]))
 
 
-def _elem(field):
-    return fractions if field == Q else gauss(fractions, fractions)
+def _elem(field, height=fractions):
+    return height if field == Q else gauss(height, height)
+
+
+# Rationals of large height: numerators and denominators up to 10^30.
+tall = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
 
 
 def _types(out):
@@ -95,32 +99,69 @@ def _types(out):
 
 
 def _check_products(a, b, v):
-    out = la.mat_mul(a, b)
-    assert out == helpers.mat_mul(a, b)
-    assert _types(out) == _types(helpers.mat_mul(a, b))
+    for got, want in ((la.mat_mul(a, b), helpers.mat_mul(a, b)),
+                      (la.kron_mat(a, b), helpers.kron_mat(a, b))):
+        assert got == want
+        assert _types(got) == _types(want)
     out = la.mat_vec(a, v)
     assert out == helpers.mat_vec(a, v)
     assert [type(x) for x in out] == [type(x) for x in helpers.mat_vec(a, v)]
 
 
-@settings(max_examples=120, derandomize=True)
+def _check_reduce(s, v):
+    """The same coordinates, of the same types, as the oracle, or None, or
+    the same error for a vector outside the field."""
+    try:
+        want = helpers.reduce(s, v)
+    except FieldError:
+        with pytest.raises(FieldError):
+            s.reduce(v)
+        return
+    got = s.reduce(v)
+    assert got == want
+    if want is not None:
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@settings(max_examples=150, derandomize=True)
 @given(st.sampled_from([(Q, Q), (Q, QI), (QI, Q), (QI, QI)]),
-       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
-def test_mat_mul_and_mat_vec_match_the_multiplying_oracles(fields, m, k, n,
-                                                           data):
-    """Sparse matrices of every shape up to 3 x 3, empty ones included."""
+       st.sampled_from(["sparse", "dense", "tall"]), st.data())
+def test_mat_mul_and_mat_vec_match_the_multiplying_oracles(fields, kind, data):
+    """mat_mul, mat_vec, kron_mat and Subspace.reduce against the oracles
+    that form every product: sparse matrices of every shape up to 3 x 3,
+    empty ones included, dense ones up to 6 x 6, and dense ones of large
+    height.  reduce takes the span of the rows of a, its rows and a
+    combination of them as members, a drawn vector, and the combination
+    with 1 added to one entry, which leaves the subspace when that entry
+    is off the pivots."""
     fa, fb = fields
-    sparse = [st.lists(st.one_of(st.just(0), _elem(f)), min_size=size,
-                       max_size=size) for f, size in ((fa, k), (fb, n), (fb, k))]
-    a = la.mat(fa, [data.draw(sparse[0]) for _ in range(m)])
-    b = la.mat(fb, [data.draw(sparse[1]) for _ in range(k)])
-    _check_products(a, b, la.mat(fb, [data.draw(sparse[2])])[0])
+    size = st.integers(0, 3 if kind == "sparse" else 6)
+    m, k, n = data.draw(size), data.draw(size), data.draw(size)
+
+    def vec(field, length):
+        elem = _elem(field, tall if kind == "tall" else fractions)
+        if kind == "sparse":
+            elem = st.one_of(st.just(0), elem)
+        return data.draw(st.lists(elem, min_size=length, max_size=length))
+
+    a = la.mat(fa, [vec(fa, k) for _ in range(m)])
+    b = la.mat(fb, [vec(fb, n) for _ in range(k)])
+    v = la.mat(fb, [vec(fb, k)])[0]
+    _check_products(a, b, v)
+    s = Subspace.span(fa, k, a)
+    combination = helpers.mat_vec(la.transpose(a), la.mat(fa, [vec(fa, m)])[0])
+    for w in a + ((combination,) if a else ()) + (v,):
+        _check_reduce(s, w)
+    for j in range(k):  # moved off the subspace in column j alone, if at all
+        _check_reduce(s, tuple(x + (i == j) for i, x in enumerate(
+            combination if a else v)))
 
 
 @pytest.mark.parametrize("fa, fb", [(Q, Q), (Q, QI), (QI, QI)])
 def test_products_with_zero_rows_and_columns_keep_the_field(fa, fb):
-    """A product whose every term is skipped still has the field of the
-    product: a rational matrix times a zero Q(i) vector gives GaussRats."""
+    """A product whose every term is zero still has the field of the
+    product: a rational matrix times a zero Q(i) vector gives GaussRats.
+    A b with no rows is checked against the columns of a like any other."""
     a = la.mat(fa, [[0, 0, 0], [1, 0, 2], [0, 0, 0]])
     b = la.mat(fb, [[0, 3], [0, 0], [0, -1]])
     for v in (la.mat(fb, [[0, 0, 0]])[0], la.mat(fb, [[0, 5, 0]])[0]):
@@ -129,6 +170,11 @@ def test_products_with_zero_rows_and_columns_keep_the_field(fa, fb):
     assert all(type(x) is type(b[0][0]) for row in la.mat_mul(a, b) for x in row)
     for a, b, v in [((), b, ()), (((), ()), (), ()), (a, ((), (), ()), v)]:
         _check_products(a, b, v)
+    row = la.mat(fa, [[1, 2]])
+    for b in ((), la.mat(fb, [[1]])):
+        for mat_mul in (la.mat_mul, helpers.mat_mul):
+            with pytest.raises(DimensionMismatchError, match="2-col by"):
+                mat_mul(row, b)
 
 
 gauss_operands = st.one_of(gauss(fractions, fractions),

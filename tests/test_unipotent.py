@@ -937,6 +937,27 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
         un.genericity_experiment(corpus.tate3_triple(), 1, "cnt", 0)
 
 
+def test_experiment_makes_no_gauss_rat_product(monkeypatch):
+    """linalg forms each entry of a product as one integer dot product, so
+    the experiment calls GaussRat.__mul__ nowhere.  There were 451 calls,
+    all in linalg's products, when they multiplied scalars: 134 in the
+    sums of mat_mul, 97 in those of mat_vec, 90 and 98 in their probes
+    for the product's zero, and 32 in kron_mat."""
+    calls, gauss_mul = [], GaussRat.__mul__
+
+    def spy(x, y):
+        calls.append(1)
+        return gauss_mul(x, y)
+
+    monkeypatch.setattr(GaussRat, "__mul__", spy)
+    monkeypatch.setattr(GaussRat, "__rmul__", spy)
+    mh.graded_pieces.cache_clear()
+    mh.graded_basis.cache_clear()
+    un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
+    assert calls == []
+    assert I * 2 == 2 * I and len(calls) == 2
+
+
 def test_experiment_rejects_a_negative_sample_count():
     with pytest.raises(MhsError, match="number of samples"):
         un.genericity_experiment(corpus.tate3_triple(), -2, "s", 10)
