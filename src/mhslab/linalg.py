@@ -68,12 +68,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a . v by the integer product kernel, as mat_mul; an empty v has no
-    field, and a . v is then a row of int zeros."""
+    """a . v by the integer product kernel, as mat_mul: an empty v holds
+    no GaussRat, so a . v is then the shared zero of Q in each entry."""
     if a and len(a[0]) != len(v):
         raise DimensionMismatchError("matrix/vector size mismatch")
-    if not v:
-        return tuple(0 for _ in a)
     return tuple(row[0] for row in _dots(a, (v,)))
 
 

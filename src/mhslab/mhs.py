@@ -626,6 +626,22 @@ class DeligneFrame:
         return [self.select(lambda p, q: key(p, q) == k)
                 for k in sorted({key(*t) for t in self.types})]
 
+    def span(self, keep) -> Subspace:
+        """The Q(i) span of the vectors whose type has keep(p, q)."""
+        return Subspace.span(QI, len(self.vectors), [
+            v for t, v in zip(self.types, self.vectors) if keep(*t)])
+
+
+def frame_hom(a: DeligneFrame, b: DeligneFrame) -> DeligneFrame:
+    """The Deligne frame of Hom(A, B) from frames of A and B: for u in a,
+    with dual row r_u, and v in b, x -> v (r_u . x) has type (p_v - p_u,
+    q_v - q_u), and in hom_vec coordinates (dual slot first, a's index
+    outer) it is kron(r_u, v), with dual row kron(u, r_v)."""
+    return DeligneFrame(tuple((pv - pu, qv - qu) for pu, qu in a.types
+                              for pv, qv in b.types),
+                        la.kron_mat(a.duals, b.vectors),
+                        la.kron_mat(a.vectors, b.duals))
+
 
 def deligne_frame(m: MixedHodgeStructure) -> DeligneFrame:
     """The bases of the I^{p,q} of deligne_bigrading, in its order, and the

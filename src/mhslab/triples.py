@@ -187,14 +187,14 @@ def equal_in_S_group(mu: Triple, alpha: TPoint, beta: TPoint) -> bool:
 # -- dimension of the parametrizing space -------------------------------------
 
 def lie_data(mu: Triple) -> LieData:
+    """W_{-1}End of the graded structure, the rational part of the span of
+    the vectors of weight p + q < 0 of End's frame (mh.frame_hom of its
+    Deligne frame with itself), and F^0 W_{-1}End, those with p >= 0."""
     check_triple(mu)
-    gm = mh.graded_mhs(mu.graded)
-    if gm.dim == 0:
-        return LieData(Subspace.zero(Q, 0), Subspace.zero(QI, 0))
-    end = mh.hom(gm, gm)
-    w_m1 = end.W.at(-1)
-    f0 = la.intersect(end.F.at(0), w_m1.to_qi())
-    return LieData(w_m1, f0)
+    g = mh.deligne_frame(mh.graded_mhs(mu.graded))
+    end = mh.frame_hom(g, g)
+    return LieData(la.rational_part(end.span(lambda p, q: p + q < 0)),
+                   end.span(lambda p, q: p >= 0 and p + q < 0))
 
 
 def dim_S(mu: Triple) -> int:
@@ -307,13 +307,15 @@ def truncate_point(mu: Triple, p: int, alpha: TPoint) -> Tuple[TPoint, TPoint]:
 # -- fibers -------------------------------------------------------------------
 
 def fiber_dim(mu: Triple, p: int, x: SPoint, y: SPoint) -> int:
-    """Dimension of the space of points lying over a truncated pair.
-    mu must have passed check_triple."""
-    wp = mu.W.at(p)
-    if wp.is_zero() or wp.is_full():
-        return 0
-    h = mh.hom(mhs_of_spoint(y), mhs_of_spoint(x))
-    return h.dim - h.F.at(0).dim
+    """Dimension of the space of points lying over a truncated pair, dim H
+    - dim F^0 H for H = Hom(y, x): the number of pairs of a Hodge type
+    (a, .) of a piece of mu above p and (c, .) of one at or below p with
+    c < a, read off the Hodge numbers of mu's pieces, so it depends only
+    on mu and p.  mu must have passed check_triple."""
+    hodge = [(n, j, g.F.at(j).dim - g.F.at(j + 1).dim)
+             for n, g in mu.graded for j in g.F.jumps]
+    return sum(hx * hy for nx, c, hx in hodge if nx <= p
+               for ny, a, hy in hodge if ny > p and c < a)
 
 
 # -- pencils ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import serialize as se
 from . import triples as tr
 from .errors import (DegenerateRangeError, MhsError, RegimeError,
                      ResourceGuardError)
-from .field import Q, QI, GaussRat
+from .field import Q, GaussRat
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Triple
@@ -69,28 +69,20 @@ def _cut_step(m: MixedHodgeStructure, p: int) -> Subspace:
 
 
 def _h_frame(cut: WeightCut) -> mh.DeligneFrame:
-    """The Deligne frame of H by functoriality: a frame vector b of M of
-    weight at most p restricts to b[pivots], with dual row r_b . incl; one
-    of weight above p, a, descends to proj . a, with dual row r_a . section.
-    The map x -> b (r_a . x) has type (p_b - p_a, q_b - q_a), and in hom
-    coordinates (dual slot first) it is kron(r_a . section, b[pivots]),
-    with dual row kron(proj . a, r_b . incl)."""
+    """The Deligne frame of H, mh.frame_hom of the frames of the two
+    sides, read off M's by functoriality: a frame vector b of M of weight
+    at most p restricts to b[pivots] in W_pM, with dual row r_b . incl;
+    one of weight above p, a, descends to proj . a in M/W_pM, with dual
+    row r_a . section."""
     s_low, t_low = cut.frame.select(lambda p, q: p + q <= cut.p)
     s_high, t_high = cut.frame.select(lambda p, q: p + q > cut.p)
-    return mh.DeligneFrame(
-        tuple((pb - pa, qb - qa) for pa, qa in cut.frame.types if pa + qa > cut.p
-              for pb, qb in cut.frame.types if pb + qb <= cut.p),
-        la.kron_mat(la.mat_mul(t_high, cut.section),
-                    la.transpose(tuple(s_low[c] for c in cut.wp.pivots))),
-        la.kron_mat(la.transpose(la.mat_mul(cut.proj, s_high)),
-                    la.mat_mul(t_low, cut.incl)))
-
-
-def _f0(h: mh.DeligneFrame) -> Subspace:
-    """F^0 H, the sum of the I^{p,q} of H with p >= 0: the span of H's
-    frame vectors of those types."""
-    return Subspace.span(QI, len(h.vectors),
-                         [v for (p, _), v in zip(h.types, h.vectors) if p >= 0])
+    low = mh.DeligneFrame(tuple(t for t in cut.frame.types if sum(t) <= cut.p),
+                          la.transpose(tuple(s_low[c] for c in cut.wp.pivots)),
+                          la.mat_mul(t_low, cut.incl))
+    high = mh.DeligneFrame(tuple(t for t in cut.frame.types if sum(t) > cut.p),
+                           la.transpose(la.mat_mul(cut.proj, s_high)),
+                           la.mat_mul(t_high, cut.section))
+    return mh.frame_hom(high, low)
 
 
 # -- extension classes --------------------------------------------------------
@@ -130,7 +122,7 @@ def ext_class_rep(m: MixedHodgeStructure, p: int,
         noise = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in range(k)] for _ in range(w)]
         e = [x + y for x, y in zip(e, mh.hom_vec(noise, k, w))]
-        for v in _f0(_h_frame(cut)).basis:
+        for v in _h_frame(cut).span(lambda p, q: p >= 0).basis:
             c = GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             e = [x - c * y for x, y in zip(e, v)]
@@ -162,7 +154,7 @@ def splits_mod(m: MixedHodgeStructure, p: int, a_q: Subspace,
     cut = weight_cut(m, p)
     h = _h_frame(cut)
     mh.check_subobject(h, a_q, "Hom(M/W_pM, W_pM)")
-    return _splits(_f0(h), a_q, rep or _ext_class(cut))
+    return _splits(h.span(lambda p, q: p >= 0), a_q, rep or _ext_class(cut))
 
 
 # -- the graded-Tate regime ---------------------------------------------------

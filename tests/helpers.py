@@ -37,8 +37,8 @@ def mat_vec(a, v):
     """a . v with every product formed: the oracle for la.mat_vec."""
     if a and len(a[0]) != len(v):
         raise DimensionMismatchError("matrix/vector size mismatch")
-    return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v else 0
-                 for row in a)
+    return tuple(sum((x * y for x, y in zip(row, v)), 0 * v[0]) if v
+                 else zero(Q) for row in a)
 
 
 def kron_mat(a, b):
@@ -671,3 +671,43 @@ def added_fiber_filtration(mu, p, x, y, psi):
                    la.apply_to_subspace(psi, y.F.at(q)))
          for q in sorted(set(x.F.jumps) | set(y.F.jumps))}
     return mh.HodgeFiltration.of(mu.dim, f)
+
+
+# -- frames of Hom and the data triples reads off them: oracles ----------------
+
+def assert_deligne_frame(frame, m):
+    """Assert that frame is a Deligne frame of m: its dual rows are dual
+    to its vectors (T . S is the identity), and grouped by type (p, q)
+    its vectors span the component of that type in deligne_bigrading(m).
+    Returns whether some type has p != q."""
+    dim = len(frame.vectors)
+    assert dim == m.dim
+    assert la.mat_mul(frame.duals, la.transpose(frame.vectors)) == la.identity(QI, dim)
+    comps = dict(mh.deligne_bigrading(m))
+    assert set(frame.types) == set(comps)
+    for pq, comp in comps.items():
+        group = [v for t, v in zip(frame.types, frame.vectors) if t == pq]
+        assert Subspace.span(QI, dim, group) == comp
+    return any(p != q for p, q in frame.types)
+
+
+def hom_lie_data(mu):
+    """W_{-1} and F^0 . W_{-1} of End of the graded structure, formed as
+    mh.hom of it with itself: the oracle for tr.lie_data."""
+    tr.check_triple(mu)
+    gm = mh.graded_mhs(mu.graded)
+    if gm.dim == 0:
+        return tr.LieData(Subspace.zero(Q, 0), Subspace.zero(QI, 0))
+    end = mh.hom(gm, gm)
+    w_m1 = end.W.at(-1)
+    return tr.LieData(w_m1, la.intersect(end.F.at(0), w_m1.to_qi()))
+
+
+def hom_fiber_dim(mu, p, x, y):
+    """dim H - dim F^0 H with H = Hom(y, x) formed as mh.hom of the two
+    points' structures: the oracle for tr.fiber_dim."""
+    wp = mu.W.at(p)
+    if wp.is_zero() or wp.is_full():
+        return 0
+    h = mh.hom(tr.mhs_of_spoint(y), tr.mhs_of_spoint(x))
+    return h.dim - h.F.at(0).dim

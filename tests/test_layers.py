@@ -165,18 +165,36 @@ def test_unipotent_reads_the_regime_off_the_frame():
     assert not _part_reads("unipotent", "gr_w")
 
 
-def test_unipotent_forms_no_structure_at_a_cut():
-    """F^0 H and the subobject test of splits_mod are read off H's frame,
-    so unipotent forms no Hom structure, and no side of a cut: it reads
-    none of mh.hom, mh.sub_mhs, mh._push_forward or mh._restrict, as an
-    attribute or as a name."""
-    tree = ast.parse((PACKAGE / "unipotent.py").read_text())
+def _names_read(name):
+    """The names a module reads, as an attribute, as a name or in an
+    import."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     read = {node.attr if isinstance(node, ast.Attribute) else node.id
             for node in ast.walk(tree)
             if isinstance(node, (ast.Attribute, ast.Name))}
-    read |= {a.asname or a.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for a in node.names}
-    assert not read & {"hom", "sub_mhs", "_push_forward", "_restrict"}
+    return read | {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_unipotent_forms_no_structure_at_a_cut():
+    """F^0 H and the subobject test of splits_mod are read off H's frame,
+    so unipotent forms no Hom structure, and no side of a cut: it reads
+    none of mh.hom, mh.sub_mhs, mh._push_forward or mh._restrict."""
+    assert not _names_read("unipotent") & {"hom", "sub_mhs", "_push_forward",
+                                           "_restrict"}
+
+
+def test_triples_forms_no_hom_structure():
+    """lie_data reads End off frames and fiber_dim counts Hodge types, so
+    triples reads none of mh.hom, mh.tensor or mh.dual."""
+    assert not _names_read("triples") & {"hom", "tensor", "dual"}
+
+
+def test_the_hom_of_frames_has_one_home():
+    """The types and krons of a Hom of frames are mh.frame_hom's: neither
+    triples nor unipotent reads la.kron_mat."""
+    for name in ("triples", "unipotent"):
+        assert "kron_mat" not in _names_read(name), name
 
 
 def test_the_subobject_test_has_one_home():

@@ -160,8 +160,10 @@ def test_mat_mul_and_mat_vec_match_the_multiplying_oracles(fields, kind, data):
 @pytest.mark.parametrize("fa, fb", [(Q, Q), (Q, QI), (QI, QI)])
 def test_products_with_zero_rows_and_columns_keep_the_field(fa, fb):
     """A product whose every term is zero still has the field of the
-    product: a rational matrix times a zero Q(i) vector gives GaussRats.
-    A b with no rows is checked against the columns of a like any other."""
+    product: a rational matrix times a zero Q(i) vector gives GaussRats,
+    and a matrix with no columns times the empty vector, which holds no
+    GaussRat, gives the zero of Q.  A b with no rows is checked against
+    the columns of a like any other."""
     a = la.mat(fa, [[0, 0, 0], [1, 0, 2], [0, 0, 0]])
     b = la.mat(fb, [[0, 3], [0, 0], [0, -1]])
     for v in (la.mat(fb, [[0, 0, 0]])[0], la.mat(fb, [[0, 5, 0]])[0]):
@@ -170,6 +172,7 @@ def test_products_with_zero_rows_and_columns_keep_the_field(fa, fb):
     assert all(type(x) is type(b[0][0]) for row in la.mat_mul(a, b) for x in row)
     for a, b, v in [((), b, ()), (((), ()), (), ()), (a, ((), (), ()), v)]:
         _check_products(a, b, v)
+    assert [type(x) for x in la.mat_vec(((), ()), ())] == [Fraction, Fraction]
     row = la.mat(fa, [[1, 2]])
     for b in ((), la.mat(fb, [[1]])):
         for mat_mul in (la.mat_mul, helpers.mat_mul):

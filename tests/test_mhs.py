@@ -628,15 +628,26 @@ def test_graded_frame_is_a_deligne_frame_of_the_graded(bigrading_once):
         frame = mh.deligne_frame(m)
         graded = mh.graded_frame(m.W, frame)
         assert graded.types == frame.types
-        assert (la.mat_mul(graded.duals, la.transpose(graded.vectors))
-                == la.identity(QI, m.dim))
-        comps = dict(mh.deligne_bigrading(mh.graded_mhs(mh.gr_w(m))))
-        assert set(comps) == set(graded.types)
-        for pq, comp in comps.items():
-            group = [v for t, v in zip(graded.types, graded.vectors) if t == pq]
-            assert Subspace.span(QI, m.dim, group) == comp
+        helpers.assert_deligne_frame(graded, mh.graded_mhs(mh.gr_w(m)))
         split = mh.deligne_splitting(m)
         assert [la.mat_vec(split, v) for v in frame.vectors] == list(graded.vectors)
+
+
+def test_frame_hom_is_a_deligne_frame_of_the_hom():
+    """frame_hom of the Deligne frames of A and B has dual rows and,
+    type by type, spans the bigrading of mh.hom(A, B), on every ordered
+    pair of Tate, CM, Kummer, two-weight and small random structures;
+    the CM pieces and some random ones give types with p != q."""
+    structures = ([corpus.tate_mhs(0), corpus.tate_mhs(-2), corpus.cm_piece(-1),
+                   corpus.cm_piece(1), corpus.kummer_mhs(I),
+                   corpus.two_weight_mhs()]
+                  + [m for m in map(random_mhs, range(8)) if m.dim <= 3])
+    other_types = 0
+    for a in structures:
+        for b in structures:
+            h = mh.frame_hom(mh.deligne_frame(a), mh.deligne_frame(b))
+            other_types += helpers.assert_deligne_frame(h, mh.hom(a, b))
+    assert other_types > 0
 
 
 def test_kummer_bigrading_explicit():

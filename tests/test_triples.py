@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (added_build_mhs, graded_offsets, oracle_structures,
-                     random_mhs, random_triple, tate_triple)
+from helpers import (added_build_mhs, graded_offsets, hom_fiber_dim,
+                     hom_lie_data, oracle_structures, random_mhs,
+                     random_triple, tate_triple)
 from mhslab import corpus
 from mhslab import linalg as la
 from mhslab import mhs as mh
@@ -189,6 +190,21 @@ def test_dim_s_examples():
     pure = tr.triple_of(mh.tate_twist(2))
     assert tr.dim_S(pure) == 0
     assert tr.dim_S(tr.zero_triple()) == 0
+    # With k steps of rank one, each pair of steps adds one dimension.
+    assert [tr.dim_S(tate_triple(tuple(range(-2 * (k - 1), 1, 2))))
+            for k in range(3, 9)] == [3, 6, 10, 15, 21, 28]
+
+
+def _hom_oracle_triples():
+    """The triples of the valid oracle structures, the Tate-CM triple and
+    random triples of dimension at most 5."""
+    return ([tr.triple_of(m) for m in oracle_structures() if mh.is_valid(m)]
+            + [corpus.tate_cm_triple()] + [random_triple(s, 5) for s in range(40)])
+
+
+def test_lie_data_matches_the_hom_oracle():
+    for mu in _hom_oracle_triples():
+        assert tr.lie_data(mu) == hom_lie_data(mu)
 
 
 def test_lie_data_bracket_closed():
@@ -368,6 +384,18 @@ def test_fiber_dim_examples():
     b_low, b_high = tr.truncate_point(mu3, -2, b)
     x3, y3 = tr.spoint(low3, b_low), tr.spoint(high3, b_high)
     assert tr.fiber_dim(mu3, -2, x3, y3) == 2
+
+
+def test_fiber_dim_matches_the_hom_oracle():
+    """At every cut, the degenerate ones included, of points of each
+    triple."""
+    for i, mu in enumerate(_hom_oracle_triples()):
+        alpha = tr.sample_point(mu, f"fiber:{i}", 5)
+        for p in (min(mu.W.jumps) - 1,) + mu.W.jumps:
+            low, high = tr.truncate(mu, p)
+            a_low, a_high = tr.truncate_point(mu, p, alpha)
+            x, y = tr.spoint(low, a_low), tr.spoint(high, a_high)
+            assert tr.fiber_dim(mu, p, x, y) == hom_fiber_dim(mu, p, x, y)
 
 
 def test_fiber_dims_are_positive_across_corpus_cuts():

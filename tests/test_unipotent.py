@@ -202,7 +202,7 @@ def test_splits_matches_the_mixed_span_oracle():
     for i, cut in enumerate(_cuts(structures)):
         rng = random.Random(f"splits:{i}")
         h = checked_hom(cut)
-        f0 = un._f0(un._h_frame(cut))
+        f0 = un._h_frame(cut).span(lambda p, q: p >= 0)
         f0_dims.append(f0.dim)
         reps = [un._ext_class(cut)] + [
             un.ext_class_rep(cut.m, cut.p, random.Random(f"redraw:{i}:{k}"))
@@ -346,7 +346,7 @@ def test_f0_of_h_is_read_off_the_frame():
     vectors of type (p, q) with p >= 0 is F^0 of H formed as a Hom."""
     f0_dims = []
     for cut in _cuts(m for m in oracle_structures() if mh.is_valid(m)):
-        f0 = un._f0(un._h_frame(cut))
+        f0 = un._h_frame(cut).span(lambda p, q: p >= 0)
         assert f0 == helpers.unchecked_hom(cut.m, cut.wp).F.at(0)
         f0_dims.append(f0.dim)
     assert 0 in f0_dims and max(f0_dims) > 0
@@ -403,17 +403,8 @@ def test_h_frame_spans_the_per_cut_bigrading_type_by_type():
     """Grouped by type (p, q), the vectors of H's frame span the component
     of that type in a Deligne bigrading of H itself, and its dual rows
     are dual to them: T . S is the identity."""
-    other_types = 0
-    for cut in _cuts(_tate_members() + _other_members()):
-        h = un._h_frame(cut)
-        dim = len(h.vectors)
-        assert la.mat_mul(h.duals, la.transpose(h.vectors)) == la.identity(QI, dim)
-        comps = dict(mh.deligne_bigrading(checked_hom(cut)))
-        assert set(h.types) == set(comps)
-        for pq, comp in comps.items():
-            group = [v for t, v in zip(h.types, h.vectors) if t == pq]
-            assert Subspace.span(QI, dim, group) == comp
-        other_types += any(p != q for p, q in h.types)
+    other_types = sum(helpers.assert_deligne_frame(un._h_frame(cut), checked_hom(cut))
+                      for cut in _cuts(_tate_members() + _other_members()))
     assert other_types > 0  # some H has types other than (k, k)
 
 
