@@ -149,7 +149,10 @@ def one(field: str) -> Scalar:
 
 
 def as_scalar(field: str, x) -> Scalar:
-    """Coerce ints / Fractions / GaussRats into the given field."""
+    """Coerce ints / Fractions / GaussRats into the given field; the ints
+    0 and 1 give the field's shared zero and one."""
+    if type(x) is int and (x == 0 or x == 1):
+        return one(field) if x else zero(field)
     if field == Q:
         if isinstance(x, GaussRat):
             if not x.is_rational():

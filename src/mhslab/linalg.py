@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul, neg
@@ -41,7 +42,9 @@ def mat(field: str, rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
+@lru_cache(maxsize=32)
 def identity(field: str, n: int) -> Matrix:
+    """The n x n identity, shared between callers: matrices are tuples."""
     return tuple(tuple(one(field) if i == j else zero(field) for j in range(n))
                  for i in range(n))
 
@@ -306,21 +309,35 @@ class Subspace:
         if m and len(m[0]) != ambient_dim:
             raise DimensionMismatchError(
                 f"rows of length {len(m[0])} in ambient dimension {ambient_dim}")
-        basis, pivots = _rref(m, field)
-        return cls(field, ambient_dim, basis, pivots)
+        return cls._of(field, ambient_dim, *_rref(m, field))
 
     @classmethod
     def span_ints(cls, field: str, ambient_dim: int, m: list) -> "Subspace":
         """The span of integer rows in the layout of int_rows, such as
         their int_kron products; the list m is consumed."""
-        basis, pivots = _int_rref(m, field) if m else ((), ())
-        return cls(field, ambient_dim, basis, pivots)
+        return cls._of(field, ambient_dim,
+                       *(_int_rref(m, field) if m else ((), ())))
 
     @classmethod
+    def _of(cls, field: str, ambient_dim: int, basis: Matrix,
+            pivots: Tuple[int, ...]) -> "Subspace":
+        """The subspace with this reduced echelon basis: the shared zero or
+        full subspace when it is one of them."""
+        if not basis:
+            return cls.zero(field, ambient_dim)
+        if len(basis) == ambient_dim:
+            return cls.full(field, ambient_dim)
+        return cls(field, ambient_dim, basis, pivots)
+
+    # Subspaces are immutable, so every zero and full subspace of one
+    # ambient space can be the same object.
+    @classmethod
+    @lru_cache(maxsize=32)
     def zero(cls, field: str, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, (), ())
 
     @classmethod
+    @lru_cache(maxsize=32)
     def full(cls, field: str, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, identity(field, ambient_dim),
                    tuple(range(ambient_dim)))

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg as la
 from . import mhs as mh
 from .errors import LocusError, ParseError
-from .field import Q, QI, GaussRat, parse_q
+from .field import Q, QI, GaussRat, one, parse_q, zero
 from .linalg import Matrix, Subspace
 from .mhs import MixedHodgeStructure
 from .triples import Pencil
@@ -186,7 +186,12 @@ class LocusResult:
 
 # -- the locus computation ----------------------------------------------------
 
-_EMPTY = (GaussRat(0), GaussRat(0), GaussRat(1))  # 0 = 1: no solution
+_EMPTY = (zero(QI), zero(QI), one(QI))  # 0 = 1: no solution
+# Results are immutable, so the answers that hold no scalar of their own
+# are shared.
+_ALL = LocusResult("ALL", ())
+_NONE = LocusResult("AFFINE_SUBSET", (_EMPTY,))
+_OUTSIDE_W0 = LocusResult("AFFINE_SUBSET", (_EMPTY,), outside_w0=True)
 
 
 def _trim(p: List[GaussRat]) -> List[GaussRat]:
@@ -237,7 +242,7 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     if len(vq) != d.dim:
         raise LocusError("vector does not live in the derived space")
     if not d.W.at(0).contains(vq):
-        return LocusResult("AFFINE_SUBSET", (_EMPTY,), outside_w0=True)
+        return _OUTSIDE_W0
     # coeffs[k] is the coefficient of t^k in exp(-tY) v; Y is nilpotent.
     coeffs = []
     w = vc = tuple(GaussRat(c) for c in vq)
@@ -251,11 +256,11 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     if len(g) > 2:
         raise LocusError("the locus is not cut out by one linear constraint")
     if not g:
-        result = LocusResult("ALL", ())
+        result = _ALL
     elif len(g) == 1:
-        result = LocusResult("AFFINE_SUBSET", (_EMPTY,))
+        result = _NONE
     else:
-        result = LocusResult("AFFINE_SUBSET", ((GaussRat(1), GaussRat(0), g[0]),))
+        result = LocusResult("AFFINE_SUBSET", ((one(QI), zero(QI), g[0]),))
     _cross_validate(pencil, v, construction, result,
                     d.F.at(0).contains(vc))
     return result

@@ -197,15 +197,17 @@ def graded_basis(w: WeightFiltration) -> GradedBasis:
 
 
 class _WeightMeets:
-    """F^p . W_n at every jump n of W, from one reduction of F^p.
+    """F^p . W_n and F^p Gr^W_n at every jump n of W, from one reduction
+    of F^p.
 
     The basis of F^p goes to graded coordinates, where W_n is spanned by
     the first d_n unit vectors, and is reduced with its columns reversed.
     Each echelon row then ends at its pivot L, and the rows with L < d_n
     span F^p . W_n: dims[k] counts them at the k-th jump of W.  at(k)
     maps them back by B and takes their reduced echelon form, except
-    where the meet is F^p, W_n or 0.  F^p = 0 needs no reduction, nor
-    does F^p = everything, which meets W_n in W_n."""
+    where the meet is F^p, W_n or 0.  graded(k) reads F^p Gr^W_n off the
+    same rows, with no map back.  F^p = 0 needs no reduction, nor does
+    F^p = everything, which meets W_n in W_n."""
 
     __slots__ = ("f", "w", "g", "rows", "dims", "_at")
 
@@ -241,6 +243,26 @@ class _WeightMeets:
         if self.g.basis is not None:
             rows = [la.mat_vec(self.g.basis, v) for v in rows]
         return Subspace.span_ints(QI, f.ambient_dim, la.int_rows(QI, rows))
+
+    def graded(self, k: int) -> Subspace:
+        """F^p Gr^W_n for the k-th jump n of W, in the coordinates of the
+        graded piece: the span of the block-k columns [d_{n-1}, d_n) of
+        the rows that end in that block.  On W_n the block-n graded
+        coordinates are pi_n, which is 1 on section_n and kills W_{n-1},
+        home of the lower sections; so the rows ending below the block
+        project to 0, and those ending in it are independent there, their
+        last entries being distinct.  No row ending there leaves 0, and
+        as many as the block is wide, the whole piece."""
+        lo = self.g.dims[k - 1] if k else 0
+        below = self.dims[k - 1] if k else 0
+        count, width = self.dims[k] - below, self.g.dims[k] - lo
+        if count == width:
+            return Subspace.full(QI, width)
+        if count == 0:
+            return Subspace.zero(QI, width)
+        end = len(self.rows) - below
+        return Subspace.span_ints(QI, width, la.int_rows(
+            QI, [v[lo:lo + width] for v in self.rows[end - count:end]]))
 
 
 # -- validation -------------------------------------------------------------
@@ -288,8 +310,11 @@ def make_mhs(dim: int, w_steps: Dict[int, Subspace], f_steps: Dict[int, Subspace
                                HodgeFiltration.of(dim, f_steps))
 
 
+@functools.lru_cache(maxsize=64)
 def tate_twist(k: int) -> MixedHodgeStructure:
-    """Q(k): dimension 1, weight -2k, Hodge filtration jumping at -k."""
+    """Q(k): dimension 1, weight -2k, Hodge filtration jumping at -k.
+    Structures are immutable, so the triples built from one twist share
+    one object."""
     return make_mhs(1, {-2 * k: Subspace.full(Q, 1)},
                     {-k: Subspace.full(QI, 1)})
 
@@ -492,15 +517,16 @@ def _push_forward(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
 
 def gr_w(m: MixedHodgeStructure) -> List[Tuple[int, MixedHodgeStructure]]:
     """The associated graded, one structure per nonzero weight piece, with
-    F^p Gr^W_n the image of F^p M ∩ W_n, taken at the jumps of F."""
-    out = []
-    for piece in graded_pieces(m.W):
-        wn = m.W.at(piece.weight).to_qi()
-        f = {p: la.apply_to_subspace(piece.pi_qi, la.intersect(s, wn))
-             for p, s in m.F.steps}
-        out.append((piece.weight, make_mhs(
-            piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)))
-    return out
+    F^p Gr^W_n the image of F^p M . W_n, taken at the jumps of F.  Each
+    step F^p is reduced once in the graded coordinates of W
+    (_WeightMeets, as for the bigrading), and every piece reads its F^p
+    off that reduction.  W must be a filtration, so that its k-th jump
+    carries the k-th graded piece."""
+    meets = [(p, _WeightMeets(f, m.W)) for p, f in m.F.steps]
+    return [(piece.weight, make_mhs(
+                piece.dim, {piece.weight: Subspace.full(Q, piece.dim)},
+                {p: meet.graded(k) for p, meet in meets}))
+            for k, piece in enumerate(graded_pieces(m.W))]
 
 
 # -- Hodge classes ----------------------------------------------------------

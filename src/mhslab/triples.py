@@ -189,11 +189,14 @@ def equal_in_S_group(mu: Triple, alpha: TPoint, beta: TPoint) -> bool:
 def lie_data(mu: Triple) -> LieData:
     """W_{-1}End of the graded structure, the rational part of the span of
     the vectors of weight p + q < 0 of End's frame (mh.frame_hom of its
-    Deligne frame with itself), and F^0 W_{-1}End, those with p >= 0."""
+    Deligne frame with itself), and F^0 W_{-1}End, those with p >= 0.
+    Frame vectors are independent, so the rational part is read off
+    their integer rows, with no echelon form of their span."""
     check_triple(mu)
     g = mh.deligne_frame(mh.graded_mhs(mu.graded))
     end = mh.frame_hom(g, g)
-    return LieData(la.rational_part(end.span(lambda p, q: p + q < 0)),
+    w_m1 = [v for (p, q), v in zip(end.types, end.vectors) if p + q < 0]
+    return LieData(la.rational_part_ints(len(end.vectors), la.int_rows(QI, w_m1)),
                    end.span(lambda p, q: p >= 0 and p + q < 0))
 
 

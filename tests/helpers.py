@@ -621,6 +621,21 @@ def walked_bigrading(m):
     return tuple(comps)
 
 
+def intersection_gr_w(m):
+    """The associated graded with F^p Gr^W_n the image under pi_n of
+    la.intersect(F^p, W_n), two reductions and a third for the image per
+    (p, n), as mh.gr_w formed it before it read each piece off one
+    reduction of each step of F (mh._WeightMeets): the oracle for that."""
+    out = []
+    for piece in mh.graded_pieces(m.W):
+        wn = m.W.at(piece.weight).to_qi()
+        f = {p: la.apply_to_subspace(piece.pi_qi, la.intersect(s, wn))
+             for p, s in m.F.steps}
+        out.append((piece.weight, mh.make_mhs(
+            piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)))
+    return out
+
+
 # -- sums of images by padding, folding and add chains: oracles ---------------
 
 def padded_direct_sum(m, n):

@@ -207,3 +207,17 @@ def test_the_subobject_test_has_one_home():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not {name for name in defined
                 if "project" in name or "subobject" in name}
+
+
+def test_gr_w_reads_its_pieces_off_the_weight_meets():
+    """F^p . W_n has one home in mhs, _WeightMeets: gr_w reads every
+    F^p Gr^W_n off its reduction of F^p, so its body names neither
+    intersect nor apply_to_subspace."""
+    tree = ast.parse((PACKAGE / "mhs.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "gr_w")
+    named = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(body)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "_WeightMeets" in named
+    assert not named & {"intersect", "apply_to_subspace"}

@@ -18,7 +18,7 @@ from mhslab import triples as tr
 from mhslab import unipotent as un
 from mhslab.errors import DimensionMismatchError, ParseError
 from mhslab.field import (FieldError, GaussRat, I, Q, QI, as_scalar,
-                          format_q, format_qi, one, parse_q, parse_qi)
+                          format_q, format_qi, one, parse_q, parse_qi, zero)
 from mhslab.linalg import Subspace
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -806,6 +806,30 @@ def test_intersect_invert_and_solve_matrix_reduce_once_or_twice(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_zero_one_identity_and_full_and_zero_subspaces_are_shared(field):
+    """Values that hold no scalar of their own are one object each: the
+    ints 0 and 1 coerce to the field's zero and one, every identity of
+    one size is the same tuple, and every span that is zero or full is
+    the shared Subspace.zero or Subspace.full of its ambient space."""
+    assert as_scalar(field, 0) is zero(field)
+    assert as_scalar(field, 1) is one(field)
+    assert as_scalar(field, 2) == 2 and as_scalar(field, 2) is not one(field)
+    assert la.mat(field, [[1, 0], [0, 1]]) == la.identity(field, 2)
+    assert la.identity(field, 3) is la.identity(field, 3)
+    full, nought = Subspace.full(field, 3), Subspace.zero(field, 3)
+    assert Subspace.full(field, 3) is full and Subspace.zero(field, 3) is nought
+    assert Subspace.span(field, 3, [[2, 1, 0], [0, 3, 1], [1, 0, 5]]) is full
+    assert Subspace.span(field, 3, [[0, 0, 0]]) is nought
+    assert Subspace.span(field, 3, []) is nought
+    assert Subspace.span_ints(field, 3, la.int_rows(
+        field, [[2, 1, 0], [0, 3, 1], [1, 0, 5]])) is full
+    assert Subspace.span_ints(field, 3, []) is nought
+    part = Subspace.span(field, 3, [[2, 1, 0]])
+    assert part not in (full, nought) and part.dim == 1
+    assert Subspace.full(field, 2) is not full
 
 
 # -- scalar serialization -----------------------------------------------------

@@ -149,6 +149,8 @@ def test_tate_normalization():
     assert m.F.jumps == (-1,)
     assert mh.dual(m) == mh.tate_twist(-1)
     assert mh.tensor(mh.tate_twist(1), mh.tate_twist(2)) == mh.tate_twist(3)
+    # Structures are immutable: the triples built from Q(k) share one object.
+    assert mh.tate_twist(1) is m
 
 
 def test_functor_outputs_validate():
@@ -539,19 +541,50 @@ def test_bigrading_matches_the_table_of_intersections():
 
 
 def test_weight_meets_match_the_intersections():
-    """dims[k] and at(k) of each step F^p are dim F^p . W_n and F^p . W_n
-    at every jump n, also where W is no coordinate flag, so that the
-    graded basis B is not the identity."""
+    """dims[k], at(k) and graded(k) of each step F^p are dim F^p . W_n,
+    F^p . W_n and its image F^p Gr^W_n under pi_n at every jump n, also
+    where W is no coordinate flag, so that the graded basis B is not the
+    identity."""
     cases = [m for m in _table_cases() if m.dim]
     flags = [m for m in cases if mh.graded_basis(m.W).basis is not None]
     assert len(flags) >= 20
     for m in cases:
         for _, f in m.F.steps:
             meets = mh._WeightMeets(f, m.W)
-            for k, (_, wn) in enumerate(m.W.steps):
+            for k, ((_, wn), piece) in enumerate(zip(m.W.steps,
+                                                     mh.graded_pieces(m.W))):
                 meet = la.intersect(f, wn.to_qi())
                 assert meets.dims[k] == meet.dim
                 assert meets.at(k) == meet
+                assert meets.graded(k) == la.apply_to_subspace(piece.pi_qi, meet)
+
+
+def _gr_w_cases():
+    """The structures of oracle_structures() whose W and F are
+    filtrations, and a sampled and a rational member of random triples
+    of dimension at most 5, most of them off the coordinate flag."""
+    cases = [m for m in oracle_structures()
+             if not (m.W.problems() or m.F.problems())]
+    for s in range(30):
+        mu = helpers.random_triple(s, 5)
+        cases += [tr.build_mhs(mu, tr.sample_point(mu, s, 6)),
+                  tr.build_mhs(mu, tr.sample_rational_point(mu, s, 6))]
+    return cases
+
+
+def test_gr_w_matches_the_intersection_oracle_and_intersects_nothing(
+        monkeypatch):
+    """gr_w reads each F^p Gr^W_n off one reduction of F^p in graded
+    coordinates: the same reduced echelon subspaces as the image of
+    F^p . W_n (helpers.intersection_gr_w), with no la.intersect call."""
+    cases = _gr_w_cases()
+    assert sum(mh.graded_basis(m.W).basis is not None for m in cases) >= 40
+    expected = [helpers.intersection_gr_w(m) for m in cases]
+    calls = []
+    monkeypatch.setattr(la, "intersect", lambda u, v: calls.append(1))
+    for m, graded in zip(cases, expected):
+        assert mh.gr_w(m) == graded
+    assert calls == []
 
 
 def test_graded_basis_is_adapted_and_cached():

@@ -916,10 +916,12 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     # (over 946 integer entries, 1,486 before) when the bigrading reduced
     # each Hodge step once in graded coordinates instead of intersecting
     # it with each step of W; that also took the reductions through
-    # _rref from 82 to 42.
+    # _rref from 82 to 42.  They fell to 39, and the eliminations to 64
+    # over 934 entries, when gr_w read the graded pieces of the triple off
+    # the same reduction of each Hodge step instead of intersecting.
     assert len(bigraded) == 5
-    assert len(reductions) == 42
-    assert len(eliminations) == 67 and sum(eliminations) == 946
+    assert len(reductions) == 39
+    assert len(eliminations) == 64 and sum(eliminations) == 934
     assert mh.graded_pieces.cache_info().misses <= 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
