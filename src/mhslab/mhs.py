@@ -645,13 +645,6 @@ class DeligneFrame:
         return (la.transpose(tuple(self.vectors[i] for i in picked)),
                 tuple(self.duals[i] for i in picked))
 
-    def projectors(self, key) -> List[Tuple[Matrix, Matrix]]:
-        """S and T of select for each value k of key(p, q), in increasing
-        order: the projectors S . T onto those vectors sum to the identity,
-        and a projection is S . (T . v), with no square matrix formed."""
-        return [self.select(lambda p, q: key(p, q) == k)
-                for k in sorted({key(*t) for t in self.types})]
-
     def span(self, keep) -> Subspace:
         """The Q(i) span of the vectors whose type has keep(p, q)."""
         return Subspace.span(QI, len(self.vectors), [
@@ -678,25 +671,40 @@ def deligne_frame(m: MixedHodgeStructure) -> DeligneFrame:
                         vectors, la.invert(QI, la.transpose(vectors)))
 
 
-def projected_hull(factors: List[Tuple[Matrix, Matrix]], s: Subspace) -> Subspace:
-    """The rational hull of the projections of a basis of the rational s
-    under the factors of DeligneFrame.projectors.  The projectors sum to
-    the identity, so it holds s, and it is s exactly when each of them
+def _type_hull(frame: DeligneFrame, s: Subspace) -> Subspace:
+    """The rational hull of the projections S . (T . v) of a basis v of the
+    rational s onto the frame vectors of each type (p, q), with S and T of
+    DeligneFrame.select and no square matrix formed.  The projectors sum
+    to the identity, so it holds s, and it is s exactly when each of them
     maps s (x) Q(i) into itself."""
-    return la.rational_hull(s.ambient_dim, [la.mat_vec(sk, la.mat_vec(tk, v))
-                                            for sk, tk in factors
-                                            for v in s.basis])
+    rows = []
+    for t in sorted(set(frame.types)):
+        sk, tk = frame.select(lambda p, q: (p, q) == t)
+        rows += [la.mat_vec(sk, la.mat_vec(tk, v)) for v in s.basis]
+    return la.rational_hull(s.ambient_dim, rows)
+
+
+def generated_subobject(frame: DeligneFrame, s: Subspace) -> Subspace:
+    """The smallest subobject holding the rational s, in the structure with
+    Deligne frame frame: rounds of _type_hull from s, until a round adds
+    nothing or the span is everything."""
+    while not s.is_full():
+        grown = _type_hull(frame, s)
+        if grown.dim == s.dim:
+            break
+        s = grown
+    return s
 
 
 def check_subobject(frame: DeligneFrame, a_q: Subspace, name: str) -> None:
     """Raise unless the rational a_q underlies a subobject of the structure
     called name, with Deligne frame frame: unless a_q (x) Q(i) is the sum
-    of its intersections with the I^{p,q}, that is, the projector onto
-    the frame vectors of each type maps it into itself."""
+    of its intersections with the I^{p,q}, that is, unless one round of
+    generated_subobject's closure adds nothing to it."""
     if a_q.field != Q or a_q.ambient_dim != len(frame.vectors):
         raise DimensionMismatchError(
             "subspace must be rational, in the ambient space")
-    if projected_hull(frame.projectors(lambda p, q: (p, q)), a_q).dim > a_q.dim:
+    if _type_hull(frame, a_q).dim > a_q.dim:
         raise NotASubobjectError([f"the subspace (x) Q(i) is not the sum of its "
                                   f"intersections with the I^{{p,q}} of {name}"])
 

@@ -134,7 +134,7 @@ def _build_mhs(mu: Triple, alpha: TPoint) -> MixedHodgeStructure:
     """build_mhs unchecked, for a point of mu by construction (_sample)."""
     f = mh._image_steps(QI, mu.dim, [(a, g.F) for (_, g), (_, a)
                                      in zip(mu.graded, alpha.sections)])
-    return mh.make_mhs(mu.dim, dict(mu.W.steps), f)
+    return MixedHodgeStructure(mu.dim, mu.W, HodgeFiltration.of(mu.dim, f))
 
 
 def spoint(mu: Triple, alpha: TPoint) -> SPoint:

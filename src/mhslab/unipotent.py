@@ -181,25 +181,15 @@ def _check_graded_tate(frame: mh.DeligneFrame) -> mh.DeligneFrame:
 def _u_p(cut: WeightCut) -> UpResult:
     """u_p of a graded-Tate M: H = Hom(M/W_pM, W_pM) has only negative
     weights, so F^0 H = 0 and the class e splits modulo a subobject B
-    exactly when Im(e) lies in B.  u_p is the smallest subobject holding
-    Im(e): the rational closure of its span under the projectors S_k . T_k
-    onto the frame vectors of H of each weight k, a subobject since it is
-    rational and each projector preserves it.  A span of 0 (a rational
-    class) or of all of H is that closure already, so H's frame is built
-    only for a span in between.  The projectors sum to the identity, so
-    each round's rational hull of the projections holds the span it
-    projects; the closure stops when the span is all of H or a round
-    adds nothing."""
+    exactly when Im(e) lies in B.  u_p is the smallest such B,
+    mh.generated_subobject of span(Im e) on the frame of H.  A span of 0
+    (a rational class) or of all of H is a subobject already, so H's
+    frame is built only for a span in between."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
     s = Subspace.span(Q, dim, [tuple(x.im for x in _ext_class(cut).e)])
-    if s.is_zero() or s.is_full():
-        return UpResult(s, "TATE_EXACT", s.is_full())
-    factors = _h_frame(cut).projectors(lambda p, q: p + q)
-    while True:
-        grown = mh.projected_hull(factors, s)
-        if grown.dim == s.dim or grown.is_full():
-            return UpResult(grown, "TATE_EXACT", grown.is_full())
-        s = grown
+    if not (s.is_zero() or s.is_full()):
+        s = mh.generated_subobject(_h_frame(cut), s)
+    return UpResult(s, "TATE_EXACT", s.is_full())
 
 
 def u_p_tate(m: MixedHodgeStructure, p: int) -> UpResult:

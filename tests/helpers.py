@@ -294,13 +294,31 @@ def h_projectors(cut):
     return dict(sorted(out.items()))
 
 
-def parts_u_p(cut):
-    """The rational closure of span(Im e) under the weight projectors of
-    H (h_projectors), each round spanning s with the real and imaginary
-    parts of every projection: the oracle for the rational hulls and the
-    frame of H in un._u_p."""
+def h_type_projectors(cut):
+    """For each type (p, q) of H = Hom(M/W_pM, W_pM), the projector of H_C
+    onto I^{p,q} along the other components, from a Deligne bigrading of
+    the checked Hom (checked_hom) and the inverse of the matrix its bases
+    form as columns: the oracle for the type factors of un._h_frame."""
+    comps = mh.deligne_bigrading(checked_hom(cut))
+    vectors = [v for _, comp in comps for v in comp.basis]
+    duals = la.invert(QI, la.transpose(tuple(vectors)))
+    out, at = {}, 0
+    for pq, comp in comps:
+        picked = range(at, at + comp.dim)
+        out[pq] = la.mat_mul(la.transpose(tuple(vectors[i] for i in picked)),
+                             tuple(duals[i] for i in picked))
+        at += comp.dim
+    return dict(sorted(out.items()))
+
+
+def parts_u_p(cut, projectors):
+    """The rational closure of span(Im e) under the given projectors of H,
+    each round spanning s with the real and imaginary parts of every
+    projection: with h_type_projectors, the oracle for the rational hulls
+    and the frame of H in un._u_p; with the weight projectors
+    h_projectors, the closure by weight, which is the same on
+    graded-Tate members."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
-    projectors = h_projectors(cut).values()
     s = Subspace.span(Q, dim, [tuple(x.im for x in un._ext_class(cut).e)])
     while True:
         rows = list(s.basis)
@@ -316,13 +334,13 @@ def parts_u_p(cut):
 
 def stable_u_p(cut):
     """u_p by the closure as un._u_p ran it before it stopped early: H's
-    frame and weight factors built at every cut, and rational hulls of
-    the projections taken from span(Im e) until a round adds nothing,
-    that last round included.  The oracle for the lazy closure."""
+    frame and type factors built at every cut, and rational hulls of the
+    projections taken from span(Im e) until a round adds nothing, that
+    last round included.  The oracle for the lazy closure."""
     dim = cut.wp.dim * (cut.m.dim - cut.wp.dim)
     h = un._h_frame(cut)
-    factors = [h.select(lambda p, q: p + q == k)
-               for k in sorted({p + q for p, q in h.types})]
+    factors = [h.select(lambda p, q, t=t: (p, q) == t)
+               for t in sorted(set(h.types))]
     s = Subspace.zero(Q, dim)
     grown = Subspace.span(Q, dim, [tuple(x.im for x in un._ext_class(cut).e)])
     while grown.dim > s.dim:

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import mhslab
+from mhslab import mhs as mh
 
 LAYERS = ["errors", "field", "linalg", "mhs", "triples", "corpus",
           "serialize", "loci", "unipotent", "cli"]
@@ -165,15 +166,27 @@ def test_unipotent_reads_the_regime_off_the_frame():
     assert not _part_reads("unipotent", "gr_w")
 
 
+def _named(tree):
+    """The names a syntax tree reads, as an attribute or as a name."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))}
+
+
+def _function(module, name):
+    """The syntax tree of the top-level function called name in module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def _names_read(name):
     """The names a module reads, as an attribute, as a name or in an
     import."""
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
-    read = {node.attr if isinstance(node, ast.Attribute) else node.id
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Attribute, ast.Name))}
-    return read | {a.asname or a.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) for a in node.names}
+    return _named(tree) | {a.asname or a.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom)
+                           for a in node.names}
 
 
 def test_unipotent_forms_no_structure_at_a_cut():
@@ -198,26 +211,31 @@ def test_the_hom_of_frames_has_one_home():
 
 
 def test_the_subobject_test_has_one_home():
-    """The test "stable under the projector of each frame type" is mhs's
-    (check_subobject, projected_hull, DeligneFrame.projectors), read by
-    splits_mod and u_p on H's frame and by can_lift on the graded frame:
-    unipotent defines no projector or subobject-test helper of its own."""
+    """The closure "stable under the projector of each frame type" is
+    mhs's, grouped by type (p, q) in one place: one round of it is
+    check_subobject, read by splits_mod on H's frame and by can_lift on
+    the graded frame, and its rounds to a fixed point are
+    generated_subobject, read by u_p on H's frame.  unipotent defines no
+    projector or subobject helper of its own, reads no projected_hull or
+    projectors, and u_p takes no rational hull itself (_splits takes the
+    hull of a_q (x) Q(i) + F^0 H, which is no closure); DeligneFrame has
+    no grouping knob."""
     tree = ast.parse((PACKAGE / "unipotent.py").read_text())
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not {name for name in defined
                 if "project" in name or "subobject" in name}
+    assert not _names_read("unipotent") & {"projected_hull", "projectors"}
+    named = _named(_function("unipotent", "_u_p"))
+    assert "generated_subobject" in named
+    assert not named & {"rational_hull", "projected_hull", "projectors"}
+    assert not hasattr(mh.DeligneFrame, "projectors")
 
 
 def test_gr_w_reads_its_pieces_off_the_weight_meets():
     """F^p . W_n has one home in mhs, _WeightMeets: gr_w reads every
     F^p Gr^W_n off its reduction of F^p, so its body names neither
     intersect nor apply_to_subspace."""
-    tree = ast.parse((PACKAGE / "mhs.py").read_text())
-    body = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "gr_w")
-    named = {node.attr if isinstance(node, ast.Attribute) else node.id
-             for node in ast.walk(body)
-             if isinstance(node, (ast.Attribute, ast.Name))}
+    named = _named(_function("mhs", "gr_w"))
     assert "_WeightMeets" in named
     assert not named & {"intersect", "apply_to_subspace"}

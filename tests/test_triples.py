@@ -370,6 +370,20 @@ def test_build_mhs_of_the_zero_triple_is_zero():
     assert added_build_mhs(tr.zero_triple(), zero) == mh.zero_mhs()
 
 
+def test_members_hold_their_triples_weight_filtration(monkeypatch):
+    """A member keeps its triple's W itself, not an equal copy: from
+    build_mhs, and from the sampled and control points of the
+    genericity experiment."""
+    mu = corpus.tate3_triple()
+    for maker in (tr.sample_point, tr.sample_rational_point):
+        assert tr.build_mhs(mu, maker(mu, "w", 5)).W is mu.W
+    members, detail = [], un.u_large_detail
+    monkeypatch.setattr(un, "u_large_detail",
+                        lambda m: members.append(m) or detail(m))
+    un.genericity_experiment(mu, 2, "w", 5)
+    assert len(members) == 5 and all(m.W is mu.W for m in members)
+
+
 def test_fiber_dim_examples():
     mu = corpus.kummer_triple()
     low, high = tr.truncate(mu, -2)

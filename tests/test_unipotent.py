@@ -315,17 +315,31 @@ def _is_subobject(h, a_q):
 
 def test_rational_hulls_match_the_real_and_imaginary_rows():
     """At every cut of the graded-Tate and other oracle members, _u_p and
-    _splits read from rational hulls what the closure and the splitting
-    test spanned from real and imaginary rows of scalars give, and the
-    lazy closure gives what the closure run until a round adds nothing
-    gives: for u_p, for zero, everything, each coordinate line and random
-    subspaces, and for the class and a redraw of it.  On the same
-    candidates the per-type projector test of H's frame accepts exactly
-    the subobjects mh.sub_mhs accepts."""
+    _splits read from rational hulls what the closure by type and the
+    splitting test spanned from real and imaginary rows of scalars give,
+    and the lazy closure gives what the closure run until a round adds
+    nothing gives: for u_p, for zero, everything, each coordinate line and
+    random subspaces, and for the class and a redraw of it.  u_p is a
+    subobject of the checked Hom at every cut; on the graded-Tate cuts it
+    is also the closure by weight, which elsewhere can give a span that is
+    not one.  On the same candidates the per-type projector test of H's
+    frame accepts exactly the subobjects mh.sub_mhs accepts."""
     outcomes, subobjects = set(), set()
-    for i, cut in enumerate(_cuts(_tate_members() + _other_members())):
+    tate = _tate_members()
+    n_cuts, by_weight_not_sub = 0, 0
+    for i, cut in enumerate(_cuts(tate + _other_members())):
+        n_cuts += 1
         up = un._u_p(cut).subspace
-        assert up == helpers.parts_u_p(cut) == helpers.stable_u_p(cut)
+        by_type = helpers.h_type_projectors(cut).values()
+        assert up == helpers.parts_u_p(cut, by_type) == helpers.stable_u_p(cut)
+        hom = checked_hom(cut)
+        assert mh.try_sub_mhs(hom, up) is not None
+        by_weight = helpers.parts_u_p(cut, helpers.h_projectors(cut).values())
+        if any(cut.m is m for m in tate):
+            assert by_weight == up
+        elif by_weight != up:
+            assert mh.try_sub_mhs(hom, by_weight) is None
+            by_weight_not_sub += 1
         h = helpers.unchecked_hom(cut.m, cut.wp)
         frame = un._h_frame(cut)
         reps = [un._ext_class(cut),
@@ -339,6 +353,7 @@ def test_rational_hulls_match_the_real_and_imaginary_rows():
                 assert got == helpers.parts_splits(h, a_q, rep)
                 outcomes.add(got)
     assert outcomes == subobjects == {True, False}
+    assert n_cuts == 180 and by_weight_not_sub > 0
 
 
 def test_f0_of_h_is_read_off_the_frame():
@@ -524,6 +539,32 @@ def test_regime_errors():
     assert piece.dim == 2 and piece.F.jumps == (-1, 1)
     with pytest.raises(RegimeError):
         un.u_p_tate(mh.direct_sum(mh.tate_twist(1), piece), -2)
+
+
+def test_u_p_on_the_cm_triple_is_all_of_h_behind_the_gate():
+    """On Q(3) + E(-3) + Q(0), at seeds 0, b and c and at both cuts, every
+    type of H has p < 0, so F^0 H = 0, and the subobject generated by
+    span(Im e) is all of H (dim 3, types (-3, -3), (-2, -1), (-1, -2)):
+    the class splits modulo it.  The regime gate still refuses the
+    triple, which is not graded-Tate."""
+    mu = corpus.tate_cm_triple()
+    for seed in ("0", "b", "c"):
+        m = tr.build_mhs(mu, tr.sample_point(mu, seed, 5))
+        for p in (-6, -3):
+            cut = un.weight_cut(m, p)
+            h = un._h_frame(cut)
+            assert sorted(h.types) == [(-3, -3), (-2, -1), (-1, -2)]
+            hom = checked_hom(cut)
+            assert h.span(lambda p, q: p >= 0).is_zero()
+            assert hom.F.at(0).is_zero()
+            up = un._u_p(cut).subspace
+            assert up.is_full() and up.dim == 3
+            mh.sub_mhs(hom, up)
+            assert un.splits_mod(m, p, up)
+            with pytest.raises(RegimeError):
+                un.u_p_tate(m, p)
+        with pytest.raises(RegimeError):
+            un.u_large_detail(m)
 
 
 def intersection_graded_tate(m):
