@@ -17,7 +17,6 @@ Q(i) when either factor holds a GaussRat and over Q otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -474,6 +473,12 @@ def quotient_map(u: Subspace) -> Matrix:
     return tuple(rows)
 
 
+def split_quotient(u: Subspace) -> Tuple[Matrix, Matrix]:
+    """quotient_map(u) and the right inverse of it that solve_matrix gives."""
+    proj = quotient_map(u)
+    return proj, solve_matrix(u.field, proj, identity(u.field, len(proj)))
+
+
 def coords_map(u: Subspace) -> Matrix:
     """Selection matrix F^n -> F^k computing echelon coordinates on u."""
     rows = []
@@ -548,13 +553,14 @@ def rational_part_ints(n: int, rows: list) -> Subspace:
     imaginary columns first, the rows of their echelon basis that pivot
     in a real column vanish on every imaginary column: their real
     columns are the echelon basis of B, the rational vectors of the
-    span."""
+    span.  Only those entries become Fractions."""
     if len(rows) == n:
         return Subspace.full(Q, n)
-    s = Subspace.span_ints(Q, 2 * n, [v[1::2] + v[::2] for v in _restricted(rows)])
-    k = bisect_left(s.pivots, n)
-    return Subspace(Q, n, tuple(row[n:] for row in s.basis[k:]),
-                    tuple(c - n for c in s.pivots[k:]))
+    m = [v[1::2] + v[::2] for v in _restricted(rows)]
+    real = [(r, c) for r, c in zip(m, _eliminate(m) if m else []) if c >= n]
+    return Subspace._of(Q, n, tuple(_vector(False, r[n:], r[c])
+                                    for r, c in real),
+                        tuple(c - n for _, c in real))
 
 
 def rational_hull(n: int, rows: Iterable[Sequence[Scalar]]) -> Subspace:

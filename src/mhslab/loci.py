@@ -138,8 +138,7 @@ def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
                    for y in ys for u in a_q.basis):
             raise LocusError("the quotiented subspace is not preserved "
                              "along the pencil")
-        proj = la.quotient_map(a_q)
-        section = la.solve_matrix(Q, proj, la.identity(Q, len(proj)))
+        proj, section = la.split_quotient(a_q)
         return quo, [la.mat_mul(proj, la.mat_mul(y, section)) for y in ys]
     raise ParseError(f"unknown construction head {head!r}")
 
@@ -152,7 +151,7 @@ def pencil_member(pencil: Pencil, t: GaussRat) -> MixedHodgeStructure:
     t, although it is a structure by construction (see the README)."""
     mu = pencil.triple
     psi = la.mat_add(pencil.psi0, la.mat_scale(t, pencil.dpsi))
-    incl = la.to_qi_mat(la.inclusion_map(mu.W.at(pencil.p)))
+    incl = la.inclusion_map(mu.W.at(pencil.p))
     f = mh._image_steps(QI, mu.dim, [(incl, pencil.x.F), (psi, pencil.y.F)])
     return mh.check_valid(MixedHodgeStructure(
         mu.dim, mu.W, mh.HodgeFiltration.of(mu.dim, f)))
@@ -235,7 +234,7 @@ def locus_on_pencil(pencil: Pencil, v: Sequence, construction) -> LocusResult:
     """
     pencil.check()
     wp = pencil.triple.W.at(pencil.p)
-    x = la.mat_mul(pencil.dpsi, la.to_qi_mat(la.quotient_map(wp)))
+    x = la.mat_mul(pencil.dpsi, la.quotient_map(wp))
     d, (y,) = _checked_derive(construction,
                               pencil_member(pencil, GaussRat(0)), [x])
     vq = tuple(Fraction(c) for c in v)

@@ -138,15 +138,19 @@ class MixedHodgeStructure:
 
 @dataclass(frozen=True, slots=True)
 class GradedPiece:
+    """Gr^W_n as the block [offset, offset + dim) of graded coordinates."""
+
     weight: int
     dim: int
-    pi_qi: Matrix   # over Q(i) with rational entries, dim x ambient; valid on W_n
+    offset: int      # the first coordinate of the piece's graded block
+    pi: Matrix       # over Q, dim x ambient; valid on W_n
     section: Matrix  # over Q, ambient x dim; pi . section = id, image in W_n
 
 
 @functools.lru_cache(maxsize=16)
 def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
-    """Canonical coordinates on each Gr^W_n, with a canonical rational section.
+    """Canonical coordinates on each Gr^W_n, with a canonical rational
+    section: in the echelon coordinates of W_n, la.split_quotient of W_{n-1}.
 
     Cached by the value of w, which fixes the result: the many structures
     built from one triple (its members, their weight cuts and Hom spaces)
@@ -160,14 +164,9 @@ def graded_pieces(w: WeightFiltration) -> Tuple[GradedPiece, ...]:
             prev = wn
             continue
         sel = la.coords_map(wn)
-        inner = la.apply_to_subspace(sel, prev)
-        proj = la.quotient_map(inner)
-        pi = la.mat_mul(proj, sel)
-        incl = la.inclusion_map(wn)
-        pw = la.mat_mul(pi, incl)  # g x dim(wn), surjective
-        c = la.solve_matrix(Q, pw, la.identity(Q, g))
-        section = la.mat_mul(incl, c)
-        pieces.append(GradedPiece(n, g, la.to_qi_mat(pi), section))
+        proj, c = la.split_quotient(la.apply_to_subspace(sel, prev))
+        pieces.append(GradedPiece(n, g, prev.dim, la.mat_mul(proj, sel),
+                                  la.mat_mul(la.inclusion_map(wn), c)))
         prev = wn
     return tuple(pieces)
 
@@ -198,7 +197,8 @@ def graded_basis(w: WeightFiltration) -> GradedBasis:
 
 class _WeightMeets:
     """F^p . W_n and F^p Gr^W_n at every jump n of W, from one reduction
-    of F^p.
+    of F^p.  g is graded_basis(w), which the caller looks up once for all
+    the steps of F.
 
     The basis of F^p goes to graded coordinates, where W_n is spanned by
     the first d_n unit vectors, and is reduced with its columns reversed.
@@ -211,8 +211,8 @@ class _WeightMeets:
 
     __slots__ = ("f", "w", "g", "rows", "dims", "_at")
 
-    def __init__(self, f: Subspace, w: WeightFiltration):
-        self.f, self.w, self.g, self._at = f, w, graded_basis(w), {}
+    def __init__(self, f: Subspace, w: WeightFiltration, g: GradedBasis):
+        self.f, self.w, self.g, self._at = f, w, g, {}
         if f.is_full():
             self.rows, self.dims = (), self.g.dims
             return
@@ -467,12 +467,11 @@ def hom_mat(v, src_dim: int, tgt_dim: int) -> Matrix:
 def _restrict(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
     """sub_mhs unchecked, for a subspace that carries a subobject (W_pM)."""
     sel = la.coords_map(a_q)
-    sel_qi = la.to_qi_mat(sel)
     a_qi = a_q.to_qi()
     k = a_q.dim
     w = {n: la.apply_to_subspace(sel, la.intersect(s, a_q))
          for n, s in m.W.steps}
-    f = {p: la.apply_to_subspace(sel_qi, la.intersect(s, a_qi))
+    f = {p: la.apply_to_subspace(sel, la.intersect(s, a_qi))
          for p, s in m.F.steps}
     return make_mhs(k, w, f) if k > 0 else zero_mhs()
 
@@ -506,12 +505,11 @@ def _push_forward(m: MixedHodgeStructure, a_q: Subspace) -> MixedHodgeStructure:
     """quotient_mhs for a subobject a_q (checked by sub_mhs, or W_pM): a
     quotient of a mixed Hodge structure by a subobject is one, unchecked."""
     p = la.quotient_map(a_q)
-    p_qi = la.to_qi_mat(p)
     k = m.dim - a_q.dim
     if k == 0:
         return zero_mhs()
     w = {n: la.apply_to_subspace(p, s) for n, s in m.W.steps}
-    f = {q: la.apply_to_subspace(p_qi, s) for q, s in m.F.steps}
+    f = {q: la.apply_to_subspace(p, s) for q, s in m.F.steps}
     return make_mhs(k, w, f)
 
 
@@ -522,7 +520,8 @@ def gr_w(m: MixedHodgeStructure) -> List[Tuple[int, MixedHodgeStructure]]:
     (_WeightMeets, as for the bigrading), and every piece reads its F^p
     off that reduction.  W must be a filtration, so that its k-th jump
     carries the k-th graded piece."""
-    meets = [(p, _WeightMeets(f, m.W)) for p, f in m.F.steps]
+    g = graded_basis(m.W)
+    meets = [(p, _WeightMeets(f, m.W, g)) for p, f in m.F.steps]
     return [(piece.weight, make_mhs(
                 piece.dim, {piece.weight: Subspace.full(Q, piece.dim)},
                 {p: meet.graded(k) for p, meet in meets}))
@@ -600,7 +599,8 @@ def deligne_bigrading(m: MixedHodgeStructure
     # zero, so it vanishes unless p is a jump of F and p + q one of W.
     fj = m.F.jumps
     w = m.W.jumps
-    meets = [_WeightMeets(f, m.W) for _, f in m.F.steps]
+    g = graded_basis(m.W)
+    meets = [_WeightMeets(f, m.W, g) for _, f in m.F.steps]
 
     def dim(i: int, k: int) -> int:
         """dim F^{fj[i]} . W_{w[k]}: 0 above F's last jump or below W's first."""
@@ -709,13 +709,6 @@ def check_subobject(frame: DeligneFrame, a_q: Subspace, name: str) -> None:
                                   f"intersections with the I^{{p,q}} of {name}"])
 
 
-def _graded_blocks(w: WeightFiltration) -> List[Tuple[int, GradedPiece]]:
-    """(offset, piece) for each graded piece of w, at its block's offset."""
-    pieces = graded_pieces(w)
-    return list(zip(itertools.accumulate((g.dim for g in pieces), initial=0),
-                    pieces))
-
-
 def graded_frame(w: WeightFiltration, frame: DeligneFrame) -> DeligneFrame:
     """The Deligne frame of Gr^W M in graded coordinates, carried from the
     frame of M, whose weight filtration is w: a vector v of weight n
@@ -723,13 +716,14 @@ def graded_frame(w: WeightFiltration, frame: DeligneFrame) -> DeligneFrame:
     in block n.  No inversion is needed: section_n . pi_n . v differs
     from v by a vector of W_{n-1}, which r kills, so the rows stay dual."""
     z = zero(QI)
-    blocks = {piece.weight: (at, piece, la.transpose(piece.section))
-              for at, piece in _graded_blocks(w)}
+    blocks = {piece.weight: (piece, la.transpose(piece.section))
+              for piece in graded_pieces(w)}
     vectors, duals = [], []
     for (p, q), v, r in zip(frame.types, frame.vectors, frame.duals):
-        at, piece, section_t = blocks[p + q]
+        piece, section_t = blocks[p + q]
+        at = piece.offset
         before, after = (z,) * at, (z,) * (w.ambient_dim - at - piece.dim)
-        vectors.append(before + la.mat_vec(piece.pi_qi, v) + after)
+        vectors.append(before + la.mat_vec(piece.pi, v) + after)
         duals.append(before + la.mat_vec(section_t, r) + after)
     return DeligneFrame(frame.types, tuple(vectors), tuple(duals))
 
@@ -751,8 +745,8 @@ def deligne_sections(m: MixedHodgeStructure) -> Tuple[Tuple[int, Matrix], ...]:
     rows T_gr of the graded frame.  On Gr^W_n it is P_n . section_n."""
     frame = deligne_frame(m)
     st = la.mat_mul(la.transpose(frame.vectors), graded_frame(m.W, frame).duals)
-    return tuple((piece.weight, tuple(row[at:at + piece.dim] for row in st))
-                 for at, piece in _graded_blocks(m.W))
+    return tuple((g.weight, tuple(r[g.offset:g.offset + g.dim] for r in st))
+                 for g in graded_pieces(m.W))
 
 
 def graded_mhs(pieces: Iterable[Tuple[int, MixedHodgeStructure]]

@@ -139,9 +139,9 @@ def triple_from_json(data) -> Triple:
                  f"triple: weight {n!r} is not a jump of W")
         _require(n not in graded, f"triple: weight {n} is graded twice")
         g = dims[n]
-        graded[n] = mh.make_mhs(g, {n: Subspace.full(Q, g)},
-                                dict(_filtration_from_json(
-                                    QI, g, entry["F"], f"graded[{n}].F").steps))
+        graded[n] = MixedHodgeStructure(
+            g, mh.WeightFiltration.of(g, {n: Subspace.full(Q, g)}),
+            _filtration_from_json(QI, g, entry["F"], f"graded[{n}].F"))
     _require(len(graded) == len(dims), "triple: a jump of W is not graded")
     return Triple(dim, w, tuple(sorted(graded.items())))
 

@@ -106,7 +106,7 @@ def tpoint_problems(mu: Triple, alpha: TPoint) -> List[str]:
         if len(a) != mu.dim or (a and len(a[0]) != piece.dim):
             out.append(f"section at weight {n} has wrong shape")
             continue
-        if la.mat_mul(piece.pi_qi, a) != la.identity(QI, piece.dim):
+        if la.mat_mul(piece.pi, a) != la.identity(QI, piece.dim):
             out.append(f"section at weight {n} does not split the projection")
         wn = mu.W.at(n).to_qi()
         if not wn.contains_subspace(la.image(QI, a, mu.dim)):
@@ -223,7 +223,7 @@ def _sample(mu: Triple, rng: random.Random, height: int,
     for piece in mh.graded_pieces(mu.W):
         base = la.to_qi_mat(piece.section)
         if prev.dim:
-            incl = la.to_qi_mat(la.inclusion_map(prev))
+            incl = la.inclusion_map(prev)
             r = la.mat(QI, [[GaussRat(_random_fraction(rng, height, False),
                                       _random_fraction(rng, height, True)
                                       if imaginary else 0)
@@ -299,8 +299,7 @@ def truncate_point(mu: Triple, p: int, alpha: TPoint) -> Tuple[TPoint, TPoint]:
         return TPoint(()), alpha
     if wp.is_full():
         return alpha, TPoint(())
-    sel = la.to_qi_mat(la.coords_map(wp))
-    proj = la.to_qi_mat(la.quotient_map(wp))
+    sel, proj = la.coords_map(wp), la.quotient_map(wp)
     return (TPoint(tuple((n, la.mat_mul(sel, a))
                          for n, a in alpha.sections if n <= p)),
             TPoint(tuple((n, la.mat_mul(proj, a))
@@ -347,7 +346,7 @@ class Pencil:
             if (s.triple != side or s.F.problems()
                     or not matches_triple(side, mhs_of_spoint(s))):
                 out.append(f"{name} is not a point of its truncated triple")
-        proj = la.to_qi_mat(la.quotient_map(wp))
+        proj = la.quotient_map(wp)
         k = self.triple.dim - wp.dim
         if la.mat_mul(proj, self.psi0) != la.identity(QI, k):
             out.append("base is not a section of the projection")

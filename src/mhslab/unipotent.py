@@ -50,8 +50,7 @@ def weight_cut(m: MixedHodgeStructure, p: int,
     """The cut at p, with the Deligne frame of M (formed here when not
     given; a caller with several cuts of one M passes it to each)."""
     wp = _cut_step(m, p)
-    proj = la.quotient_map(wp)
-    section = la.solve_matrix(Q, proj, la.identity(Q, m.dim - wp.dim))
+    proj, section = la.split_quotient(wp)
     return WeightCut(m, p, wp, proj, la.inclusion_map(wp), section,
                      frame or mh.deligne_frame(m))
 

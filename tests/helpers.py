@@ -647,7 +647,7 @@ def intersection_gr_w(m):
     out = []
     for piece in mh.graded_pieces(m.W):
         wn = m.W.at(piece.weight).to_qi()
-        f = {p: la.apply_to_subspace(piece.pi_qi, la.intersect(s, wn))
+        f = {p: la.apply_to_subspace(piece.pi, la.intersect(s, wn))
              for p, s in m.F.steps}
         out.append((piece.weight, mh.make_mhs(
             piece.dim, {piece.weight: Subspace.full(Q, piece.dim)}, f)))

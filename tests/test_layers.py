@@ -239,3 +239,31 @@ def test_gr_w_reads_its_pieces_off_the_weight_meets():
     named = _named(_function("mhs", "gr_w"))
     assert "_WeightMeets" in named
     assert not named & {"intersect", "apply_to_subspace"}
+
+
+def _readers(attr):
+    """The (module, top-level statement) pairs that read attr, as an
+    attribute or as a name; a statement with no name is None."""
+    out = set()
+    for module in LAYERS:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        out |= {(module, getattr(top, "name", None)) for top in tree.body
+                if attr in _named(top)}
+    return out
+
+
+def test_quotient_sections_products_and_blocks_have_one_home():
+    """A section of a quotient map is la.split_quotient's, read by the
+    graded pieces, the weight cut and the QUOT term of a derived
+    structure; only linalg solves.  Products decide their own field, so
+    outside linalg only _sample copies a matrix into Q(i), to store a
+    section of a point.  A graded piece holds pi over Q and its block
+    offset, so mhs keeps no recomputed table of offsets."""
+    assert {module for module, _ in _readers("solve_matrix")} == {"linalg"}
+    assert {("mhs", "graded_pieces"), ("unipotent", "weight_cut"),
+            ("loci", "derive")} <= _readers("split_quotient")
+    assert {(module, fn) for module, fn in _readers("to_qi_mat")
+            if module != "linalg"} == {("triples", "_sample")}
+    assert set(mh.GradedPiece.__slots__) >= {"pi", "offset"}
+    assert "pi_qi" not in mh.GradedPiece.__slots__
+    assert not hasattr(mh, "_graded_blocks")

@@ -485,6 +485,33 @@ def test_quotient_map_kernel():
     assert la.image(Q, la.transpose(p), 3).dim == 2
 
 
+def test_split_quotient_matches_the_hand_rolled_section():
+    """split_quotient(u) is quotient_map(u) with the section solve_matrix
+    gives for the identity, the form its callers built by hand; proj .
+    section is the identity.  Zero, full, coordinate and random
+    subspaces over Q."""
+    rng = random.Random("split")
+    cases = [Subspace.zero(Q, 3), Subspace.full(Q, 3), Subspace.zero(Q, 1),
+             Subspace.span(Q, 3, [(0, 1, 0)]),
+             Subspace.span(Q, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])]
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        cases.append(Subspace.span(Q, n, [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(rng.randint(0, n))]))
+    assert any(0 < u.dim < u.ambient_dim and u.pivots != tuple(range(u.dim))
+               for u in cases)
+    for u in cases:
+        proj, section = la.split_quotient(u)
+        assert proj == la.quotient_map(u)
+        k = len(proj)
+        assert section == la.solve_matrix(Q, proj, la.identity(Q, k))
+        if k:
+            assert la.mat_mul(proj, section) == la.identity(Q, k)
+        else:
+            assert section == ()
+
+
 # -- fraction-free elimination against exact division -------------------------
 
 def division_rref(rows):

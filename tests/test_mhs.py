@@ -88,7 +88,7 @@ def purity_window(n, fjumps):
 def _window_graded_f(m, piece, p):
     """F^p on a graded piece, as the image of F^p M ∩ W_n, at any p."""
     wn = m.W.at(piece.weight).to_qi()
-    return la.apply_to_subspace(piece.pi_qi, la.intersect(m.F.at(p), wn))
+    return la.apply_to_subspace(piece.pi, la.intersect(m.F.at(p), wn))
 
 
 def window_validate(m):
@@ -427,7 +427,7 @@ def _splitting_oracle(m):
         before, after = offset, m.dim - offset - piece.dim
         for v in comp.basis:
             src_cols.append(v)
-            tgt_cols.append(z * before + la.mat_vec(piece.pi_qi, v) + z * after)
+            tgt_cols.append(z * before + la.mat_vec(piece.pi, v) + z * after)
     if len(src_cols) != m.dim:
         raise NotAnMhsError(["bigrading does not span the space"])
     s = la.transpose(tuple(src_cols))
@@ -550,13 +550,13 @@ def test_weight_meets_match_the_intersections():
     assert len(flags) >= 20
     for m in cases:
         for _, f in m.F.steps:
-            meets = mh._WeightMeets(f, m.W)
+            meets = mh._WeightMeets(f, m.W, mh.graded_basis(m.W))
             for k, ((_, wn), piece) in enumerate(zip(m.W.steps,
                                                      mh.graded_pieces(m.W))):
                 meet = la.intersect(f, wn.to_qi())
                 assert meets.dims[k] == meet.dim
                 assert meets.at(k) == meet
-                assert meets.graded(k) == la.apply_to_subspace(piece.pi_qi, meet)
+                assert meets.graded(k) == la.apply_to_subspace(piece.pi, meet)
 
 
 def _gr_w_cases():

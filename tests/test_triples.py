@@ -258,7 +258,7 @@ def _transport(mu, proj, keep, new_w, new_dim):
     for piece, (n, g) in zip(mh.graded_pieces(mu.W), mu.graded):
         if not keep(n):
             continue
-        t = la.mat_mul(new_pieces[n].pi_qi,
+        t = la.mat_mul(new_pieces[n].pi,
                        la.to_qi_mat(la.mat_mul(proj, piece.section)))
         f = {p: la.apply_to_subspace(t, g.F.at(p))
              for p in g.F.jumps}
@@ -293,7 +293,7 @@ def _transport_point(mu, new, proj, keep, alpha):
     for piece, (n, a) in zip(mh.graded_pieces(mu.W), alpha.sections):
         if not keep(n):
             continue
-        t = la.mat_mul(new_pieces[n].pi_qi,
+        t = la.mat_mul(new_pieces[n].pi,
                        la.to_qi_mat(la.mat_mul(proj, piece.section)))
         secs.append((n, la.mat_mul(la.mat_mul(proj_qi, a), la.invert(QI, t))))
     return tr.TPoint(tuple(secs))

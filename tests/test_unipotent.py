@@ -935,6 +935,7 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     monkeypatch.setattr(tr, "check_tpoint", lambda mu, alpha:
                         point_checks.append(1) or check_tpoint(mu, alpha))
     mh.graded_pieces.cache_clear()
+    mh.graded_basis.cache_clear()
     un.genericity_experiment(corpus.tate3_triple(), 2, "cnt", 10)
     assert len(calls) == 1
     # The sampled sections are a point by construction, so no member's
@@ -964,6 +965,11 @@ def test_experiment_checks_the_triple_once_and_builds_each_grading_once(
     assert len(reductions) == 39
     assert len(eliminations) == 64 and sum(eliminations) == 934
     assert mh.graded_pieces.cache_info().misses <= 8
+    # gr_w and the bigrading look the graded basis up once per structure,
+    # for all its Hodge steps: 8 lookups, 4 of them builds.  There were 18
+    # when each Hodge step looked it up.
+    basis = mh.graded_basis.cache_info()
+    assert basis.hits + basis.misses == 8
     # The 3 graded pieces of the triple; no member, cut or u_p is
     # validated (the subobject property of u_p is checked by the tests).
     assert len(validated) == 3
