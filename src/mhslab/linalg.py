@@ -11,8 +11,10 @@ Products (`mat_mul`, `mat_vec`, `kron_mat` and the membership test of
 the right one to integers over one denominator and form every entry as
 one integer, or Gaussian integer, dot product (`_dots`).  Either kernel
 builds one Fraction, or one GaussRat of two, per output entry, and the
-field's shared zero and one for the entries 0 and 1.  A product is over
-Q(i) when either factor holds a GaussRat and over Q otherwise.
+field's shared zero and one for the entries 0 and 1; an echelon row or a
+kron_mat row that is a unit vector is the shared row of `identity`.  A
+product is over Q(i) when either factor holds a GaussRat and over Q
+otherwise.
 """
 
 from __future__ import annotations
@@ -141,7 +143,15 @@ def _qi(x: int, y: int, d: int) -> GaussRat:
 def _vector(gauss: bool, ints: list, d: int) -> Vector:
     """The scalars of ints / d, an integer row in the layout of int_rows:
     one Fraction, or one GaussRat of two, per entry, and the field's
-    shared zero and one for the entries 0 and 1."""
+    shared zero and one for the entries 0 and 1.  A unit vector, whose
+    one nonzero int is d in a real column, is the shared row of
+    `identity`: over Q(i) a d in an imaginary column is the scalar i."""
+    if ints.count(0) == len(ints) - 1 and d in ints:
+        k = ints.index(d)
+        if not gauss:
+            return identity(Q, len(ints))[k]
+        if k % 2 == 0:
+            return identity(QI, len(ints) // 2)[k // 2]
     if not gauss:
         return tuple(_q(x, d) for x in ints)
     return tuple(_qi(x, y, d) for x, y in zip(ints[::2], ints[1::2]))
@@ -229,13 +239,27 @@ def _eliminate(m: list) -> list:
     every row primitive; returns the pivot columns, and m[:len(pivots)]
     are the echelon rows (divided by their pivots, the reduced ones).
 
-    Row i becomes a * row - b * prow, formed as a new list: the scaling
-    is skipped when a = 1, and b * prow is subtracted only on the
-    support of the pivot row, listed once a row needs it.  The rows
-    handed in are never changed."""
+    Each column pivots on the first remaining row whose entry there is
+    smallest in absolute value (a 1 or -1 is taken at once).  With p
+    and f the pivot and a row's entry, g = gcd(p, f), a = p / g and
+    b = f / g, row i becomes a * row - b * prow, formed as a new list: a
+    small pivot keeps a, the factor every other entry of the row is
+    scaled by, small, and a unit pivot makes a = 1, when the scaling is
+    skipped.  b * prow is subtracted only on the support of the pivot
+    row, listed once a row needs it.  The rows handed in are never
+    changed.  The reduced echelon form is unique, so the pivot choice
+    changes the rows only by their scale, and no output."""
     nrows, pivots, r = len(m), [], 0
     for c in range(len(m[0])):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        pr, least = None, 0
+        for i in range(r, nrows):
+            f = m[i][c]
+            if f:
+                f = abs(f)
+                if pr is None or f < least:
+                    pr, least = i, f
+                    if f == 1:
+                        break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]

@@ -127,7 +127,9 @@ def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
         d, ys = derive(term[2], m, xs)
         wp = d.W.at(term[1])
         sel, incl = la.coords_map(wp), la.inclusion_map(wp)
-        return mh._restrict(d, wp), [la.mat_mul(sel, la.mat_mul(y, incl))
+        # sel . y first: a zero step has no sel rows, and the product of
+        # no rows is its 0 x 0 action.
+        return mh._restrict(d, wp), [la.mat_mul(la.mat_mul(sel, y), incl)
                                    for y in ys]
     if head == "QUOT":
         d, ys = derive(term[2], m, xs)
@@ -138,8 +140,10 @@ def derive(term, m: MixedHodgeStructure, xs: Sequence[Matrix]
                    for y in ys for u in a_q.basis):
             raise LocusError("the quotiented subspace is not preserved "
                              "along the pencil")
+        # proj . y first, as for WSUB: a quotient by everything has no
+        # proj rows.
         proj, section = la.split_quotient(a_q)
-        return quo, [la.mat_mul(proj, la.mat_mul(y, section)) for y in ys]
+        return quo, [la.mat_mul(la.mat_mul(proj, y), section) for y in ys]
     raise ParseError(f"unknown construction head {head!r}")
 
 

@@ -68,11 +68,14 @@ def reduce(s: Subspace, v):
 
 def dense_eliminate(m):
     """la._eliminate as it updated every column of a row: row i becomes
-    a * row - b * prow over the whole row, through la._primitive.  The
-    oracle for the update on the support of the pivot row."""
+    a * row - b * prow over the whole row, through la._primitive, with
+    the pivot of each column on the first remaining row of smallest
+    absolute entry there.  The oracle for the update on the support of
+    the pivot row."""
     nrows, pivots, r = len(m), [], 0
     for c in range(len(m[0])):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        pr = min((i for i in range(r, nrows) if m[i][c]),
+                 key=lambda i: abs(m[i][c]), default=None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -84,6 +87,38 @@ def dense_eliminate(m):
                 g = gcd(p, f)
                 a, b = p // g, f // g
                 m[i] = la._primitive([a * x - b * y for x, y in zip(m[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def first_nonzero_eliminate(m):
+    """la._eliminate as it pivoted each column on the first remaining row
+    with a nonzero entry there: the oracle for the pivot on the smallest
+    entry, which gives the same pivots and the same echelon rows once
+    each is divided by its pivot."""
+    nrows, pivots, r = len(m), [], 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        support = None
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                if support is None:
+                    support = [(j, y) for j, y in enumerate(prow) if y]
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = m[i].copy() if a == 1 else [a * x for x in m[i]]
+                for j, y in support:
+                    row[j] -= b * y
+                m[i] = la._primitive(row)
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -477,6 +477,23 @@ def test_locus_verb(capsys, pencil_file):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("construction", [
+    '["QUOT",[["1","0"],["0","1"]],"SELF"]', '["WSUB",-9,"SELF"]',
+    '["HOM",["QUOT",[["1","0"],["0","1"]],"SELF"],"SELF"]'])
+def test_locus_of_a_zero_derived_space_is_all(capsys, pencil_file,
+                                              construction):
+    """A quotient by everything and a weight step below every weight derive
+    the zero structure, with the 0 x 0 action, and the empty vector is a
+    Hodge class at every t, as at each single member."""
+    code, doc = run(capsys, ["locus", pencil_file, "--vector", "[]",
+                             "--construction", construction])
+    assert code == 0 and doc["kind"] == "ALL" and doc["constraints"] == []
+    with open(pencil_file) as fh:
+        member = lo.pencil_member(se.pencil_from_json(json.load(fh)),
+                                  GaussRat(1, 2))
+    assert lo.eval_construction(json.loads(construction), member).dim == 0
+
+
 def test_up_and_u_large_verbs(capsys, kummer_file, tmp_path):
     code, doc = run(capsys, ["up", kummer_file, "--p", "-2"])
     assert code == 0 and doc["large"] and doc["regime"] == "TATE_EXACT"

@@ -428,6 +428,25 @@ def test_support_update_matches_the_dense_one_step_for_step():
     assert {(44, 54), (102, 9), (20, 54)} <= shapes
 
 
+def test_smallest_pivot_matches_the_first_nonzero_one():
+    """la._eliminate, which pivots each column on the first remaining row
+    of smallest absolute entry, gives the pivots of the first-nonzero
+    rule of helpers.first_nonzero_eliminate and the same echelon rows
+    once each row is divided by its pivot: the reduced echelon form is
+    unique.  On every input of the support-update test."""
+    def reduced(fn, m):
+        rows = [list(r) for r in m]
+        pivots = fn(rows)
+        return pivots, [[Fraction(x, row[c]) for x in row]
+                        for row, c in zip(rows, pivots)]
+    count = 0
+    for m in _eliminate_inputs():
+        assert reduced(la._eliminate, m) == reduced(
+            helpers.first_nonzero_eliminate, m)
+        count += 1
+    assert count > 20
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
     st.just(n), rows_strategy(QI, n))))
@@ -857,6 +876,28 @@ def test_zero_one_identity_and_full_and_zero_subspaces_are_shared(field):
     part = Subspace.span(field, 3, [[2, 1, 0]])
     assert part not in (full, nought) and part.dim == 1
     assert Subspace.full(field, 2) is not full
+    # Every unit row the kernels build is the row of the shared identity.
+    results = [
+        (field, Subspace.span(field, 3, [[2, 1, 0], [0, 0, 5]]).basis),
+        (field, Subspace.span_ints(field, 3, la.int_rows(
+            field, [[0, 3, 0], [1, 1, 1]])).basis),
+        (Q, la.rational_part_ints(3, la.int_rows(
+            QI, [[1, 0, I], [0, 2, 0]])).basis),
+        (field, la.kron_mat(la.mat(field, [[1, 0], [0, 2], [1, 1]]),
+                            la.mat(field, [[0, 1], [1, 0]]))),
+    ]
+    units = 0
+    for f, rows in results:
+        for row in rows:
+            support = [k for k, x in enumerate(row) if x]
+            if len(support) == 1 and row[support[0]] == 1:
+                assert row is la.identity(f, len(row))[support[0]]
+                units += 1
+    assert units == 5
+    # Over Q(i) the integer row [0, d] of one entry is i, not 1.
+    i_row = la.kron_mat(((I,),), la.mat(field, [[1, 0]]))[0]
+    assert i_row == (I, zero(QI)) and i_row is not la.identity(QI, 2)[0]
+    assert la._vector(True, [0, 5], 5) == (I,)
 
 
 # -- scalar serialization -----------------------------------------------------
