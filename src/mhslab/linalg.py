@@ -12,9 +12,9 @@ the right one to integers over one denominator and form every entry as
 one integer, or Gaussian integer, dot product (`_dots`).  Either kernel
 builds one Fraction, or one GaussRat of two, per output entry, and the
 field's shared zero and one for the entries 0 and 1; an echelon row or a
-kron_mat row that is a unit vector is the shared row of `identity`.  A
-product is over Q(i) when either factor holds a GaussRat and over Q
-otherwise.
+kron_mat row that is a unit vector is the shared `unit_row`, which is
+also the row of `identity`.  A product is over Q(i) when either factor
+holds a GaussRat and over Q otherwise.
 """
 
 from __future__ import annotations
@@ -43,11 +43,19 @@ def mat(field: str, rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
+@lru_cache(maxsize=None)
+def unit_row(field: str, n: int, k: int) -> Vector:
+    """Row k of the n x n identity, one shared tuple for every caller.
+    Each row is built on its first use and kept, n entries apiece, so a
+    unit row costs O(n) whether or not its identity is ever built."""
+    return tuple(one(field) if j == k else zero(field) for j in range(n))
+
+
 @lru_cache(maxsize=32)
 def identity(field: str, n: int) -> Matrix:
-    """The n x n identity, shared between callers: matrices are tuples."""
-    return tuple(tuple(one(field) if i == j else zero(field) for j in range(n))
-                 for i in range(n))
+    """The n x n identity, shared between callers: matrices are tuples,
+    and each row is the shared `unit_row`."""
+    return tuple(unit_row(field, n, k) for k in range(n))
 
 
 def zeros(field: str, m: int, n: int) -> Matrix:
@@ -144,14 +152,15 @@ def _vector(gauss: bool, ints: list, d: int) -> Vector:
     """The scalars of ints / d, an integer row in the layout of int_rows:
     one Fraction, or one GaussRat of two, per entry, and the field's
     shared zero and one for the entries 0 and 1.  A unit vector, whose
-    one nonzero int is d in a real column, is the shared row of
-    `identity`: over Q(i) a d in an imaginary column is the scalar i."""
+    one nonzero int is d in a real column, is the shared `unit_row`, the
+    row of `identity`: over Q(i) a d in an imaginary column is the
+    scalar i."""
     if ints.count(0) == len(ints) - 1 and d in ints:
         k = ints.index(d)
         if not gauss:
-            return identity(Q, len(ints))[k]
+            return unit_row(Q, len(ints), k)
         if k % 2 == 0:
-            return identity(QI, len(ints) // 2)[k // 2]
+            return unit_row(QI, len(ints) // 2, k // 2)
     if not gauss:
         return tuple(_q(x, d) for x in ints)
     return tuple(_qi(x, y, d) for x, y in zip(ints[::2], ints[1::2]))

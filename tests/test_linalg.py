@@ -894,6 +894,11 @@ def test_zero_one_identity_and_full_and_zero_subspaces_are_shared(field):
                 assert row is la.identity(f, len(row))[support[0]]
                 units += 1
     assert units == 5
+    # A unit row is built alone, in O(n): it builds no identity.
+    before = la.identity.cache_info()
+    row = la._vector(False, [0] * 150 + [3] + [0] * 49, 3)
+    assert la.identity.cache_info() == before
+    assert row is la.unit_row(Q, 200, 150) is la.identity(Q, 200)[150]
     # Over Q(i) the integer row [0, d] of one entry is i, not 1.
     i_row = la.kron_mat(((I,),), la.mat(field, [[1, 0]]))[0]
     assert i_row == (I, zero(QI)) and i_row is not la.identity(QI, 2)[0]
